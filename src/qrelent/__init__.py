@@ -50,7 +50,6 @@ from .divergence import (
 from .variational import (
     OptimizeConfig,
     OptimizeResult,
-    fenchel_value,
     lieb_gradient,
     lieb_objective,
     maximize_lieb,
@@ -60,16 +59,19 @@ from .variational import (
     variational_objective,
 )
 from .convexity import (
+    SUITES,
     BoundTrial,
     SegmentTrial,
     SuiteReport,
     T_GRID,
     fenchel_convexity_suite,
     joint_convexity_suite,
+    klein_suite,
     lieb_concavity_suite,
     partial_max_concavity_suite,
     sample_lieb_instance,
     segment_test,
+    variational_suite,
 )
 from .matrixio import (
     matrix_from_dict,
@@ -94,14 +96,14 @@ __all__ = [
     "DivergenceBreakdown", "KleinCheck", "entropy", "entropy_gradient",
     "relative_entropy", "bregman_residual", "klein_check",
     # variational
-    "OptimizeConfig", "OptimizeResult", "trace_exp_log", "fenchel_value",
+    "OptimizeConfig", "OptimizeResult", "trace_exp_log",
     "variational_objective", "variational_gradient", "lieb_objective",
     "lieb_gradient", "maximize_variational", "maximize_lieb",
     # convexity suites
     "SegmentTrial", "BoundTrial", "SuiteReport", "T_GRID", "segment_test",
-    "joint_convexity_suite", "lieb_concavity_suite",
-    "partial_max_concavity_suite", "fenchel_convexity_suite",
-    "sample_lieb_instance",
+    "SUITES", "klein_suite", "joint_convexity_suite",
+    "lieb_concavity_suite", "partial_max_concavity_suite",
+    "fenchel_convexity_suite", "variational_suite", "sample_lieb_instance",
     # io
     "read_matrix", "write_matrix", "write_report",
     "matrix_to_dict", "matrix_from_dict",

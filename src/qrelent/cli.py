@@ -9,247 +9,33 @@ violation was found, 2 usage/config/parse error.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import sys
 
 import numpy as np
 
 from . import __version__
-from .convexity import (
-    BoundTrial,
-    SuiteReport,
-    VALUE_AGREEMENT_RTOL,
-    MAX_INVALID_FRACTION,
-    fenchel_convexity_suite,
-    joint_convexity_suite,
-    lieb_concavity_suite,
-    partial_max_concavity_suite,
-    sample_lieb_instance,
-)
-from .divergence import entropy, klein_check, relative_entropy
+# klein_suite and variational_suite stay importable from qrelent.cli.
+from .convexity import SUITES, klein_suite, variational_suite  # noqa: F401
+from .divergence import entropy, relative_entropy
 from .errors import QrelentError
-from .hermitian import (
-    HermitianMatrix,
-    PdMatrix,
-    mat_exp,
-    mat_log,
-    sample_pd,
-    trial_rng,
-    validate_pd,
-)
+from .hermitian import HermitianMatrix, PdMatrix, validate_pd
 from .matrixio import read_matrix, write_report
-from .variational import (
-    lieb_objective,
-    maximize_lieb,
-    maximize_variational,
-    trace_exp_log,
-)
-
-SUITE_NAMES = (
-    "klein",
-    "joint-convexity",
-    "lieb-concavity",
-    "partial-max",
-    "fenchel",
-    "variational",
-)
-
-_DEFAULT_DIM = 6
-_DEFAULT_SEED = 42
-_DEFAULT_TRIALS = {name: 50 if name == "partial-max" else 200 for name in SUITE_NAMES}
-_DEFAULT_TOL = {name: 1e-8 if name == "partial-max" else 1e-9 for name in SUITE_NAMES}
-# partial-max runs one optimization per evaluation; its dimension is capped.
-_PARTIAL_MAX_DIM_CAP = 16
-
-# Agreement budgets for optimizer-backed trials: the recorded violation is
-# the normalized gap minus its budget, so healthy runs sit well below zero.
-_OPT_VALUE_RTOL = VALUE_AGREEMENT_RTOL
-_OPT_ARGMAX_TOL = 1e-4
-# Strictness probe: divergence of clearly separated pairs must exceed this.
-_SEPARATION_MIN_DIVERGENCE = 1e-8
-_SEPARATION_DISTANCE = 0.1
+from .variational import lieb_objective, trace_exp_log
 
 
-@dataclasses.dataclass(frozen=True)
-class RunConfig:
-    """Configuration of one ``verify`` invocation.
+def cmd_verify(args: argparse.Namespace) -> int:
+    """Run the selected suite(s), print one line each, persist the report.
 
-    ``trials`` and ``tol`` may be None, meaning each suite uses its own
-    default (200 / 1e-9, except partial-max with 50 / 1e-8).
+    The arguments of every selected suite are checked before any suite
+    runs; ``--flip-orientation`` applies to lieb-concavity only.
     """
-
-    suite: str
-    dim: int = _DEFAULT_DIM
-    trials: int | None = None
-    seed: int = _DEFAULT_SEED
-    tol: float | None = None
-    out_path: str | None = None
-    flip_orientation: bool = False
-
-    def validate(self) -> None:
-        if self.suite != "all" and self.suite not in SUITE_NAMES:
-            raise ValueError(f"unknown suite {self.suite!r}")
-        if not 1 <= self.dim <= 64:
-            raise ValueError(f"dim must lie in [1, 64], got {self.dim}")
-        if self.trials is not None and self.trials < 1:
-            raise ValueError(f"trials must be at least 1, got {self.trials}")
-        if self.tol is not None and not self.tol > 0.0:
-            raise ValueError(f"tol must be positive, got {self.tol}")
-
-
-def klein_suite(dim: int, trials: int, seed: int, tol: float) -> SuiteReport:
-    """Nonnegativity of the divergence on random PD pairs.
-
-    Three trial kinds: ``nonneg`` (D >= -tol * scale on random pairs),
-    ``identity`` (D(X;X) <= tol * scale), and ``separated`` (D >= 1e-8
-    whenever the pair is at least 0.1 apart in Frobenius norm).
-    """
-    records: list[BoundTrial] = []
-    for i in range(trials):
-        rng = trial_rng(seed, i)
-        x = sample_pd(rng, dim, 0.1)
-        y = sample_pd(rng, dim, 0.1)
-        scale = 1.0 + x.frobenius_norm() + y.frobenius_norm()
-        check = klein_check(x, y, tol * scale)
-        records.append(
-            BoundTrial("nonneg", check.value, 0.0, -check.value / scale, scale)
-        )
-
-    for i in range(max(1, trials // 5)):
-        rng = trial_rng(seed, 1_000_000 + i)
-        x = sample_pd(rng, dim, 0.1)
-        value = relative_entropy(x, x).value
-        scale = 1.0 + x.frobenius_norm()
-        records.append(BoundTrial("identity", value, 0.0, abs(value) / scale, scale))
-
-    for i in range(min(100, trials)):
-        rng = trial_rng(seed, 2_000_000 + i)
-        x = sample_pd(rng, dim, 0.1)
-        y = sample_pd(rng, dim, 0.1)
-        for _ in range(1000):
-            if (x.base - y.base).frobenius_norm() >= _SEPARATION_DISTANCE:
-                break
-            y = sample_pd(rng, dim, 0.1)
-        value = relative_entropy(x, y).value
-        records.append(
-            BoundTrial(
-                "separated", value, _SEPARATION_MIN_DIVERGENCE,
-                _SEPARATION_MIN_DIVERGENCE - value, 1.0,
-            )
-        )
-
-    max_violation = max(r.violation for r in records)
-    return SuiteReport(
-        suite_name="klein",
-        trials=records,
-        max_violation=max_violation,
-        passed=max_violation <= tol,
-        config_echo={"dim": dim, "trials": trials, "seed": seed, "tol": tol},
-    )
-
-
-def variational_suite(dim: int, trials: int, seed: int, tol: float) -> SuiteReport:
-    """Optimizer agreement with the closed-form maximizers.
-
-    Each trial maximizes the trace variational objective on a random ``Y``
-    (argmax must be ``Y`` with value ``tr Y``) and the trace-exponential
-    objective on a conditioned ``(H, A)`` pair (argmax ``exp(H + log A)``
-    with value ``tr exp(H + log A)``).  Recorded violations are normalized
-    gaps minus their budgets (1e-6 for values, 1e-4 for maximizers).
-    """
-    records: list[BoundTrial] = []
-    invalid = 0
-    for i in range(trials):
-        rng = trial_rng(seed, i)
-        y = sample_pd(rng, dim, 0.1)
-        res = maximize_variational(y)
-        if not res.converged:
-            records.append(BoundTrial("variational-value", 0.0, _OPT_VALUE_RTOL, 0.0, 1.0, valid=False))
-            invalid += 1
-        else:
-            tr_y = y.trace()
-            value_gap = abs(res.value - tr_y) / (1.0 + abs(tr_y))
-            argmax_gap = (res.maximizer.base - y.base).frobenius_norm() / (
-                1.0 + y.frobenius_norm()
-            )
-            records.append(
-                BoundTrial("variational-value", value_gap, _OPT_VALUE_RTOL,
-                           value_gap - _OPT_VALUE_RTOL, 1.0 + abs(tr_y))
-            )
-            records.append(
-                BoundTrial("variational-argmax", argmax_gap, _OPT_ARGMAX_TOL,
-                           argmax_gap - _OPT_ARGMAX_TOL, 1.0 + y.frobenius_norm())
-            )
-
-        h, a = sample_lieb_instance(rng, dim)
-        res = maximize_lieb(h, a)
-        if not res.converged:
-            records.append(BoundTrial("lieb-value", 0.0, _OPT_VALUE_RTOL, 0.0, 1.0, valid=False))
-            invalid += 1
-            continue
-        direct = trace_exp_log(h, a)
-        x_star = mat_exp(h + mat_log(a))
-        value_gap = abs(res.value - direct) / (1.0 + abs(direct))
-        argmax_gap = (res.maximizer.base - x_star.base).frobenius_norm() / (
-            1.0 + x_star.frobenius_norm()
-        )
-        records.append(
-            BoundTrial("lieb-value", value_gap, _OPT_VALUE_RTOL,
-                       value_gap - _OPT_VALUE_RTOL, 1.0 + abs(direct))
-        )
-        records.append(
-            BoundTrial("lieb-argmax", argmax_gap, _OPT_ARGMAX_TOL,
-                       argmax_gap - _OPT_ARGMAX_TOL, 1.0 + x_star.frobenius_norm())
-        )
-
-    valid = [r.violation for r in records if r.valid]
-    max_violation = max(valid) if valid else float("nan")
-    invalid_fraction = invalid / len(records) if records else 1.0
-    passed = bool(valid) and max_violation <= tol and invalid_fraction <= MAX_INVALID_FRACTION
-    return SuiteReport(
-        suite_name="variational",
-        trials=records,
-        max_violation=max_violation,
-        passed=passed,
-        config_echo={"dim": dim, "trials": trials, "seed": seed, "tol": tol},
-        invalid_trials=invalid,
-        extras={
-            "invalid_fraction": invalid_fraction,
-            "value_budget": _OPT_VALUE_RTOL,
-            "argmax_budget": _OPT_ARGMAX_TOL,
-        },
-    )
-
-
-def _run_suite(name: str, cfg: RunConfig) -> SuiteReport:
-    trials = cfg.trials if cfg.trials is not None else _DEFAULT_TRIALS[name]
-    tol = cfg.tol if cfg.tol is not None else _DEFAULT_TOL[name]
-    dim = cfg.dim
-    if name == "klein":
-        return klein_suite(dim, trials, cfg.seed, tol)
-    if name == "joint-convexity":
-        return joint_convexity_suite(dim, trials, cfg.seed, tol)
-    if name == "lieb-concavity":
-        orientation = "convex" if cfg.flip_orientation else "concave"
-        return lieb_concavity_suite(dim, trials, cfg.seed, tol, orientation=orientation)
-    if name == "partial-max":
-        return partial_max_concavity_suite(
-            min(dim, _PARTIAL_MAX_DIM_CAP), trials, cfg.seed, tol
-        )
-    if name == "fenchel":
-        return fenchel_convexity_suite(dim, trials, cfg.seed, tol)
-    if name == "variational":
-        return variational_suite(dim, trials, cfg.seed, tol)
-    raise ValueError(f"unknown suite {name!r}")
-
-
-def cmd_verify(cfg: RunConfig) -> int:
-    """Run the selected suite(s), print one line each, persist the report."""
-    cfg.validate()
-    names = SUITE_NAMES if cfg.suite == "all" else (cfg.suite,)
+    names = list(SUITES) if args.suite == "all" else [args.suite]
+    runs = [(name, SUITES[name].resolve(args.dim, args.trials, args.tol)) for name in names]
     reports = []
-    for name in names:
-        report = _run_suite(name, cfg)
+    for name, (dim, trials, tol) in runs:
+        flip = args.flip_orientation and name == "lieb-concavity"
+        kwargs = {"orientation": "convex"} if flip else {}
+        report = SUITES[name].run(dim, trials, args.seed, tol, **kwargs)
         reports.append(report)
         status = "PASS" if report.passed else "FAIL"
         print(
@@ -266,19 +52,19 @@ def cmd_verify(cfg: RunConfig) -> int:
             "all_pass": all_pass,
             "versions": {"qrelent": __version__, "numpy": np.__version__},
             "config": {
-                "suite": cfg.suite,
-                "dim": cfg.dim,
-                "trials": cfg.trials,
-                "seed": cfg.seed,
-                "tol": cfg.tol,
-                "flip_orientation": cfg.flip_orientation,
+                "suite": args.suite,
+                "dim": args.dim,
+                "trials": args.trials,
+                "seed": args.seed,
+                "tol": args.tol,
+                "flip_orientation": args.flip_orientation,
             },
         },
         "reports": [r.to_json_dict() for r in reports],
     }
-    if cfg.out_path is not None:
-        write_report(document, cfg.out_path)
-        print(f"report written to {cfg.out_path}")
+    if args.out is not None:
+        write_report(document, args.out)
+        print(f"report written to {args.out}")
     return 0 if all_pass else 1
 
 
@@ -325,6 +111,12 @@ def cmd_eval(op: str, h_path: str | None, a_path: str | None, x_path: str | None
     return 0
 
 
+def _per_suite(field: str) -> str:
+    return "per-suite default: " + ", ".join(
+        f"{name} {getattr(suite, field):g}" for name, suite in SUITES.items()
+    )
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="qrelent",
@@ -334,13 +126,11 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     verify = sub.add_parser("verify", help="run property suites and write a report")
-    verify.add_argument("--suite", choices=SUITE_NAMES + ("all",), default="all")
-    verify.add_argument("--dim", type=int, default=_DEFAULT_DIM)
-    verify.add_argument("--trials", type=int, default=None,
-                        help="per-suite default: 200 (partial-max: 50)")
-    verify.add_argument("--seed", type=int, default=_DEFAULT_SEED)
-    verify.add_argument("--tol", type=float, default=None,
-                        help="per-suite default: 1e-9 (partial-max: 1e-8)")
+    verify.add_argument("--suite", choices=(*SUITES, "all"), default="all")
+    verify.add_argument("--dim", type=int, default=6)
+    verify.add_argument("--trials", type=int, default=None, help=_per_suite("trials"))
+    verify.add_argument("--seed", type=int, default=42)
+    verify.add_argument("--tol", type=float, default=None, help=_per_suite("tol"))
     verify.add_argument("--out", default=None, help="write the JSON report here")
     verify.add_argument("--flip-orientation", action="store_true",
                         help="self-test hook: test the concavity suite with the "
@@ -362,16 +152,7 @@ def main(argv: list[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         if args.command == "verify":
-            cfg = RunConfig(
-                suite=args.suite,
-                dim=args.dim,
-                trials=args.trials,
-                seed=args.seed,
-                tol=args.tol,
-                out_path=args.out,
-                flip_orientation=args.flip_orientation,
-            )
-            return cmd_verify(cfg)
+            return cmd_verify(args)
         return cmd_eval(args.op, args.h, args.a, args.x)
     except (QrelentError, ValueError, OverflowError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

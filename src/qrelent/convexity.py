@@ -1,35 +1,39 @@
 """Randomized midpoint/Jensen testers for convexity and concavity claims.
 
 These are falsification harnesses, not proofs: each suite draws seeded
-random instances, evaluates the claimed inequality along segments, and
-reports normalized violations.  A report is a pure function of
-``(dim, trials, seed, tol)``; every trial derives its own generator from
-the master seed and the trial index, so reruns are identical regardless
-of evaluation order.
+random instances, evaluates the claimed inequality along segments (or
+against a scalar bound), and reports normalized violations.  A report is
+a pure function of ``(dim, trials, seed, tol)``; every trial derives its
+own generator from the master seed and the trial index, so reruns are
+identical regardless of evaluation order.  ``SUITES`` lists every suite
+with its defaults.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import math
-from typing import Callable, Sequence, Union
+from typing import Callable, NamedTuple, Sequence, Union
 
 import numpy as np
 
-from .divergence import relative_entropy
+from .divergence import klein_check, relative_entropy
 from .errors import SegmentEvaluationError
 from .hermitian import (
     HermitianMatrix,
     PdMatrix,
+    mat_exp,
+    mat_log,
     sample_hermitian,
     sample_pd,
     trial_rng,
     validate_pd,
 )
+from .matrixio import matrix_to_dict
 from .variational import (
     OptimizeConfig,
-    fenchel_value,
     maximize_lieb,
+    maximize_variational,
     trace_exp_log,
 )
 
@@ -42,8 +46,17 @@ _ORIENTATIONS = {"convex": 1.0, "concave": -1.0}
 # Required agreement between an optimizer-evaluated partial maximum and the
 # direct trace-exponential value, normalized by 1 + |direct value|.
 VALUE_AGREEMENT_RTOL = 1e-6
+# Required agreement between an optimizer maximizer and the closed-form
+# argmax, normalized by 1 + ||argmax||_F.
+_ARGMAX_AGREEMENT_TOL = 1e-4
 # Largest tolerated fraction of non-converged (invalid) trials.
 MAX_INVALID_FRACTION = 0.05
+# Largest dimension any suite accepts.
+_MAX_DIM = 64
+# Klein strictness probe: pairs at least this far apart in Frobenius norm
+# must have a divergence above the minimum.
+_SEPARATION_DISTANCE = 0.1
+_SEPARATION_MIN_DIVERGENCE = 1e-8
 
 Matrix = Union[HermitianMatrix, PdMatrix]
 Point = Sequence[Matrix]
@@ -155,15 +168,16 @@ def _mix_point(t: float, p1: tuple, p2: tuple) -> tuple:
     return tuple(_mix_component(t, a, b) for a, b in zip(p1, p2))
 
 
-def _call(f: Callable[..., float], point: tuple, t: float) -> float:
+def _call(f: Callable[..., float | None], point: tuple, t: float) -> float | None:
     try:
-        return float(f(*point))
+        value = f(*point)
+        return None if value is None else float(value)
     except Exception as exc:  # noqa: BLE001 - re-raised with context
         raise SegmentEvaluationError(t, str(exc)) from exc
 
 
 def segment_test(
-    f: Callable[..., float],
+    f: Callable[..., float | None],
     p1,
     p2,
     t_samples: Sequence[float],
@@ -175,37 +189,37 @@ def segment_test(
     left side is ``f`` at the mixture, and the right side the scalar
     mixture of the endpoint values.  Violations are normalized by
     ``1 + |f(p1)| + |f(p2)|``.
+
+    ``f`` returns None for a point it could not evaluate (an optimizer run
+    that did not converge).  The comparison at that ``t`` is then recorded
+    as invalid; when an endpoint is None, every comparison is, and no
+    mixture is evaluated.
     """
     orient = _ORIENTATIONS[orientation]
     p1, p2 = _as_point(p1), _as_point(p2)
     f1 = _call(f, p1, 1.0)
     f2 = _call(f, p2, 0.0)
+    if f1 is None or f2 is None:
+        return [SegmentTrial(float(t), 0.0, 0.0, 0.0, 1.0, valid=False) for t in t_samples]
     scale = 1.0 + abs(f1) + abs(f2)
     trials = []
     for t in t_samples:
         t = float(t)
         lhs = _call(f, _mix_point(t, p1, p2), t)
+        if lhs is None:
+            trials.append(SegmentTrial(t, 0.0, 0.0, 0.0, scale, valid=False))
+            continue
         rhs = t * f1 + (1.0 - t) * f2
         violation = (lhs - rhs) * orient / scale
         trials.append(SegmentTrial(t, lhs, rhs, violation, scale))
     return trials
 
 
-def _matrix_dict(m: Matrix) -> dict:
-    # Matrix file format; kept inline to avoid a dependency on the io module.
-    e = m.entries
-    return {
-        "dim": int(e.shape[0]),
-        "re": [float(v) for v in e.real.ravel()],
-        "im": [float(v) for v in e.imag.ravel()],
-    }
-
-
 def _witness(t: float, p1: tuple, p2: tuple) -> dict:
     return {
         "t": t,
-        "p1": [_matrix_dict(m) for m in p1],
-        "p2": [_matrix_dict(m) for m in p2],
+        "p1": [matrix_to_dict(m) for m in p1],
+        "p2": [matrix_to_dict(m) for m in p2],
     }
 
 
@@ -218,22 +232,38 @@ def _attach_witnesses(trials, p1, p2, tol):
     return out
 
 
-def _finish(name, trials, tol, config_echo, invalid=0, extras=None, extra_ok=True):
-    valid_violations = [tr.violation for tr in trials if tr.valid]
-    max_violation = max(valid_violations, default=math.nan)
+def _echo(dim: int, trials: int, seed: int, tol: float, **more) -> dict:
+    return {"dim": dim, "trials": trials, "seed": seed, "tol": tol, **more}
+
+
+def _invalid_fraction(records: list) -> float:
+    return sum(not r.valid for r in records) / len(records) if records else 1.0
+
+
+def _finish(name, records, tol, config_echo, extras=None, extra_ok=True):
+    """The suite's report: it passes when every valid violation is at most ``tol``.
+
+    A non-finite valid violation fails the suite and makes ``max_violation``
+    NaN (Python's ``max`` would skip a NaN that does not come first).
+    """
+    valid_violations = [r.violation for r in records if r.valid]
+    if all(math.isfinite(v) for v in valid_violations):
+        max_violation = max(valid_violations, default=math.nan)
+    else:
+        max_violation = math.nan
     passed = bool(valid_violations) and max_violation <= tol and extra_ok
     return SuiteReport(
         suite_name=name,
-        trials=trials,
+        trials=records,
         max_violation=max_violation,
         passed=passed,
         config_echo=config_echo,
-        invalid_trials=invalid,
+        invalid_trials=sum(not r.valid for r in records),
         extras=extras or {},
     )
 
 
-def _check_args(dim: int, trials: int, tol: float, max_dim: int = 64) -> None:
+def _check_args(dim: int, trials: int, tol: float, max_dim: int = _MAX_DIM) -> None:
     if not 1 <= dim <= max_dim:
         raise ValueError(f"dim must lie in [1, {max_dim}], got {dim}")
     if trials < 1:
@@ -244,6 +274,50 @@ def _check_args(dim: int, trials: int, tol: float, max_dim: int = 64) -> None:
 
 def _t_samples(rng: np.random.Generator) -> tuple:
     return T_GRID + (float(rng.uniform()),)
+
+
+def klein_suite(dim: int, trials: int, seed: int, tol: float) -> SuiteReport:
+    """Nonnegativity of the divergence on random PD pairs.
+
+    Three trial kinds: ``nonneg`` (D >= -tol * scale on random pairs),
+    ``identity`` (D(X;X) <= tol * scale), and ``separated`` (D >= 1e-8
+    whenever the pair is at least 0.1 apart in Frobenius norm).
+    """
+    _check_args(dim, trials, tol)
+    records: list[BoundTrial] = []
+    for i in range(trials):
+        rng = trial_rng(seed, i)
+        x = sample_pd(rng, dim, 0.1)
+        y = sample_pd(rng, dim, 0.1)
+        scale = 1.0 + x.frobenius_norm() + y.frobenius_norm()
+        check = klein_check(x, y, tol * scale)
+        records.append(
+            BoundTrial("nonneg", check.value, 0.0, -check.value / scale, scale)
+        )
+
+    for i in range(max(1, trials // 5)):
+        rng = trial_rng(seed, 1_000_000 + i)
+        x = sample_pd(rng, dim, 0.1)
+        value = relative_entropy(x, x).value
+        scale = 1.0 + x.frobenius_norm()
+        records.append(BoundTrial("identity", value, 0.0, abs(value) / scale, scale))
+
+    for i in range(min(100, trials)):
+        rng = trial_rng(seed, 2_000_000 + i)
+        x = sample_pd(rng, dim, 0.1)
+        y = sample_pd(rng, dim, 0.1)
+        for _ in range(1000):
+            if (x.base - y.base).frobenius_norm() >= _SEPARATION_DISTANCE:
+                break
+            y = sample_pd(rng, dim, 0.1)
+        value = relative_entropy(x, y).value
+        records.append(
+            BoundTrial(
+                "separated", value, _SEPARATION_MIN_DIVERGENCE,
+                _SEPARATION_MIN_DIVERGENCE - value, 1.0,
+            )
+        )
+    return _finish("klein", records, tol, _echo(dim, trials, seed, tol))
 
 
 def joint_convexity_suite(dim: int, trials: int, seed: int, tol: float) -> SuiteReport:
@@ -272,7 +346,7 @@ def joint_convexity_suite(dim: int, trials: int, seed: int, tol: float) -> Suite
         "joint-convexity",
         all_trials,
         tol,
-        {"dim": dim, "trials": trials, "seed": seed, "tol": tol},
+        _echo(dim, trials, seed, tol),
         extras={"min_divergence_value": min_value},
     )
 
@@ -301,18 +375,16 @@ def lieb_concavity_suite(
         "lieb-concavity",
         all_trials,
         tol,
-        {
-            "dim": dim,
-            "trials": trials,
-            "seed": seed,
-            "tol": tol,
-            "orientation": orientation,
-        },
+        _echo(dim, trials, seed, tol, orientation=orientation),
     )
 
 
 def fenchel_convexity_suite(dim: int, trials: int, seed: int, tol: float) -> SuiteReport:
-    """Convexity of ``H -> tr exp(H + log A)`` for fixed positive-definite ``A``."""
+    """Convexity of ``H -> tr exp(H + log A)`` for fixed positive-definite ``A``.
+
+    As the partial maximum of ``tr(XH) - (D(X;A) - tr A)`` over ``X``, the
+    map is a supremum of affine functions of ``H`` (a Fenchel conjugate).
+    """
     _check_args(dim, trials, tol)
     all_trials: list[SegmentTrial] = []
     for i in range(trials):
@@ -321,15 +393,10 @@ def fenchel_convexity_suite(dim: int, trials: int, seed: int, tol: float) -> Sui
         h1 = sample_hermitian(rng, dim, 3.0)
         h2 = sample_hermitian(rng, dim, 3.0)
         seg = segment_test(
-            lambda h: fenchel_value(h, a), (h1,), (h2,), _t_samples(rng), "convex"
+            lambda h: trace_exp_log(h, a), (h1,), (h2,), _t_samples(rng), "convex"
         )
         all_trials.extend(_attach_witnesses(seg, (h1,), (h2,), tol))
-    return _finish(
-        "fenchel",
-        all_trials,
-        tol,
-        {"dim": dim, "trials": trials, "seed": seed, "tol": tol},
-    )
+    return _finish("fenchel", all_trials, tol, _echo(dim, trials, seed, tol))
 
 
 def _centered_pd(rng: np.random.Generator, dim: int, spread: float) -> PdMatrix:
@@ -364,63 +431,40 @@ def partial_max_concavity_suite(
 
     Defines ``g(A)`` as the maximum of ``tr(XH) - (D(X;A) - tr A)`` found
     by gradient ascent (identity start) and segment-tests ``g`` with the
-    concave orientation.  Every evaluation is also compared against the
-    direct value ``tr exp(H + log A)``; non-converged evaluations mark the
-    affected trials invalid, and more than 5% invalid fails the suite, as
-    does a value-agreement gap beyond ``VALUE_AGREEMENT_RTOL``.
+    concave orientation.  Every converged evaluation is also compared
+    against the direct value ``tr exp(H + log A)``; non-converged
+    evaluations mark the affected trials invalid, and more than 5% invalid
+    fails the suite, as does a value-agreement gap beyond
+    ``VALUE_AGREEMENT_RTOL``.
     """
-    _check_args(dim, trials, tol, max_dim=16)
+    _check_args(dim, trials, tol, SUITES["partial-max"].dim_cap)
     all_trials: list[SegmentTrial] = []
-    invalid = 0
     max_value_gap = 0.0
 
     for i in range(trials):
         rng = trial_rng(seed, i)
         h, a1 = sample_lieb_instance(rng, dim)
         a2 = _centered_pd(rng, dim, 0.3)
-        ts = _t_samples(rng)
 
-        def evaluate(a: PdMatrix):
+        def g(a: PdMatrix) -> float | None:
+            nonlocal max_value_gap
             res = maximize_lieb(h, a, PdMatrix.identity(dim), cfg)
+            if not res.converged:
+                return None
             direct = trace_exp_log(h, a)
-            gap = abs(res.value - direct) / (1.0 + abs(direct))
-            return res.value, res.converged, gap
+            max_value_gap = max(max_value_gap, abs(res.value - direct) / (1.0 + abs(direct)))
+            return res.value
 
-        g1, ok1, gap1 = evaluate(a1)
-        g2, ok2, gap2 = evaluate(a2)
-        if not (ok1 and ok2):
-            all_trials.extend(
-                SegmentTrial(float(t), 0.0, 0.0, 0.0, 1.0, valid=False) for t in ts
-            )
-            invalid += len(ts)
-            continue
-        max_value_gap = max(max_value_gap, gap1, gap2)
-        scale = 1.0 + abs(g1) + abs(g2)
-
-        seg: list[SegmentTrial] = []
-        for t in ts:
-            t = float(t)
-            mixed = validate_pd(a1.base * t + a2.base * (1.0 - t))
-            gm, okm, gapm = evaluate(mixed)
-            if not okm:
-                seg.append(SegmentTrial(t, 0.0, 0.0, 0.0, scale, valid=False))
-                invalid += 1
-                continue
-            max_value_gap = max(max_value_gap, gapm)
-            rhs = t * g1 + (1.0 - t) * g2
-            violation = -(gm - rhs) / scale
-            seg.append(SegmentTrial(t, gm, rhs, violation, scale))
+        seg = segment_test(g, (a1,), (a2,), _t_samples(rng), "concave")
         all_trials.extend(_attach_witnesses(seg, (h, a1), (h, a2), tol))
 
-    total = len(all_trials)
-    invalid_fraction = invalid / total if total else 1.0
+    invalid_fraction = _invalid_fraction(all_trials)
     extra_ok = invalid_fraction <= MAX_INVALID_FRACTION and max_value_gap <= VALUE_AGREEMENT_RTOL
     return _finish(
         "partial-max",
         all_trials,
         tol,
-        {"dim": dim, "trials": trials, "seed": seed, "tol": tol},
-        invalid=invalid,
+        _echo(dim, trials, seed, tol),
         extras={
             "invalid_fraction": invalid_fraction,
             "max_value_gap": max_value_gap,
@@ -429,3 +473,101 @@ def partial_max_concavity_suite(
         },
         extra_ok=extra_ok,
     )
+
+
+def _agreement(kind: str, res, closed_form: Callable[[], tuple]) -> list[BoundTrial]:
+    """Value and argmax gaps of one optimizer run, minus their budgets.
+
+    ``closed_form`` returns the exact ``(value, maximizer)`` and is called
+    only for a converged run; a run that did not converge gives one
+    invalid record.
+    """
+    if not res.converged:
+        return [BoundTrial(f"{kind}-value", 0.0, VALUE_AGREEMENT_RTOL, 0.0, 1.0, valid=False)]
+    value, maximizer = closed_form()
+    value_scale = 1.0 + abs(value)
+    argmax_scale = 1.0 + maximizer.frobenius_norm()
+    value_gap = abs(res.value - value) / value_scale
+    argmax_gap = (res.maximizer.base - maximizer.base).frobenius_norm() / argmax_scale
+    return [
+        BoundTrial(f"{kind}-value", value_gap, VALUE_AGREEMENT_RTOL,
+                   value_gap - VALUE_AGREEMENT_RTOL, value_scale),
+        BoundTrial(f"{kind}-argmax", argmax_gap, _ARGMAX_AGREEMENT_TOL,
+                   argmax_gap - _ARGMAX_AGREEMENT_TOL, argmax_scale),
+    ]
+
+
+def variational_suite(dim: int, trials: int, seed: int, tol: float) -> SuiteReport:
+    """Optimizer agreement with the closed-form maximizers.
+
+    Each trial maximizes the trace variational objective on a random ``Y``
+    (argmax must be ``Y`` with value ``tr Y``) and the trace-exponential
+    objective on a conditioned ``(H, A)`` pair (argmax ``exp(H + log A)``
+    with value ``tr exp(H + log A)``).  Recorded violations are normalized
+    gaps minus their budgets (1e-6 for values, 1e-4 for maximizers).
+    """
+    _check_args(dim, trials, tol)
+    records: list[BoundTrial] = []
+    for i in range(trials):
+        rng = trial_rng(seed, i)
+        y = sample_pd(rng, dim, 0.1)
+        records += _agreement("variational", maximize_variational(y), lambda: (y.trace(), y))
+        h, a = sample_lieb_instance(rng, dim)
+        records += _agreement(
+            "lieb", maximize_lieb(h, a),
+            lambda: (trace_exp_log(h, a), mat_exp(h + mat_log(a))),
+        )
+
+    invalid_fraction = _invalid_fraction(records)
+    return _finish(
+        "variational",
+        records,
+        tol,
+        _echo(dim, trials, seed, tol),
+        extras={
+            "invalid_fraction": invalid_fraction,
+            "value_budget": VALUE_AGREEMENT_RTOL,
+            "argmax_budget": _ARGMAX_AGREEMENT_TOL,
+        },
+        extra_ok=invalid_fraction <= MAX_INVALID_FRACTION,
+    )
+
+
+class Suite(NamedTuple):
+    """One row of ``SUITES``: a suite function and its run defaults.
+
+    ``run(dim, trials, seed, tol)`` returns a :class:`SuiteReport`.
+    ``dim_cap`` is the largest dimension the function accepts; a run
+    asked for more runs at the cap.
+    """
+
+    run: Callable[..., SuiteReport]
+    trials: int = 200
+    tol: float = 1e-9
+    dim_cap: int = _MAX_DIM
+
+    def resolve(
+        self, dim: int, trials: int | None = None, tol: float | None = None
+    ) -> tuple[int, int, float]:
+        """The ``(dim, trials, tol)`` of one run: defaults filled in, dim capped.
+
+        Raises ValueError when ``dim`` lies outside [1, 64], ``trials`` is
+        below 1 or ``tol`` is not positive.
+        """
+        trials = self.trials if trials is None else trials
+        tol = self.tol if tol is None else tol
+        _check_args(dim, trials, tol)
+        return min(dim, self.dim_cap), trials, tol
+
+
+# Every suite, in the order ``verify --suite all`` runs them.  partial-max
+# runs one optimization per evaluation, hence fewer trials, a looser
+# tolerance and a capped dimension.
+SUITES = {
+    "klein": Suite(klein_suite),
+    "joint-convexity": Suite(joint_convexity_suite),
+    "lieb-concavity": Suite(lieb_concavity_suite),
+    "partial-max": Suite(partial_max_concavity_suite, trials=50, tol=1e-8, dim_cap=16),
+    "fenchel": Suite(fenchel_convexity_suite),
+    "variational": Suite(variational_suite),
+}

@@ -97,16 +97,6 @@ def trace_exp_log(h: HermitianMatrix, a: PdMatrix) -> float:
     return float(np.sum(np.exp(w)))
 
 
-def fenchel_value(h: HermitianMatrix, a: PdMatrix) -> float:
-    """``tr exp(H + log A)`` viewed as a function of ``H``.
-
-    As the partial maximum of ``tr(XH) - (D(X;A) - tr A)`` over ``X`` this
-    is a supremum of affine functions of ``H`` (a Fenchel conjugate), hence
-    convex in ``H``; the convexity suite cites this alias.
-    """
-    return trace_exp_log(h, a)
-
-
 def variational_objective(x: PdMatrix, y: PdMatrix) -> float:
     """``tr(X log Y - X log X + X)``, maximized over X at ``X = Y`` with value ``tr Y``."""
     if x.dim != y.dim:
@@ -223,27 +213,12 @@ def maximize_variational(
 ) -> OptimizeResult:
     """Maximize ``tr(X log Y - X log X + X)`` over the PD cone.
 
-    On convergence the value approximates ``tr Y`` and the maximizer
-    approximates ``Y``.  Non-convergence is reported through
-    ``converged=False``, never raised.
+    This is :func:`maximize_lieb` with ``H = 0`` and ``A = Y``, whose
+    objective equals this one.  On convergence the value approximates
+    ``tr Y`` and the maximizer approximates ``Y``.  Non-convergence is
+    reported through ``converged=False``, never raised.
     """
-    if init is None:
-        init = PdMatrix.identity(y.dim)
-    if init.dim != y.dim:
-        raise DimMismatchError(f"dimension mismatch: init {init.dim} vs Y {y.dim}")
-    if cfg is None:
-        cfg = OptimizeConfig.for_scale(y.frobenius_norm())
-    k = mat_log(y)
-    x, iters, grad_norm, converged, history = _ascend(np.asarray(k.entries), init, cfg)
-    maximizer = validate_pd(HermitianMatrix(x))
-    return OptimizeResult(
-        maximizer=maximizer,
-        value=variational_objective(maximizer, y),
-        iters=iters,
-        grad_norm_final=grad_norm,
-        converged=converged,
-        objective_history=history,
-    )
+    return maximize_lieb(HermitianMatrix.zeros(y.dim), y, init, cfg)
 
 
 def maximize_lieb(

@@ -8,8 +8,8 @@ import sys
 import numpy as np
 import pytest
 
-from qrelent import HermitianMatrix, write_matrix
-from qrelent.cli import RunConfig, klein_suite, main, variational_suite
+from qrelent import SUITES, HermitianMatrix, write_matrix
+from qrelent.cli import klein_suite, main, variational_suite
 from conftest import sample_hermitian, trial_rng
 
 
@@ -60,9 +60,11 @@ class TestVerify:
     def test_dim_too_large_exits_two(self):
         assert main(["verify", "--dim", "65"]) == 2
 
-    def test_bad_trials_and_tol_exit_two(self):
-        assert main(["verify", "--trials", "0"]) == 2
-        assert main(["verify", "--tol", "0"]) == 2
+    def test_bad_trials_and_tol_exit_two(self, capsys):
+        # every suite's arguments are checked before the first suite runs
+        assert main(["verify", "--suite", "all", "--trials", "0"]) == 2
+        assert main(["verify", "--suite", "all", "--tol", "0"]) == 2
+        assert capsys.readouterr().out == ""
 
     def test_malformed_flag_exits_two(self):
         assert main(["verify", "--bogus"]) == 2
@@ -88,21 +90,24 @@ class TestVerify:
         assert main(args + ["--out", out2]) == 0
         assert open(out1, "rb").read() == open(out2, "rb").read()
 
-    def test_partial_max_dim_capped_in_all(self):
-        cfg = RunConfig(suite="partial-max", dim=6, trials=2, seed=3, tol=1e-8)
-        cfg.validate()
-        from qrelent.cli import _run_suite
-
-        report = _run_suite("partial-max", RunConfig(suite="partial-max", dim=32,
-                                                     trials=1, seed=3, tol=1e-8))
-        assert report.config_echo["dim"] == 16
-
-    def test_default_trials_and_tol_per_suite(self, tmp_path):
-        out = str(tmp_path / "d.json")
-        assert main(["verify", "--suite", "partial-max", "--dim", "2",
-                     "--trials", "2", "--out", out]) == 0
+    def test_partial_max_dim_capped_in_all(self, tmp_path):
+        out = str(tmp_path / "cap.json")
+        assert main(["verify", "--suite", "all", "--dim", "32", "--trials", "1",
+                     "--seed", "3", "--out", out]) == 0
         doc = json.loads(open(out).read())
-        assert doc["reports"][0]["config_echo"]["tol"] == 1e-8
+        assert doc["summary"]["config"]["dim"] == 32
+        echo = {r["suite_name"]: r["config_echo"]["dim"] for r in doc["reports"]}
+        assert echo.pop("partial-max") == 16
+        assert set(echo.values()) == {32}
+
+    @pytest.mark.parametrize("name", list(SUITES))
+    def test_default_trials_and_tol_per_suite(self, name, tmp_path):
+        out = str(tmp_path / "d.json")
+        assert main(["verify", "--suite", name, "--dim", "1", "--out", out]) == 0
+        echo = json.loads(open(out).read())["reports"][0]["config_echo"]
+        documented = (50, 1e-8) if name == "partial-max" else (200, 1e-9)
+        row = (SUITES[name].trials, SUITES[name].tol)
+        assert (echo["trials"], echo["tol"]) == row == documented
 
 
 class TestEval:

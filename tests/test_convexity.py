@@ -6,6 +6,7 @@ import math
 import pytest
 
 from qrelent import (
+    SUITES,
     HermitianMatrix,
     PdMatrix,
     SegmentEvaluationError,
@@ -75,6 +76,16 @@ class TestSegmentTest:
             segment_test(boom, p1, p2, [0.1, 0.5, 0.9], "convex")
         assert err.value.t == 0.5
 
+    def test_none_evaluations_become_invalid_records(self):
+        p1 = PdMatrix.diagonal([1.0])
+        p2 = PdMatrix.diagonal([2.0])
+        skip_mid = lambda m: None if abs(m.trace() - 1.5) < 1e-9 else m.trace()
+        trials = segment_test(skip_mid, p1, p2, [0.1, 0.5, 0.9], "convex")
+        assert [tr.valid for tr in trials] == [True, False, True]
+        skip_p2 = lambda m: None if m.trace() == 2.0 else m.trace()
+        trials = segment_test(skip_p2, p1, p2, [0.1, 0.5], "convex")
+        assert [tr.valid for tr in trials] == [False, False]
+
     def test_heterogeneous_points_rejected(self):
         with pytest.raises(TypeError):
             segment_test(
@@ -127,15 +138,18 @@ class TestJointConvexitySuite:
             b.to_json_dict(), sort_keys=True
         )
 
-    def test_rejects_bad_args(self):
-        with pytest.raises(ValueError):
-            joint_convexity_suite(0, 10, 1, 1e-10)
-        with pytest.raises(ValueError):
-            joint_convexity_suite(65, 10, 1, 1e-10)
-        with pytest.raises(ValueError):
-            joint_convexity_suite(4, 0, 1, 1e-10)
-        with pytest.raises(ValueError):
-            joint_convexity_suite(4, 10, 1, 0.0)
+
+@pytest.mark.parametrize("name", list(SUITES))
+def test_rejects_bad_args(name):
+    suite = SUITES[name].run
+    with pytest.raises(ValueError):
+        suite(0, 10, 1, 1e-10)
+    with pytest.raises(ValueError):
+        suite(65, 10, 1, 1e-10)
+    with pytest.raises(ValueError):
+        suite(4, 0, 1, 1e-10)
+    with pytest.raises(ValueError):
+        suite(4, 10, 1, 0.0)
 
 
 class TestLiebConcavitySuite:
@@ -157,6 +171,22 @@ class TestLiebConcavitySuite:
         report = lieb_concavity_suite(4, 50, 13, 1e-10)
         assert report.passed
         assert report.max_violation <= 1e-10
+
+    def test_nan_violation_fails_the_suite(self, monkeypatch):
+        # the NaN lands on a later record; a max() that skips it would pass
+        from qrelent import convexity
+
+        calls = []
+
+        def nan_on_15th_call(h, a):
+            calls.append(None)
+            return math.nan if len(calls) == 15 else trace_exp_log(h, a)
+
+        monkeypatch.setattr(convexity, "trace_exp_log", nan_on_15th_call)
+        report = lieb_concavity_suite(4, 3, 42, 1e-9)
+        assert len(calls) > 15
+        assert not report.passed
+        assert math.isnan(report.max_violation)
 
     def test_flipped_orientation_fails_for_dim_two_and_up(self):
         report = lieb_concavity_suite(4, 50, 13, 1e-10, orientation="convex")
