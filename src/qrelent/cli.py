@@ -30,6 +30,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
     runs; ``--flip-orientation`` applies to lieb-concavity only.
     """
     names = list(SUITES) if args.suite == "all" else [args.suite]
+    if args.flip_orientation and "lieb-concavity" not in names:
+        raise ValueError(f"--flip-orientation applies to lieb-concavity, not {args.suite}")
     runs = [(name, SUITES[name].resolve(args.dim, args.trials, args.tol)) for name in names]
     reports = []
     for name, (dim, trials, tol) in runs:
@@ -86,6 +88,10 @@ def cmd_eval(op: str, h_path: str | None, a_path: str | None, x_path: str | None
     """Evaluate one expression and print the value with 17 significant digits."""
     if a_path is None:
         raise QrelentError(f"operation {op!r} requires --a")
+    if h_path is not None and op in ("relent", "entropy"):
+        raise QrelentError(f"operation {op!r} does not read --h")
+    if x_path is not None and op in ("trexplog", "entropy"):
+        raise QrelentError(f"operation {op!r} does not read --x")
     if op == "entropy":
         value = entropy(_read_pd(a_path, "A"))
     elif op == "trexplog":

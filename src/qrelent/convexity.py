@@ -402,7 +402,7 @@ def fenchel_convexity_suite(dim: int, trials: int, seed: int, tol: float) -> Sui
 def _centered_pd(rng: np.random.Generator, dim: int, spread: float) -> PdMatrix:
     """Random PD matrix rescaled so its log-spectrum is centered at zero."""
     a = sample_pd(rng, dim, spread)
-    w = np.linalg.eigvalsh(a.entries)
+    w = a.spectrum.eigenvalues
     return a.scaled(1.0 / math.sqrt(float(w[0]) * float(w[-1])))
 
 

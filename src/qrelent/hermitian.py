@@ -84,21 +84,33 @@ class HermitianMatrix:
     def frobenius_norm(self) -> float:
         return float(np.linalg.norm(self.entries))
 
+    @classmethod
+    def _exact(cls, m: np.ndarray) -> "HermitianMatrix":
+        # Sums, differences and real multiples of exactly self-adjoint arrays
+        # are exactly self-adjoint: symmetrizing would change at most the sign
+        # of a zero, so only finiteness is checked.
+        if not np.all(np.isfinite(m)):
+            raise NotHermitianError("matrix has non-finite entries")
+        m.setflags(write=False)
+        out = object.__new__(cls)
+        object.__setattr__(out, "entries", m)
+        return out
+
     def __add__(self, other: "HermitianMatrix") -> "HermitianMatrix":
         _check_dims(self, other)
-        return HermitianMatrix(self.entries + _entries_of(other))
+        return HermitianMatrix._exact(self.entries + other.entries)
 
     def __sub__(self, other: "HermitianMatrix") -> "HermitianMatrix":
         _check_dims(self, other)
-        return HermitianMatrix(self.entries - _entries_of(other))
+        return HermitianMatrix._exact(self.entries - other.entries)
 
     def __mul__(self, scalar: float) -> "HermitianMatrix":
-        return HermitianMatrix(self.entries * float(scalar))
+        return HermitianMatrix._exact(self.entries * float(scalar))
 
     __rmul__ = __mul__
 
     def __neg__(self) -> "HermitianMatrix":
-        return HermitianMatrix(-self.entries)
+        return HermitianMatrix._exact(-self.entries)
 
     def __repr__(self):
         return f"HermitianMatrix(dim={self.dim})"
@@ -106,15 +118,22 @@ class HermitianMatrix:
 
 @dataclasses.dataclass(frozen=True, eq=False)
 class PdMatrix:
-    """A validated positive-definite matrix.
+    """A positive-definite matrix with the eigendecomposition that proves it.
 
-    ``min_eigenvalue`` is cached at validation time; construct through
-    :func:`validate_pd` (or the convenience classmethods) so the cache is
-    honest.
+    Construction raises DomainError unless the smallest eigenvalue of
+    ``spectrum`` exceeds ``PD_FLOOR``; ``mat_log`` and ``entropy`` read the
+    spectrum instead of recomputing it.
     """
 
     base: HermitianMatrix
-    min_eigenvalue: float
+    spectrum: SpectralDecomposition
+
+    def __post_init__(self):
+        smallest = self.min_eigenvalue
+        if not smallest > PD_FLOOR:
+            raise DomainError(
+                f"matrix is not positive definite: smallest eigenvalue {smallest:.6g}"
+            )
 
     @property
     def dim(self) -> int:
@@ -124,9 +143,13 @@ class PdMatrix:
     def entries(self) -> np.ndarray:
         return self.base.entries
 
+    @property
+    def min_eigenvalue(self) -> float:
+        return float(self.spectrum.eigenvalues[0])
+
     @classmethod
     def identity(cls, dim: int) -> "PdMatrix":
-        return cls(HermitianMatrix.identity(dim), 1.0)
+        return validate_pd(HermitianMatrix.identity(dim))
 
     @classmethod
     def diagonal(cls, values: Sequence[float]) -> "PdMatrix":
@@ -139,11 +162,8 @@ class PdMatrix:
         return self.base.frobenius_norm()
 
     def scaled(self, t: float) -> "PdMatrix":
-        """Scalar multiple ``t * A`` for t > 0; rescales the cached eigenvalue."""
-        t = float(t)
-        if t <= 0.0:
-            raise DomainError(f"scaling a positive-definite matrix requires t > 0, got {t}")
-        return PdMatrix(self.base * t, self.min_eigenvalue * t)
+        """Scalar multiple ``t * A``, validated afresh (so t <= 0 raises DomainError)."""
+        return validate_pd(self.base * t)
 
     def __repr__(self):
         return f"PdMatrix(dim={self.dim}, min_eigenvalue={self.min_eigenvalue:.3e})"
@@ -151,10 +171,14 @@ class PdMatrix:
 
 @dataclasses.dataclass(frozen=True, eq=False)
 class SpectralDecomposition:
-    """Eigenvalues in ascending order and the unitary matrix of eigenvectors."""
+    """Eigenvalues in ascending order and the unitary matrix of eigenvectors, read-only."""
 
     eigenvalues: np.ndarray
     vectors: np.ndarray
+
+    def __post_init__(self):
+        self.eigenvalues.setflags(write=False)
+        self.vectors.setflags(write=False)
 
     @property
     def dim(self) -> int:
@@ -169,22 +193,11 @@ class SpectralDecomposition:
 MatrixLike = Union[HermitianMatrix, PdMatrix]
 
 
-def _entries_of(m: MatrixLike) -> np.ndarray:
-    return m.entries
-
-
 def _check_dims(a: MatrixLike, b: MatrixLike) -> None:
     if a.entries.shape != b.entries.shape:
         raise DimMismatchError(
             f"dimension mismatch: {a.entries.shape[0]} vs {b.entries.shape[0]}"
         )
-
-
-def hermitian_part(m: MatrixLike) -> HermitianMatrix:
-    """View a PdMatrix (or HermitianMatrix) as a plain HermitianMatrix."""
-    if isinstance(m, PdMatrix):
-        return m.base
-    return m
 
 
 def symmetrize(m) -> HermitianMatrix:
@@ -204,7 +217,7 @@ def eig(m: MatrixLike) -> SpectralDecomposition:
     ``||U* U - I||_F <= 1e-10 n``; a solver failure raises
     ConvergenceError with the numpy diagnostics attached.
     """
-    entries = _entries_of(m)
+    entries = m.entries
     try:
         w, u = np.linalg.eigh(entries)
     except np.linalg.LinAlgError as exc:
@@ -212,10 +225,7 @@ def eig(m: MatrixLike) -> SpectralDecomposition:
             f"eigen-decomposition failed for dim={entries.shape[0]}, "
             f"||M||_F={np.linalg.norm(entries):.3e}: {exc}"
         ) from exc
-    w = np.asarray(w, dtype=np.float64)
-    w.setflags(write=False)
-    u.setflags(write=False)
-    return SpectralDecomposition(w, u)
+    return SpectralDecomposition(np.asarray(w, dtype=np.float64), u)
 
 
 def _rebuild(u: np.ndarray, vals: np.ndarray) -> HermitianMatrix:
@@ -250,10 +260,11 @@ def matrix_fn(m: HermitianMatrix, f: Callable[[float], float]) -> HermitianMatri
 
 
 def mat_exp(m: HermitianMatrix) -> PdMatrix:
-    """Spectral matrix exponential; the result is always positive definite.
+    """Spectral matrix exponential, carrying the spectrum ``(exp w, U)``.
 
     Raises OverflowError when any eigenvalue exceeds ``EXP_OVERFLOW_LIMIT``;
-    failing loudly beats returning infinities.
+    failing loudly beats returning infinities.  Raises DomainError when an
+    eigenvalue below about -27.6 takes the result to ``PD_FLOOR`` or under.
     """
     dec = eig(m)
     top = float(dec.eigenvalues[-1])
@@ -262,22 +273,12 @@ def mat_exp(m: HermitianMatrix) -> PdMatrix:
             f"eigenvalue {top:.6g} exceeds the exp-overflow guard {EXP_OVERFLOW_LIMIT}"
         )
     w = np.exp(dec.eigenvalues)
-    if w[0] == 0.0:
-        raise DomainError(
-            f"exponential underflowed to a singular matrix (eigenvalue {dec.eigenvalues[0]:.6g})"
-        )
-    return PdMatrix(_rebuild(dec.vectors, w), float(w[0]))
+    return PdMatrix(_rebuild(dec.vectors, w), SpectralDecomposition(w, dec.vectors))
 
 
 def mat_log(a: PdMatrix) -> HermitianMatrix:
-    """Spectral matrix logarithm of a positive-definite matrix."""
-    dec = eig(a)
-    if dec.eigenvalues[0] <= PD_FLOOR:
-        raise DomainError(
-            f"matrix logarithm needs eigenvalues above {PD_FLOOR:.0e}, "
-            f"got {dec.eigenvalues[0]:.6g}"
-        )
-    return _rebuild(dec.vectors, np.log(dec.eigenvalues))
+    """Spectral matrix logarithm of a positive-definite matrix, from its carried spectrum."""
+    return _rebuild(a.spectrum.vectors, np.log(a.spectrum.eigenvalues))
 
 
 def trace_product(a: MatrixLike, b: MatrixLike) -> float:
@@ -287,7 +288,7 @@ def trace_product(a: MatrixLike, b: MatrixLike) -> float:
     against ``1e-10 (1 + ||A||_F ||B||_F)`` and then discarded.
     """
     _check_dims(a, b)
-    ae, be = _entries_of(a), _entries_of(b)
+    ae, be = a.entries, b.entries
     # vdot conjugates its first argument: sum conj(B_ij) A_ij = tr(AB).
     t = np.vdot(be, ae)
     bound = 1e-10 * (1.0 + np.linalg.norm(ae) * np.linalg.norm(be))
@@ -299,17 +300,14 @@ def trace_product(a: MatrixLike, b: MatrixLike) -> float:
 
 
 def validate_pd(m: MatrixLike) -> PdMatrix:
-    """Validate positive definiteness and cache the smallest eigenvalue.
+    """Validate positive definiteness with one eigendecomposition, which the result carries.
 
     Raises DomainError when any eigenvalue is at or below ``PD_FLOOR``.
+    A PdMatrix is returned as it is.
     """
-    h = hermitian_part(m)
-    smallest = float(np.linalg.eigvalsh(h.entries)[0])
-    if smallest <= PD_FLOOR:
-        raise DomainError(
-            f"matrix is not positive definite: smallest eigenvalue {smallest:.6g}"
-        )
-    return PdMatrix(h, smallest)
+    if isinstance(m, PdMatrix):
+        return m
+    return PdMatrix(m, eig(m))
 
 
 def seeded_rng(seed: int) -> np.random.Generator:

@@ -23,10 +23,10 @@ from .hermitian import (
     EXP_OVERFLOW_LIMIT,
     HermitianMatrix,
     PdMatrix,
+    SpectralDecomposition,
     eig,
     mat_log,
     trace_product,
-    validate_pd,
 )
 
 _MAX_BACKTRACKS = 80
@@ -99,8 +99,6 @@ def trace_exp_log(h: HermitianMatrix, a: PdMatrix) -> float:
 
 def variational_objective(x: PdMatrix, y: PdMatrix) -> float:
     """``tr(X log Y - X log X + X)``, maximized over X at ``X = Y`` with value ``tr Y``."""
-    if x.dim != y.dim:
-        raise DimMismatchError(f"dimension mismatch: {x.dim} vs {y.dim}")
     return trace_product(x, mat_log(y)) - entropy(x) + x.trace()
 
 
@@ -205,7 +203,7 @@ def _ascend(k: np.ndarray, init: PdMatrix, cfg: OptimizeConfig):
         iters += 1
 
     converged = grad_norm <= cfg.grad_tol
-    return x, iters, grad_norm, converged, tuple(history)
+    return x, w, u, iters, grad_norm, converged, tuple(history)
 
 
 def maximize_variational(
@@ -241,8 +239,8 @@ def maximize_lieb(
     if cfg is None:
         cfg = OptimizeConfig.for_scale(h.frobenius_norm() + a.frobenius_norm())
     k = h + mat_log(a)
-    x, iters, grad_norm, converged, history = _ascend(np.asarray(k.entries), init, cfg)
-    maximizer = validate_pd(HermitianMatrix(x))
+    x, w, u, iters, grad_norm, converged, history = _ascend(k.entries, init, cfg)
+    maximizer = PdMatrix(HermitianMatrix(x), SpectralDecomposition(w, u))
     return OptimizeResult(
         maximizer=maximizer,
         value=lieb_objective(maximizer, h, a),

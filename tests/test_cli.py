@@ -82,6 +82,15 @@ class TestVerify:
         assert doc["summary"]["all_pass"] is False
         assert doc["reports"][0]["max_violation"] > 1e-10
 
+    @pytest.mark.parametrize("name", [n for n in SUITES if n != "lieb-concavity"])
+    def test_flip_orientation_rejected_for_other_suites(self, name, capsys):
+        # the flag would otherwise be ignored: the suite runs unflipped and passes
+        assert main(["verify", "--suite", name, "--flip-orientation",
+                     "--dim", "1", "--trials", "1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--flip-orientation" in captured.err
+
     def test_report_byte_identical_across_runs(self, tmp_path):
         args = ["verify", "--suite", "joint-convexity", "--dim", "3",
                 "--trials", "10", "--seed", "9"]
@@ -169,6 +178,21 @@ class TestEval:
         path.write_text('{"dim": 2, "re": [1.0, 2.0, 3.0, 4.0]}')
         assert main(["eval", "entropy", "--a", str(path)]) == 2
         assert "asym.json" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("op, flag", [
+        ("relent", "--h"), ("entropy", "--h"), ("trexplog", "--x"), ("entropy", "--x"),
+    ])
+    def test_unread_operand_exits_two(self, matrix_files, capsys, op, flag):
+        args = ["eval", op, "--a", matrix_files["id3"]]
+        if op == "relent":
+            args += ["--x", matrix_files["id3"]]
+        assert main(args) == 0
+        capsys.readouterr()
+        # the unread file is neither 3x3 nor positive definite; it is not parsed
+        assert main(args + [flag, matrix_files["indefinite"]]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert flag in captured.err
 
     def test_unknown_operation_rejected_by_parser(self):
         assert main(["eval", "determinant", "--a", "x.json"]) == 2

@@ -8,18 +8,23 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qrelent import (
+    PD_FLOOR,
     ConvergenceError,
     DimMismatchError,
     DomainError,
     HermitianMatrix,
     NotHermitianError,
     PdMatrix,
+    SpectralDecomposition,
     eig,
     mat_exp,
     mat_log,
     matrix_fn,
+    maximize_lieb,
     random_pd,
+    relative_entropy,
     symmetrize,
+    trace_exp_log,
     trace_product,
     validate_pd,
 )
@@ -66,6 +71,38 @@ class TestSymmetrize:
         m = symmetrize(np.eye(2))
         with pytest.raises(ValueError):
             m.entries[0, 0] = 5.0
+
+
+class TestExactArithmetic:
+    """Sums, differences and real multiples skip the symmetrization; it would change nothing."""
+
+    @settings(max_examples=50, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        dim=st.integers(1, 8),
+        t=st.floats(-1e3, 1e3, allow_nan=False),
+        real=st.booleans(),
+    )
+    def test_results_equal_symmetrize_of_the_same_array(self, seed, dim, t, real):
+        rng = trial_rng(seed, 0)
+        a = sample_hermitian(rng, dim, 3.0)
+        b = sample_hermitian(rng, dim, 3.0) * t
+        if real:
+            a = HermitianMatrix(a.entries.real)
+        for result, raw in (
+            (a + b, a.entries + b.entries),
+            (a - b, a.entries - b.entries),
+            (a * t, a.entries * t),
+            (-a, -a.entries),
+        ):
+            # Equal as finite doubles: bit for bit, except that a zero may
+            # carry either sign.
+            assert np.array_equal(result.entries, symmetrize(raw).entries)
+
+    def test_non_finite_result_rejected(self):
+        big = HermitianMatrix.identity(2) * 1e308
+        with np.errstate(over="ignore"), pytest.raises(NotHermitianError):
+            big + big
 
 
 class TestEig:
@@ -185,10 +222,87 @@ class TestMatLog:
         back2 = mat_log(mat_exp(m))
         assert (back2 - m).frobenius_norm() <= 1e-9 * (1.0 + m.frobenius_norm())
 
-    def test_domain_error_on_bypassed_validation(self):
-        bad = PdMatrix(HermitianMatrix.diagonal([-1.0, 1.0]), -1.0)
+
+def _pd_via_maximize_lieb() -> PdMatrix:
+    rng = trial_rng(31, 0)
+    h = sample_hermitian(rng, 4, 1.5)
+    return maximize_lieb(h, random_pd(4, 32, 0.3)).maximizer
+
+
+# Every way a spectrum reaches a PdMatrix.
+PD_CONSTRUCTIONS = {
+    "validate_pd": lambda: validate_pd(HermitianMatrix(random_pd(5, 23, 0.1).entries)),
+    "identity": lambda: PdMatrix.identity(4),
+    "diagonal": lambda: PdMatrix.diagonal([3.0, 0.5, 1e-3]),
+    "scaled": lambda: random_pd(5, 24, 0.1).scaled(2.7),
+    "mat_exp": lambda: mat_exp(sample_hermitian(trial_rng(25, 0), 5, 3.0)),
+    "maximize_lieb": _pd_via_maximize_lieb,
+}
+
+
+class TestPdMatrix:
+    def test_sub_floor_spectrum_raises_domain_error(self):
+        # No PdMatrix, and so no argument of mat_log, carries a spectrum at
+        # or below the floor: there is no way around the validation.
+        base = HermitianMatrix.diagonal([-1.0, 1.0])
+        vectors = np.eye(2, dtype=complex)
+        for smallest in (-1.0, 0.0, PD_FLOOR, math.nan):
+            spectrum = SpectralDecomposition(np.array([smallest, 1.0]), vectors)
+            with pytest.raises(DomainError):
+                PdMatrix(base, spectrum)
         with pytest.raises(DomainError):
-            mat_log(bad)
+            validate_pd(base)
+
+    @pytest.mark.parametrize("build", PD_CONSTRUCTIONS.values(), ids=PD_CONSTRUCTIONS.keys())
+    def test_carried_spectrum_reconstructs_entries(self, build):
+        a = build()
+        w = a.spectrum.eigenvalues
+        assert np.all(np.diff(w) >= 0.0)
+        assert a.min_eigenvalue == w[0] > PD_FLOOR
+        err = np.linalg.norm(a.spectrum.reconstruct() - a.entries)
+        assert err <= 1e-10 * (1.0 + a.frobenius_norm())
+
+    def test_min_eigenvalue_is_read_only(self):
+        a = PdMatrix.identity(2)
+        with pytest.raises(AttributeError):
+            a.min_eigenvalue = 5.0
+        with pytest.raises(ValueError):
+            a.spectrum.eigenvalues[0] = 5.0
+
+
+@pytest.fixture
+def decompositions(monkeypatch):
+    """Count the calls of numpy's Hermitian eigensolvers."""
+    counts = {"eigh": 0, "eigvalsh": 0}
+    for name in counts:
+        def counted(*args, _name=name, _solver=getattr(np.linalg, name), **kwargs):
+            counts[_name] += 1
+            return _solver(*args, **kwargs)
+        monkeypatch.setattr(np.linalg, name, counted)
+    return counts
+
+
+class TestDecompositionCounts:
+    def test_validate_pd_decomposes_once(self, decompositions):
+        m = HermitianMatrix(random_pd(4, 26, 0.1).entries)
+        decompositions.update(eigh=0, eigvalsh=0)
+        a = validate_pd(m)
+        assert validate_pd(a) is a
+        assert decompositions == {"eigh": 1, "eigvalsh": 0}
+
+    def test_relative_entropy_and_mat_log_read_the_carried_spectrum(self, decompositions):
+        x, y = random_pd(4, 27, 0.1), random_pd(4, 28, 0.1)
+        decompositions.update(eigh=0, eigvalsh=0)
+        relative_entropy(x, y)
+        mat_log(x)
+        assert decompositions == {"eigh": 0, "eigvalsh": 0}
+
+    def test_trace_exp_log_decomposes_once(self, decompositions):
+        h = sample_hermitian(trial_rng(29, 0), 4, 2.0)
+        a = random_pd(4, 30, 0.1)
+        decompositions.update(eigh=0, eigvalsh=0)
+        trace_exp_log(h, a)
+        assert decompositions == {"eigh": 1, "eigvalsh": 0}
 
 
 class TestTraceProduct:
