@@ -149,7 +149,9 @@ class PdMatrix:
 
     @classmethod
     def identity(cls, dim: int) -> "PdMatrix":
-        return validate_pd(HermitianMatrix.identity(dim))
+        # The spectrum of I is known: no eigendecomposition needed.
+        base = HermitianMatrix.identity(dim)
+        return cls(base, SpectralDecomposition(np.ones(dim), np.eye(dim, dtype=np.complex128)))
 
     @classmethod
     def diagonal(cls, values: Sequence[float]) -> "PdMatrix":

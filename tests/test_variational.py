@@ -1,6 +1,8 @@
 """Variational objectives, their gradients, and the PD-cone maximizer."""
 
+import dataclasses
 import math
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -25,6 +27,7 @@ from qrelent import (
     variational_objective,
 )
 from qrelent.convexity import sample_lieb_instance
+from qrelent.variational import _logarithmic_mean, _newton_step
 from conftest import (
     as_pd,
     central_difference,
@@ -317,7 +320,6 @@ class TestOptimizeConfig:
         cfg = OptimizeConfig.for_scale(3.0)
         assert cfg.grad_tol == pytest.approx(4e-8)
         assert cfg.max_iters == 5000
-        assert cfg.step_init == 1.0
         assert cfg.backtrack_factor == 0.5
         assert cfg.armijo_c == 1e-4
         assert cfg.eig_floor == 1e-10
@@ -327,7 +329,7 @@ class TestOptimizeConfig:
         [
             {"grad_tol": 0.0},
             {"grad_tol": 1e-8, "max_iters": 0},
-            {"grad_tol": 1e-8, "step_init": -1.0},
+            {"grad_tol": 1e-8, "backtrack_factor": 0.0},
             {"grad_tol": 1e-8, "backtrack_factor": 1.0},
             {"grad_tol": 1e-8, "armijo_c": 0.0},
             {"grad_tol": 1e-8, "eig_floor": 0.0},
@@ -337,10 +339,119 @@ class TestOptimizeConfig:
         with pytest.raises(ValueError):
             OptimizeConfig(**kwargs)
 
+    def test_fields(self):
+        # One ascent, no knob selecting another: the Newton step has no step size.
+        assert [f.name for f in dataclasses.fields(OptimizeConfig)] == [
+            "grad_tol", "max_iters", "backtrack_factor", "armijo_c", "eig_floor",
+        ]
+
+
+def test_maximizer_below_the_floor_stops_early():
+    # exp(H + log A) has the eigenvalue e^-30 < eig_floor: no trial point near
+    # it is admissible, so the ascent gives up instead of creeping to max_iters.
+    res = maximize_lieb(HermitianMatrix.diagonal([-30.0, 0.5]), PdMatrix.identity(2))
+    assert not res.converged
+    assert res.iters <= 100
+    assert res.maximizer.min_eigenvalue > 1e-10
+
 
 def test_maximizer_respects_eigenvalue_floor():
-    # drive toward a near-singular target; iterates stay clipped
+    # drive toward a near-singular target; trial points below the floor are rejected
     y = validate_pd(HermitianMatrix.diagonal([4.0, 1e-4]))
     res = maximize_variational(y)
     assert res.maximizer.min_eigenvalue >= 1e-10
     assert res.converged
+
+
+def _log_derivative(x: PdMatrix, e: np.ndarray) -> np.ndarray:
+    """Daleckii-Krein: ``Dlog(X)[E] = U ((U* E U) / Phi) U*``."""
+    w, u = x.spectrum.eigenvalues, x.spectrum.vectors
+    return u @ ((u.conj().T @ e @ u) / _logarithmic_mean(w)) @ u.conj().T
+
+
+def _central_matrix_difference(f, x: PdMatrix, e: HermitianMatrix, s=1e-5) -> np.ndarray:
+    return (f(x.base + s * e).entries - f(x.base - s * e).entries) / (2.0 * s)
+
+
+def _log_at(m: HermitianMatrix) -> HermitianMatrix:
+    return mat_log(validate_pd(m))
+
+
+class TestNewtonStep:
+    def test_logarithmic_mean_is_accurate_for_near_equal_and_distant_pairs(self):
+        w = np.array([1e-9, 0.5, 1.0, 1.0 + 2.0**-52, 1.0 + 1e-9, 1.0 + 1e-5, 3.0, 1e3])
+        phi = _logarithmic_mean(w)
+        with localcontext() as ctx:
+            ctx.prec = 50
+            for i, wi in enumerate(w):
+                assert phi[i, i] == wi
+                for j, wj in enumerate(w[:i]):
+                    a, b = Decimal(float(wi)), Decimal(float(wj))
+                    exact = float((a - b) / (a.ln() - b.ln()))
+                    assert phi[i, j] == phi[j, i]
+                    assert phi[i, j] == pytest.approx(exact, rel=4e-16)
+
+    @pytest.mark.parametrize("i", range(5))
+    def test_log_frechet_derivative_matches_central_differences(self, i):
+        rng = trial_rng(111, i)
+        x = sample_pd(rng, 5, 0.1)
+        e = unit_direction(rng, 5)
+        fd = _central_matrix_difference(_log_at, x, e)
+        exact = _log_derivative(x, e.entries)
+        assert np.linalg.norm(fd - exact) <= 1e-6 * (1.0 + np.linalg.norm(exact))
+
+    @pytest.mark.parametrize("i", range(5))
+    def test_newton_direction_solves_the_frechet_equation(self, i):
+        rng = trial_rng(112, i)
+        h, a = sample_lieb_instance(rng, 5)
+        x = sample_pd(rng, 5, 0.1)
+        k = (h + mat_log(a)).entries
+        grad_norm, d, slope = _newton_step(k, x.spectrum.eigenvalues, x.spectrum.vectors)
+        g = lieb_gradient(x, h, a)
+        assert grad_norm == pytest.approx(g.frobenius_norm(), rel=1e-12)
+        assert slope == pytest.approx(trace_product(g, HermitianMatrix(d)), rel=1e-12)
+        assert slope > 0.0
+        # Dlog(X)[D] = G, checked against finite differences of mat_log along D.
+        step = 1e-5 / np.linalg.norm(d)
+        fd = _central_matrix_difference(_log_at, x, HermitianMatrix(d), step)
+        assert np.linalg.norm(fd - g.entries) <= 1e-6 * (1.0 + g.frobenius_norm())
+
+    @pytest.mark.parametrize("i", range(5))
+    def test_gradients_have_the_frechet_derivative_as_directional_derivative(self, i):
+        # Both gradients are a constant minus log X, so along E their
+        # derivative is exactly -Dlog(X)[E].
+        rng = trial_rng(113, i)
+        h, a = sample_lieb_instance(rng, 4)
+        x = sample_pd(rng, 4, 0.1)
+        e = unit_direction(rng, 4)
+        exact = -_log_derivative(x, e.entries)
+        scale = 1.0 + np.linalg.norm(exact)
+        for grad in (lambda m: lieb_gradient(validate_pd(m), h, a),
+                     lambda m: variational_gradient(validate_pd(m), a)):
+            fd = _central_matrix_difference(grad, x, e)
+            assert np.linalg.norm(fd - exact) <= 1e-6 * scale
+
+
+class TestNewtonConvergence:
+    @pytest.mark.parametrize("seed", range(10))
+    def test_converges_in_a_handful_of_iterations(self, seed):
+        h, a = sample_lieb_instance(np.random.default_rng(seed), 16)
+        res = maximize_lieb(h, a)
+        assert res.converged
+        assert res.iters <= 12
+        direct = trace_exp_log(h, a)
+        assert res.value == pytest.approx(direct, rel=1e-10)
+
+    def test_ill_conditioned_instance_converges(self):
+        # dim 16, A with spectrum 1e-6 ... 1e3 in a random basis.
+        rng = trial_rng(110, 0)
+        u = random_unitary(rng, 16)
+        a = as_pd((u * np.logspace(-6.0, 3.0, 16)) @ u.conj().T)
+        h = sample_hermitian(rng, 16, 1.7)
+        res = maximize_lieb(h, a)
+        assert res.converged
+        direct = trace_exp_log(h, a)
+        x_star = mat_exp(h + mat_log(a))
+        assert res.value == pytest.approx(direct, rel=1e-6)
+        gap = (res.maximizer.base - x_star.base).frobenius_norm()
+        assert gap <= 1e-4 * (1.0 + x_star.frobenius_norm())
