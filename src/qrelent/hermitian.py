@@ -149,9 +149,7 @@ class PdMatrix:
 
     @classmethod
     def identity(cls, dim: int) -> "PdMatrix":
-        # The spectrum of I is known: no eigendecomposition needed.
-        base = HermitianMatrix.identity(dim)
-        return cls(base, SpectralDecomposition(np.ones(dim), np.eye(dim, dtype=np.complex128)))
+        return validate_pd(HermitianMatrix.identity(dim))
 
     @classmethod
     def diagonal(cls, values: Sequence[float]) -> "PdMatrix":

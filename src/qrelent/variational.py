@@ -36,10 +36,10 @@ from .hermitian import (
     trace_product,
 )
 
-# Smallest trial step 2**-39 (about 1.8e-12).  A Newton step cut further has
-# stalled against the eigenvalue floor: the maximizer lies below it, and
-# further halvings would only creep towards it until max_iters.
-_MAX_BACKTRACKS = 40
+# Smallest trial step, whatever the backtrack factor.  A Newton step cut
+# further has stalled against the eigenvalue floor: the maximizer lies below
+# it, and further cuts would only creep towards it until max_iters.
+_MIN_STEP = 1e-12
 # Acceptance slack absorbing objective rounding noise near the optimum,
 # where the predicted increase drops below double precision; accepted
 # steps therefore stay monotone up to this amount.
@@ -185,7 +185,7 @@ def _ascend(k: np.ndarray, init: PdMatrix, cfg: OptimizeConfig):
     condition ``f(X + tD) >= f(X) + armijo_c t <G, D>`` holds.  A trial
     point below the floor is rejected, never clipped.  The ascent stops
     when ``||G||_F <= grad_tol``, after ``max_iters`` iterations, or when
-    no trial step is accepted.
+    no trial step ``t >= 1e-12`` is accepted.
     """
     x = init.entries
     w, u = init.spectrum.eigenvalues, init.spectrum.vectors
@@ -196,7 +196,7 @@ def _ascend(k: np.ndarray, init: PdMatrix, cfg: OptimizeConfig):
     iters = 0
     while grad_norm > cfg.grad_tol and iters < cfg.max_iters:
         t = 1.0
-        for _ in range(_MAX_BACKTRACKS):
+        while t >= _MIN_STEP:
             xc = x + t * d
             wc, uc = np.linalg.eigh(xc)
             if wc[0] > cfg.eig_floor:

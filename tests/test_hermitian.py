@@ -304,12 +304,9 @@ class TestDecompositionCounts:
         trace_exp_log(h, a)
         assert decompositions == {"eigh": 1, "eigvalsh": 0}
 
-    def test_pd_identity_does_not_decompose(self, decompositions):
-        PdMatrix.identity(5)
-        assert decompositions == {"eigh": 0, "eigvalsh": 0}
-
     def test_maximize_lieb_decomposes_each_trial_point_once(self, monkeypatch):
-        # Neither the start point, nor log A, nor the maximizer is decomposed
+        # The identity start is decomposed once, by PdMatrix.identity; after
+        # it, neither the start, nor log A, nor the maximizer is decomposed
         # apart from the ascent's trial points.
         points = []
         solver = np.linalg.eigh
@@ -318,14 +315,15 @@ class TestDecompositionCounts:
             points.append(np.array(m))
             return solver(m, *args, **kwargs)
 
-        monkeypatch.setattr(np.linalg, "eigh", recorded)
         h = sample_hermitian(trial_rng(31, 0), 4, 1.7)
         a = random_pd(4, 32, 0.3)
+        monkeypatch.setattr(np.linalg, "eigh", recorded)
         res = maximize_lieb(h, a)
-        assert res.converged and len(points) >= res.iters >= 1
-        distinct = {p.tobytes() for p in points}
-        assert len(distinct) == len(points)
-        assert np.eye(4, dtype=complex).tobytes() not in distinct
+        assert res.converged and len(points) - 1 >= res.iters >= 1
+        assert points[0].tobytes() == np.eye(4, dtype=complex).tobytes()
+        distinct = {p.tobytes() for p in points[1:]}
+        assert len(distinct) == len(points) - 1
+        assert points[0].tobytes() not in distinct
         assert points[-1].tobytes() == res.maximizer.entries.tobytes()
 
         # Started next to the maximizer, every full Newton step is accepted:

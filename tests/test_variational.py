@@ -355,6 +355,31 @@ def test_maximizer_below_the_floor_stops_early():
     assert res.maximizer.min_eigenvalue > 1e-10
 
 
+@pytest.mark.parametrize("factor", [0.1, 0.5, 0.9])
+def test_line_search_tries_steps_down_to_1e_12_for_any_factor(monkeypatch, factor):
+    # The failing last line search of the below-the-floor case: its trial
+    # points are X + tD for t = 1, factor, factor**2, ..., and the smallest t
+    # tried is the last one at or above 1e-12.
+    points = []
+    solver = np.linalg.eigh
+
+    def recorded(m, *args, **kwargs):
+        points.append(np.array(m))
+        return solver(m, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", recorded)
+    cfg = OptimizeConfig(grad_tol=1e-8, backtrack_factor=factor)
+    res = maximize_lieb(HermitianMatrix.diagonal([-30.0, 0.5]), PdMatrix.identity(2), cfg=cfg)
+    assert not res.converged and res.iters < cfg.max_iters
+    x = res.maximizer.entries
+    last = max(i for i, p in enumerate(points) if p.tobytes() == x.tobytes())
+    full = np.linalg.norm(points[last + 1] - x)
+    steps = [np.linalg.norm(p - x) / full for p in points[last + 1:]]
+    # ||(X + tD) - X|| carries a rounding error of about eps ||X|| / t.
+    assert np.allclose(steps, factor ** np.arange(len(steps)), rtol=1e-3, atol=0.0)
+    assert 1e-12 * (1 - 1e-3) <= steps[-1] < 1e-12 / factor
+
+
 def test_maximizer_respects_eigenvalue_floor():
     # drive toward a near-singular target; trial points below the floor are rejected
     y = validate_pd(HermitianMatrix.diagonal([4.0, 1e-4]))
