@@ -24,10 +24,10 @@ from .hermitian import (
     PdMatrix,
     mat_exp,
     mat_log,
+    pd_mixtures,
     sample_hermitian,
     sample_pd,
     trial_rng,
-    validate_pd,
 )
 from .matrixio import matrix_to_dict
 from .variational import (
@@ -155,22 +155,24 @@ def _as_point(p) -> tuple:
     return tuple(p)
 
 
-def _mix_component(t: float, a: Matrix, b: Matrix) -> Matrix:
-    """Componentwise mixture ``t a + (1-t) b``; PD components are revalidated."""
+def _mixtures(a: Matrix, b: Matrix, ts: Sequence[float]) -> Callable[[int], Matrix]:
+    """Componentwise mixtures ``t a + (1-t) b``: ``mixture(k)`` is the one at ``ts[k]``.
+
+    Positive-definite components are decomposed as one stack up front and
+    validated one mixture at a time (:func:`pd_mixtures`).
+    """
     if isinstance(a, PdMatrix) and isinstance(b, PdMatrix):
-        return validate_pd(a.base * t + b.base * (1.0 - t))
+        return pd_mixtures(a, b, ts)
     if isinstance(a, HermitianMatrix) and isinstance(b, HermitianMatrix):
-        return a * t + b * (1.0 - t)
+        return lambda k: a * ts[k] + b * (1.0 - ts[k])
     raise TypeError(f"cannot mix {type(a).__name__} with {type(b).__name__}")
 
 
-def _mix_point(t: float, p1: tuple, p2: tuple) -> tuple:
-    return tuple(_mix_component(t, a, b) for a, b in zip(p1, p2))
-
-
-def _call(f: Callable[..., float | None], point: tuple, t: float) -> float | None:
+def _call(f: Callable[..., float | None], t: float, point: Callable[[], tuple]) -> float | None:
+    # Building the point is part of the evaluation: a mixture that fails its
+    # validation is reported with its t, like a failure inside f.
     try:
-        value = f(*point)
+        value = f(*point())
         return None if value is None else float(value)
     except Exception as exc:  # noqa: BLE001 - re-raised with context
         raise SegmentEvaluationError(t, str(exc)) from exc
@@ -190,6 +192,12 @@ def segment_test(
     mixture of the endpoint values.  Violations are normalized by
     ``1 + |f(p1)| + |f(p2)|``.
 
+    The mixtures of a positive-definite component are decomposed together,
+    one stacked ``eigh`` for all ``t``, and each is validated positive
+    definite when ``f`` is about to be evaluated there.  Any exception from
+    building a mixture or from ``f`` is raised as SegmentEvaluationError
+    carrying that ``t`` (1.0 and 0.0 for the endpoints).
+
     ``f`` returns None for a point it could not evaluate (an optimizer run
     that did not converge).  The comparison at that ``t`` is then recorded
     as invalid; when an endpoint is None, every comparison is, and no
@@ -197,15 +205,16 @@ def segment_test(
     """
     orient = _ORIENTATIONS[orientation]
     p1, p2 = _as_point(p1), _as_point(p2)
-    f1 = _call(f, p1, 1.0)
-    f2 = _call(f, p2, 0.0)
+    ts = [float(t) for t in t_samples]
+    f1 = _call(f, 1.0, lambda: p1)
+    f2 = _call(f, 0.0, lambda: p2)
     if f1 is None or f2 is None:
-        return [SegmentTrial(float(t), 0.0, 0.0, 0.0, 1.0, valid=False) for t in t_samples]
+        return [SegmentTrial(t, 0.0, 0.0, 0.0, 1.0, valid=False) for t in ts]
     scale = 1.0 + abs(f1) + abs(f2)
+    mixtures = [_mixtures(a, b, ts) for a, b in zip(p1, p2)]
     trials = []
-    for t in t_samples:
-        t = float(t)
-        lhs = _call(f, _mix_point(t, p1, p2), t)
+    for k, t in enumerate(ts):
+        lhs = _call(f, t, lambda: tuple(mixture(k) for mixture in mixtures))
         if lhs is None:
             trials.append(SegmentTrial(t, 0.0, 0.0, 0.0, scale, valid=False))
             continue

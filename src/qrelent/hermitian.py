@@ -10,6 +10,7 @@ point arithmetic never accumulates.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 from typing import Callable, Sequence, Union
 
@@ -96,6 +97,13 @@ class HermitianMatrix:
         object.__setattr__(out, "entries", m)
         return out
 
+    @classmethod
+    def _symmetrized(cls, m: np.ndarray) -> "HermitianMatrix":
+        # For complex arrays the library builds to be self-adjoint up to
+        # rounding: stores (M + M*)/2 as the constructor does, without its
+        # anti-self-adjoint norm check, which costs more than an eigh at n = 6.
+        return cls._exact((m + m.conj().T) / 2.0)
+
     def __add__(self, other: "HermitianMatrix") -> "HermitianMatrix":
         _check_dims(self, other)
         return HermitianMatrix._exact(self.entries + other.entries)
@@ -121,7 +129,7 @@ class PdMatrix:
     """A positive-definite matrix with the eigendecomposition that proves it.
 
     Construction raises DomainError unless the smallest eigenvalue of
-    ``spectrum`` exceeds ``PD_FLOOR``; ``mat_log`` and ``entropy`` read the
+    ``spectrum`` exceeds ``PD_FLOOR``; ``entropy`` and ``log`` read the
     spectrum instead of recomputing it.
     """
 
@@ -154,6 +162,11 @@ class PdMatrix:
     @classmethod
     def diagonal(cls, values: Sequence[float]) -> "PdMatrix":
         return validate_pd(HermitianMatrix.diagonal(values))
+
+    @functools.cached_property
+    def log(self) -> HermitianMatrix:
+        """The matrix logarithm, built once from the carried spectrum."""
+        return _rebuild(self.spectrum.vectors, np.log(self.spectrum.eigenvalues))
 
     def trace(self) -> float:
         return self.base.trace()
@@ -217,20 +230,47 @@ def eig(m: MatrixLike) -> SpectralDecomposition:
     ``||U* U - I||_F <= 1e-10 n``; a solver failure raises
     ConvergenceError with the numpy diagnostics attached.
     """
-    entries = m.entries
+    w, u = _eigh(m.entries)
+    return SpectralDecomposition(np.asarray(w, dtype=np.float64), u)
+
+
+def _eigh(entries: np.ndarray):
+    # numpy's eigh on one matrix or a stack of them, failures as ConvergenceError.
     try:
-        w, u = np.linalg.eigh(entries)
+        return np.linalg.eigh(entries)
     except np.linalg.LinAlgError as exc:
         raise ConvergenceError(
-            f"eigen-decomposition failed for dim={entries.shape[0]}, "
+            f"eigen-decomposition failed for dim={entries.shape[-1]}, "
             f"||M||_F={np.linalg.norm(entries):.3e}: {exc}"
         ) from exc
-    return SpectralDecomposition(np.asarray(w, dtype=np.float64), u)
+
+
+def pd_mixtures(
+    a: PdMatrix, b: PdMatrix, ts: Sequence[float]
+) -> Callable[[int], PdMatrix]:
+    """The mixtures ``t A + (1-t) B`` for every ``t`` in ``ts``, decomposed as one stack.
+
+    One ``eigh`` call decomposes all of them (about half the cost per matrix
+    of separate calls at n = 6).  The returned ``mixture(k)`` builds the
+    PdMatrix for ``ts[k]`` when asked, so only one is alive at a time; like
+    :func:`validate_pd` it raises DomainError when that mixture's smallest
+    eigenvalue is at or below ``PD_FLOOR``.  A solver failure raises
+    ConvergenceError.  Each mixture equals ``validate_pd(a.base * t + b.base
+    * (1 - t))`` bit for bit.
+    """
+    t = np.asarray(ts, dtype=np.float64)[:, None, None]
+    stack = a.entries * t + b.entries * (1.0 - t)
+    w, u = _eigh(stack)
+
+    def mixture(k: int) -> PdMatrix:
+        return PdMatrix(HermitianMatrix._exact(stack[k]), SpectralDecomposition(w[k], u[k]))
+
+    return mixture
 
 
 def _rebuild(u: np.ndarray, vals: np.ndarray) -> HermitianMatrix:
     # U diag(vals) U* with real vals; re-symmetrized so storage is exact.
-    return HermitianMatrix((u * vals) @ u.conj().T)
+    return HermitianMatrix._symmetrized((u * vals) @ u.conj().T)
 
 
 def matrix_fn(m: HermitianMatrix, f: Callable[[float], float]) -> HermitianMatrix:
@@ -277,8 +317,8 @@ def mat_exp(m: HermitianMatrix) -> PdMatrix:
 
 
 def mat_log(a: PdMatrix) -> HermitianMatrix:
-    """Spectral matrix logarithm of a positive-definite matrix, from its carried spectrum."""
-    return _rebuild(a.spectrum.vectors, np.log(a.spectrum.eigenvalues))
+    """Spectral matrix logarithm of a positive-definite matrix: its cached ``a.log``."""
+    return a.log
 
 
 def trace_product(a: MatrixLike, b: MatrixLike) -> float:
@@ -338,7 +378,7 @@ def sample_pd(rng: np.random.Generator, dim: int, spread: float) -> PdMatrix:
         raise DomainError(f"spread must be positive, got {spread}")
     g = _ginibre(rng, dim)
     m = g @ g.conj().T / dim + spread * np.eye(dim)
-    return validate_pd(symmetrize(m))
+    return validate_pd(HermitianMatrix._symmetrized(m))
 
 
 def random_pd(dim: int, seed: int, spread: float) -> PdMatrix:
@@ -357,7 +397,7 @@ def sample_hermitian(
 ) -> HermitianMatrix:
     """Draw a random self-adjoint matrix, rescaled to spectral radius <= radius."""
     g = _ginibre(rng, dim)
-    h = HermitianMatrix((g + g.conj().T) / 2.0)
+    h = HermitianMatrix._symmetrized((g + g.conj().T) / 2.0)
     rho = float(np.max(np.abs(np.linalg.eigvalsh(h.entries))))
     if rho > radius:
         h = h * (radius / rho)

@@ -250,7 +250,7 @@ def maximize_lieb(
         cfg = OptimizeConfig.for_scale(h.frobenius_norm() + a.frobenius_norm())
     k = h + mat_log(a)
     x, w, u, iters, grad_norm, converged, history = _ascend(k.entries, init, cfg)
-    maximizer = PdMatrix(HermitianMatrix(x), SpectralDecomposition(w, u))
+    maximizer = PdMatrix(HermitianMatrix._symmetrized(x), SpectralDecomposition(w, u))
     return OptimizeResult(
         maximizer=maximizer,
         value=lieb_objective(maximizer, h, a),

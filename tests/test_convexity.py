@@ -7,6 +7,7 @@ import pytest
 
 from qrelent import (
     SUITES,
+    DomainError,
     HermitianMatrix,
     PdMatrix,
     SegmentEvaluationError,
@@ -26,6 +27,51 @@ from test_divergence import scalar_divergence
 
 def divergence_value(x, y):
     return relative_entropy(x, y).value
+
+
+def _segment_instance(kind, dim, seed):
+    """``(f, p1, p2, t_samples, orientation)`` as the named suite draws them."""
+    from conftest import sample_hermitian, sample_pd, trial_rng
+
+    rng = trial_rng(seed, 0)
+    if kind == "joint":
+        p1 = (sample_pd(rng, dim, 0.1), sample_pd(rng, dim, 0.1))
+        p2 = (sample_pd(rng, dim, 0.1), sample_pd(rng, dim, 0.1))
+        f, orientation = divergence_value, "convex"
+    elif kind == "lieb":
+        h = sample_hermitian(rng, dim, 3.0)
+        p1, p2 = (sample_pd(rng, dim, 0.1),), (sample_pd(rng, dim, 0.1),)
+        f, orientation = (lambda a: trace_exp_log(h, a)), "concave"
+    else:
+        a = sample_pd(rng, dim, 0.1)
+        p1, p2 = (sample_hermitian(rng, dim, 3.0),), (sample_hermitian(rng, dim, 3.0),)
+        f, orientation = (lambda h: trace_exp_log(h, a)), "convex"
+    return f, p1, p2, T_GRID + (float(rng.uniform()),), orientation
+
+
+def _per_point_segment(f, p1, p2, t_samples, orientation):
+    """Reference segment test: every mixture built and validated on its own."""
+    orient = {"convex": 1.0, "concave": -1.0}[orientation]
+    f1, f2 = f(*p1), f(*p2)
+    scale = 1.0 + abs(f1) + abs(f2)
+    out = []
+    for t in t_samples:
+        point = [
+            validate_pd(a.base * t + b.base * (1.0 - t)) if isinstance(a, PdMatrix)
+            else a * t + b * (1.0 - t)
+            for a, b in zip(p1, p2)
+        ]
+        lhs = f(*point)
+        rhs = t * f1 + (1.0 - t) * f2
+        out.append(((t, lhs, rhs, (lhs - rhs) * orient / scale, scale), point))
+    return out
+
+
+def _bits(m):
+    parts = [m.entries.tobytes()]
+    if isinstance(m, PdMatrix):
+        parts += [m.spectrum.eigenvalues.tobytes(), m.spectrum.vectors.tobytes()]
+    return parts
 
 
 class TestSegmentTest:
@@ -63,6 +109,36 @@ class TestSegmentTest:
         mixture = seen[-1]
         assert isinstance(mixture, PdMatrix)
         assert mixture.min_eigenvalue > 0.0
+
+    @pytest.mark.parametrize("dim", [1, 2, 6, 16])
+    @pytest.mark.parametrize("kind", ["joint", "lieb", "fenchel"])
+    def test_stacked_mixtures_match_per_point_validation(self, kind, dim):
+        f, p1, p2, ts, orientation = _segment_instance(kind, dim, 300 + dim)
+        seen = []
+
+        def recorded(*point):
+            seen.append(point)
+            return f(*point)
+
+        trials = segment_test(recorded, p1, p2, ts, orientation)
+        reference = _per_point_segment(f, p1, p2, ts, orientation)
+        assert [(tr.t, tr.lhs, tr.rhs, tr.violation, tr.scale) for tr in trials] == [
+            fields for fields, _ in reference
+        ]
+        # seen[0] and seen[1] are the endpoints; the mixtures follow in t order.
+        assert len(seen) == 2 + len(ts)
+        for got, (_, want) in zip(seen[2:], reference):
+            assert [type(m) for m in got] == [type(m) for m in want]
+            assert [_bits(m) for m in got] == [_bits(m) for m in want]
+
+    def test_mixture_failing_validation_carries_its_t(self):
+        # A hand-built PdMatrix whose spectrum does not belong to its entries
+        # makes the mixtures at t >= 0.5 indefinite.
+        liar = PdMatrix(HermitianMatrix.diagonal([-1.0, 1.0]), PdMatrix.identity(2).spectrum)
+        with pytest.raises(SegmentEvaluationError) as err:
+            segment_test(lambda m: m.trace(), liar, PdMatrix.identity(2), [0.2, 0.7, 0.9], "convex")
+        assert err.value.t == 0.7
+        assert isinstance(err.value.__cause__, DomainError)
 
     def test_evaluation_error_carries_offending_t(self):
         def boom(m):

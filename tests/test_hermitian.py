@@ -23,11 +23,15 @@ from qrelent import (
     maximize_lieb,
     random_pd,
     relative_entropy,
+    segment_test,
     symmetrize,
     trace_exp_log,
     trace_product,
     validate_pd,
 )
+from qrelent import hermitian
+from qrelent.hermitian import _ginibre, sample_pd
+from qrelent.variational import OptimizeConfig, _ascend
 from conftest import random_unitary, sample_hermitian, trial_rng
 
 
@@ -74,7 +78,12 @@ class TestSymmetrize:
 
 
 class TestExactArithmetic:
-    """Sums, differences and real multiples skip the symmetrization; it would change nothing."""
+    """Results that are self-adjoint by construction skip the anti-self-adjoint check.
+
+    Sums, differences and real multiples also skip the symmetrization, which
+    would change nothing; arrays the library builds (spectral reconstructions,
+    samples, the maximizer) are symmetrized without the check.
+    """
 
     @settings(max_examples=50, deadline=None)
     @given(
@@ -98,6 +107,42 @@ class TestExactArithmetic:
             # Equal as finite doubles: bit for bit, except that a zero may
             # carry either sign.
             assert np.array_equal(result.entries, symmetrize(raw).entries)
+
+    @settings(max_examples=25, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), dim=st.integers(1, 8))
+    def test_internally_built_results_equal_symmetrize_of_the_same_array(self, seed, dim):
+        def rebuilt(dec, vals):
+            return (dec.vectors * vals) @ dec.vectors.conj().T
+
+        rng = trial_rng(seed, 0)
+        h = sample_hermitian(rng, dim, 3.0)
+        a = sample_pd(rng, dim, 0.1)
+        dec = eig(h)
+        pairs = [
+            (mat_log(a), rebuilt(a.spectrum, np.log(a.spectrum.eigenvalues))),
+            (mat_exp(h), rebuilt(dec, np.exp(dec.eigenvalues))),
+            (matrix_fn(h, np.square), rebuilt(dec, np.square(dec.eigenvalues))),
+        ]
+
+        # The samplers, against the raw arrays of an identically seeded twin.
+        rng, twin = trial_rng(seed, 1), trial_rng(seed, 1)
+        g = _ginibre(twin, dim)
+        pairs.append((sample_pd(rng, dim, 0.1), g @ g.conj().T / dim + 0.1 * np.eye(dim)))
+        g = _ginibre(twin, dim)
+        sampled = sample_hermitian(rng, dim, 1.0)
+        expected = symmetrize((g + g.conj().T) / 2.0)
+        rho = float(np.max(np.abs(np.linalg.eigvalsh(expected.entries))))
+        if rho > 1.0:
+            expected = expected * (1.0 / rho)
+        assert sampled.entries.tobytes() == expected.entries.tobytes()
+
+        # The maximizer, against the last iterate of the ascent it comes from.
+        cfg = OptimizeConfig.for_scale(h.frobenius_norm() + a.frobenius_norm())
+        x = _ascend((h + mat_log(a)).entries, PdMatrix.identity(dim), cfg)[0]
+        pairs.append((maximize_lieb(h, a).maximizer, x))
+
+        for result, raw in pairs:
+            assert result.entries.tobytes() == symmetrize(raw).entries.tobytes()
 
     def test_non_finite_result_rejected(self):
         big = HermitianMatrix.identity(2) * 1e308
@@ -214,6 +259,15 @@ class TestMatLog:
                 shift.entries, math.log(t) * np.eye(4), atol=1e-12
             )
 
+    def test_log_is_built_once_and_cached(self, monkeypatch):
+        a = random_pd(4, 33, 0.1)
+        builds = []
+        rebuild = hermitian._rebuild
+        monkeypatch.setattr(hermitian, "_rebuild", lambda u, v: builds.append(1) or rebuild(u, v))
+        first = mat_log(a)
+        assert mat_log(a) is first
+        assert len(builds) == 1
+
     def test_round_trips(self):
         a = random_pd(4, 22, 0.1)
         back = mat_exp(mat_log(a))
@@ -303,6 +357,21 @@ class TestDecompositionCounts:
         decompositions.update(eigh=0, eigvalsh=0)
         trace_exp_log(h, a)
         assert decompositions == {"eigh": 1, "eigvalsh": 0}
+
+    @pytest.mark.parametrize("kind, pd_components", [("joint", 2), ("lieb", 1), ("fenchel", 0)])
+    def test_segment_decomposes_its_mixtures_once_per_pd_component(
+        self, decompositions, kind, pd_components
+    ):
+        rng = trial_rng(34, 0)
+        if kind == "fenchel":
+            p1, p2 = (sample_hermitian(rng, 4, 3.0),), (sample_hermitian(rng, 4, 3.0),)
+        else:
+            p1 = tuple(sample_pd(rng, 4, 0.1) for _ in range(pd_components))
+            p2 = tuple(sample_pd(rng, 4, 0.1) for _ in range(pd_components))
+        decompositions.update(eigh=0, eigvalsh=0)
+        trials = segment_test(lambda *m: m[0].trace(), p1, p2, [0.1, 0.3, 0.5, 0.9], "convex")
+        assert len(trials) == 4
+        assert decompositions == {"eigh": pd_components, "eigvalsh": 0}
 
     def test_maximize_lieb_decomposes_each_trial_point_once(self, monkeypatch):
         # The identity start is decomposed once, by PdMatrix.identity; after
