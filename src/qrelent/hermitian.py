@@ -100,8 +100,10 @@ class HermitianMatrix:
     @classmethod
     def _symmetrized(cls, m: np.ndarray) -> "HermitianMatrix":
         # For complex arrays the library builds to be self-adjoint up to
-        # rounding: stores (M + M*)/2 as the constructor does, without its
-        # anti-self-adjoint norm check, which costs more than an eigh at n = 6.
+        # rounding (spectral reconstructions, samples, iterates): stores
+        # (M + M*)/2 as the constructor does, without the anti-self-adjoint
+        # norm check, which they pass by construction and which costs about
+        # as much as an eigh at small n.
         return cls._exact((m + m.conj().T) / 2.0)
 
     def __add__(self, other: "HermitianMatrix") -> "HermitianMatrix":
@@ -175,8 +177,12 @@ class PdMatrix:
         return self.base.frobenius_norm()
 
     def scaled(self, t: float) -> "PdMatrix":
-        """Scalar multiple ``t * A``, validated afresh (so t <= 0 raises DomainError)."""
-        return validate_pd(self.base * t)
+        """Scalar multiple ``t * A``, carrying the spectrum ``(t w, U)``; t <= 0 raises DomainError."""
+        t = float(t)
+        if not t > 0.0:
+            raise DomainError(f"scale factor must be positive, got {t!r}")
+        spectrum = SpectralDecomposition(self.spectrum.eigenvalues * t, self.spectrum.vectors)
+        return PdMatrix(self.base * t, spectrum)
 
     def __repr__(self):
         return f"PdMatrix(dim={self.dim}, min_eigenvalue={self.min_eigenvalue:.3e})"
@@ -250,8 +256,8 @@ def pd_mixtures(
 ) -> Callable[[int], PdMatrix]:
     """The mixtures ``t A + (1-t) B`` for every ``t`` in ``ts``, decomposed as one stack.
 
-    One ``eigh`` call decomposes all of them (about half the cost per matrix
-    of separate calls at n = 6).  The returned ``mixture(k)`` builds the
+    One ``eigh`` call decomposes all of them, which at small n costs about
+    half as much per matrix as separate calls.  The returned ``mixture(k)`` builds the
     PdMatrix for ``ts[k]`` when asked, so only one is alive at a time; like
     :func:`validate_pd` it raises DomainError when that mixture's smallest
     eigenvalue is at or below ``PD_FLOOR``.  A solver failure raises

@@ -351,6 +351,15 @@ class TestDecompositionCounts:
         mat_log(x)
         assert decompositions == {"eigh": 0, "eigvalsh": 0}
 
+    def test_scaled_carries_the_scaled_spectrum(self, decompositions):
+        a = random_pd(4, 35, 0.1)
+        decompositions.update(eigh=0, eigvalsh=0)
+        b = a.scaled(2.5)
+        assert decompositions == {"eigh": 0, "eigvalsh": 0}
+        assert b.spectrum.eigenvalues.tobytes() == (a.spectrum.eigenvalues * 2.5).tobytes()
+        assert b.spectrum.vectors is a.spectrum.vectors
+        assert b.entries.tobytes() == (a.base * 2.5).entries.tobytes()
+
     def test_trace_exp_log_decomposes_once(self, decompositions):
         h = sample_hermitian(trial_rng(29, 0), 4, 2.0)
         a = random_pd(4, 30, 0.1)
@@ -470,8 +479,9 @@ class TestRandomPd:
 
 def test_pd_scaled_requires_positive_factor():
     a = random_pd(3, 5, 0.1)
-    with pytest.raises(DomainError):
-        a.scaled(-1.0)
+    for t in (-1.0, 0.0, math.nan):
+        with pytest.raises(DomainError):
+            a.scaled(t)
 
 
 def test_sample_hermitian_spectral_radius_capped():
