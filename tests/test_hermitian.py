@@ -30,9 +30,9 @@ from qrelent import (
     validate_pd,
 )
 from qrelent import hermitian
-from qrelent.hermitian import _ginibre, sample_pd
+from qrelent.hermitian import _ginibre
 from qrelent.variational import OptimizeConfig, _ascend
-from conftest import random_unitary, sample_hermitian, trial_rng
+from conftest import random_unitary, sample_hermitian, sample_pd, trial_rng
 
 
 class TestSymmetrize:
