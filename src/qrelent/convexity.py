@@ -156,11 +156,7 @@ def _as_point(p) -> tuple:
 
 
 def _mixtures(a: Matrix, b: Matrix, ts: Sequence[float]) -> Callable[[int], Matrix]:
-    """Componentwise mixtures ``t a + (1-t) b``: ``mixture(k)`` is the one at ``ts[k]``.
-
-    Positive-definite components are decomposed as one stack up front and
-    validated one mixture at a time (:func:`pd_mixtures`).
-    """
+    """Componentwise mixtures ``t a + (1-t) b``: ``mixture(k)`` is the one at ``ts[k]``."""
     if isinstance(a, PdMatrix) and isinstance(b, PdMatrix):
         return pd_mixtures(a, b, ts)
     if isinstance(a, HermitianMatrix) and isinstance(b, HermitianMatrix):

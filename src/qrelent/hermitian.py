@@ -99,11 +99,9 @@ class HermitianMatrix:
 
     @classmethod
     def _symmetrized(cls, m: np.ndarray) -> "HermitianMatrix":
-        # For complex arrays the library builds to be self-adjoint up to
-        # rounding (spectral reconstructions, samples, iterates): stores
-        # (M + M*)/2 as the constructor does, without the anti-self-adjoint
-        # norm check, which they pass by construction and which costs about
-        # as much as an eigh at small n.
+        # For complex arrays the library builds self-adjoint up to rounding:
+        # stores (M + M*)/2 as the constructor does, without the
+        # anti-self-adjoint norm check, which costs about an eigh at small n.
         return cls._exact((m + m.conj().T) / 2.0)
 
     def __add__(self, other: "HermitianMatrix") -> "HermitianMatrix":
@@ -177,7 +175,7 @@ class PdMatrix:
         return self.base.frobenius_norm()
 
     def scaled(self, t: float) -> "PdMatrix":
-        """Scalar multiple ``t * A``, carrying the spectrum ``(t w, U)``; t <= 0 raises DomainError."""
+        """Scalar multiple ``t * A`` with the spectrum ``(t w, U)``; t <= 0 raises DomainError."""
         t = float(t)
         if not t > 0.0:
             raise DomainError(f"scale factor must be positive, got {t!r}")

@@ -136,7 +136,7 @@ class TestSegmentTest:
         # makes the mixtures at t >= 0.5 indefinite.
         liar = PdMatrix(HermitianMatrix.diagonal([-1.0, 1.0]), PdMatrix.identity(2).spectrum)
         with pytest.raises(SegmentEvaluationError) as err:
-            segment_test(lambda m: m.trace(), liar, PdMatrix.identity(2), [0.2, 0.7, 0.9], "convex")
+            segment_test(lambda m: m.trace(), liar, PdMatrix.identity(2), [0.2, 0.7], "convex")
         assert err.value.t == 0.7
         assert isinstance(err.value.__cause__, DomainError)
 
