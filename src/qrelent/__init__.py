@@ -26,6 +26,7 @@ from .hermitian import (
     PdMatrix,
     SpectralDecomposition,
     eig,
+    eigvals,
     mat_exp,
     mat_log,
     matrix_fn,
@@ -88,7 +89,7 @@ __all__ = [
     "ConvergenceError", "MatrixParseError", "SegmentEvaluationError",
     # hermitian core
     "HermitianMatrix", "PdMatrix", "SpectralDecomposition",
-    "symmetrize", "eig", "matrix_fn", "mat_exp", "mat_log", "trace_product",
+    "symmetrize", "eig", "eigvals", "matrix_fn", "mat_exp", "mat_log", "trace_product",
     "validate_pd", "random_pd", "sample_pd", "sample_hermitian",
     "seeded_rng", "trial_rng",
     "SYMMETRIZE_RTOL", "PD_FLOOR", "EXP_OVERFLOW_LIMIT",

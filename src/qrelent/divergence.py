@@ -44,13 +44,13 @@ class KleinCheck:
 
 
 def entropy(x: PdMatrix) -> float:
-    """Quantum entropy ``tr(X log X)``, as ``sum lambda log lambda`` over X's carried spectrum.
+    """Quantum entropy ``tr(X log X)``, as ``sum lambda log lambda`` over X's carried eigenvalues.
 
     Working on the eigenvalues directly avoids a matrix product and
     conditions better; agreement with the ``tr(X log X)`` route is covered
     by tests rather than assumed.
     """
-    w = x.spectrum.eigenvalues
+    w = x.eigenvalues
     return float(np.sum(w * np.log(w)))
 
 

@@ -126,22 +126,30 @@ class HermitianMatrix:
 
 @dataclasses.dataclass(frozen=True, eq=False)
 class PdMatrix:
-    """A positive-definite matrix with the eigendecomposition that proves it.
+    """A positive-definite matrix with the eigenvalues that prove it.
 
-    Construction raises DomainError unless the smallest eigenvalue of
-    ``spectrum`` exceeds ``PD_FLOOR``; ``entropy`` and ``log`` read the
-    spectrum instead of recomputing it.
+    Construction raises DomainError unless the smallest of the ascending
+    ``eigenvalues`` exceeds ``PD_FLOOR``.  ``vectors``, when given, are the
+    matching eigenvectors; when omitted, the first read of ``spectrum``
+    (and so of ``log``) computes them with one :func:`eig` of ``base`` and
+    caches them.  ``entropy`` and ``log`` read the eigenvalues instead of
+    recomputing them.
     """
 
     base: HermitianMatrix
-    spectrum: SpectralDecomposition
+    eigenvalues: np.ndarray
+    vectors: dataclasses.InitVar[np.ndarray | None] = None
 
-    def __post_init__(self):
+    def __post_init__(self, vectors):
+        self.eigenvalues.setflags(write=False)
         smallest = self.min_eigenvalue
         if not smallest > PD_FLOOR:
             raise DomainError(
                 f"matrix is not positive definite: smallest eigenvalue {smallest:.6g}"
             )
+        if vectors is not None:
+            # Given vectors fill the cache of ``spectrum``.
+            self.__dict__["spectrum"] = SpectralDecomposition(self.eigenvalues, vectors)
 
     @property
     def dim(self) -> int:
@@ -153,7 +161,17 @@ class PdMatrix:
 
     @property
     def min_eigenvalue(self) -> float:
-        return float(self.spectrum.eigenvalues[0])
+        return float(self.eigenvalues[0])
+
+    @functools.cached_property
+    def spectrum(self) -> SpectralDecomposition:
+        """The carried eigenvalues with their eigenvectors, computed on first read if not given."""
+        return SpectralDecomposition(self.eigenvalues, eig(self.base).vectors)
+
+    def _known_vectors(self) -> np.ndarray | None:
+        # The eigenvectors if given or already computed, without computing them.
+        spectrum = self.__dict__.get("spectrum")
+        return None if spectrum is None else spectrum.vectors
 
     @classmethod
     def identity(cls, dim: int) -> "PdMatrix":
@@ -166,7 +184,7 @@ class PdMatrix:
     @functools.cached_property
     def log(self) -> HermitianMatrix:
         """The matrix logarithm, built once from the carried spectrum."""
-        return _rebuild(self.spectrum.vectors, np.log(self.spectrum.eigenvalues))
+        return _rebuild(self.spectrum.vectors, np.log(self.eigenvalues))
 
     def trace(self) -> float:
         return self.base.trace()
@@ -175,12 +193,14 @@ class PdMatrix:
         return self.base.frobenius_norm()
 
     def scaled(self, t: float) -> "PdMatrix":
-        """Scalar multiple ``t * A`` with the spectrum ``(t w, U)``; t <= 0 raises DomainError."""
+        """Scalar multiple ``t * A`` with eigenvalues ``t w`` and the same eigenvectors.
+
+        Vectors not yet computed stay deferred; t <= 0 raises DomainError.
+        """
         t = float(t)
         if not t > 0.0:
             raise DomainError(f"scale factor must be positive, got {t!r}")
-        spectrum = SpectralDecomposition(self.spectrum.eigenvalues * t, self.spectrum.vectors)
-        return PdMatrix(self.base * t, spectrum)
+        return PdMatrix(self.base * t, self.eigenvalues * t, self._known_vectors())
 
     def __repr__(self):
         return f"PdMatrix(dim={self.dim}, min_eigenvalue={self.min_eigenvalue:.3e})"
@@ -238,10 +258,22 @@ def eig(m: MatrixLike) -> SpectralDecomposition:
     return SpectralDecomposition(np.asarray(w, dtype=np.float64), u)
 
 
-def _eigh(entries: np.ndarray):
-    # numpy's eigh on one matrix or a stack of them, failures as ConvergenceError.
+def eigvals(m: MatrixLike) -> np.ndarray:
+    """Ascending eigenvalues only, without eigenvectors (numpy's ``eigvalsh``).
+
+    About half the cost of :func:`eig` at n = 64.  A solver failure raises
+    ConvergenceError with the numpy diagnostics attached.
+    """
+    return _eigh(m.entries, vectors=False)[0]
+
+
+def _eigh(entries: np.ndarray, vectors: bool = True):
+    # numpy's eigh, or eigvalsh with u = None when the vectors are not
+    # wanted, on one matrix or a stack of them; failures as ConvergenceError.
     try:
-        return np.linalg.eigh(entries)
+        if vectors:
+            return np.linalg.eigh(entries)
+        return np.linalg.eigvalsh(entries), None
     except np.linalg.LinAlgError as exc:
         raise ConvergenceError(
             f"eigen-decomposition failed for dim={entries.shape[-1]}, "
@@ -255,12 +287,15 @@ def pd_mixtures(
     """The mixtures ``t A + (1-t) B`` for every ``t`` in ``ts``, decomposed as one stack.
 
     One ``eigh`` call decomposes all of them, which at small n costs about
-    half as much per matrix as separate calls.  The returned ``mixture(k)``
+    half as much per matrix as separate calls.  When neither endpoint has
+    its eigenvectors at hand, the mixtures follow them: one ``eigvalsh``
+    call computes their eigenvalues only.  The returned ``mixture(k)``
     builds the PdMatrix for ``ts[k]`` when asked, so only one is alive at a
     time; like :func:`validate_pd` it raises DomainError when that
     mixture's smallest eigenvalue is at or below ``PD_FLOOR``.  A solver
     failure raises ConvergenceError.  Each mixture equals
-    ``validate_pd(a.base * t + b.base * (1 - t))`` bit for bit.
+    ``validate_pd(a.base * t + b.base * (1 - t))`` bit for bit, validated
+    with ``vectors=False`` when the stack is eigenvalues only.
     """
 
     def entries(t: float) -> np.ndarray:
@@ -272,11 +307,12 @@ def pd_mixtures(
     stack = np.empty((len(ts),) + a.entries.shape, dtype=np.complex128)
     for k, t in enumerate(ts):
         stack[k] = entries(t)
-    w, u = _eigh(stack)
+    vectors = a._known_vectors() is not None or b._known_vectors() is not None
+    w, u = _eigh(stack, vectors)
 
     def mixture(k: int) -> PdMatrix:
         base = HermitianMatrix._exact(entries(ts[k]))
-        return PdMatrix(base, SpectralDecomposition(w[k], u[k]))
+        return PdMatrix(base, w[k], None if u is None else u[k])
 
     return mixture
 
@@ -326,7 +362,7 @@ def mat_exp(m: HermitianMatrix) -> PdMatrix:
             f"eigenvalue {top:.6g} exceeds the exp-overflow guard {EXP_OVERFLOW_LIMIT}"
         )
     w = np.exp(dec.eigenvalues)
-    return PdMatrix(_rebuild(dec.vectors, w), SpectralDecomposition(w, dec.vectors))
+    return PdMatrix(_rebuild(dec.vectors, w), w, dec.vectors)
 
 
 def mat_log(a: PdMatrix) -> HermitianMatrix:
@@ -352,15 +388,20 @@ def trace_product(a: MatrixLike, b: MatrixLike) -> float:
     return float(t.real)
 
 
-def validate_pd(m: MatrixLike) -> PdMatrix:
+def validate_pd(m: MatrixLike, vectors: bool = True) -> PdMatrix:
     """Validate positive definiteness with one eigendecomposition, which the result carries.
 
     Raises DomainError when any eigenvalue is at or below ``PD_FLOOR``.
-    A PdMatrix is returned as it is.
+    With ``vectors=False`` only the eigenvalues are computed (:func:`eigvals`);
+    the eigenvectors then cost one :func:`eig` when ``spectrum`` or ``log``
+    is first read.  A PdMatrix is returned as it is.
     """
     if isinstance(m, PdMatrix):
         return m
-    return PdMatrix(m, eig(m))
+    if not vectors:
+        return PdMatrix(m, eigvals(m))
+    dec = eig(m)
+    return PdMatrix(m, dec.eigenvalues, dec.vectors)
 
 
 def seeded_rng(seed: int) -> np.random.Generator:
@@ -383,15 +424,21 @@ def _ginibre(rng: np.random.Generator, dim: int) -> np.ndarray:
     return g / math.sqrt(2.0)
 
 
-def sample_pd(rng: np.random.Generator, dim: int, spread: float) -> PdMatrix:
-    """Draw ``G G*/dim + spread I`` with standard complex normal ``G``."""
+def sample_pd(
+    rng: np.random.Generator, dim: int, spread: float, vectors: bool = True
+) -> PdMatrix:
+    """Draw ``G G*/dim + spread I`` with standard complex normal ``G``.
+
+    ``vectors`` is passed to :func:`validate_pd`: False when the caller
+    never reads the sample's ``log``.
+    """
     if dim < 1:
         raise DomainError(f"dimension must be at least 1, got {dim}")
     if spread <= 0.0:
         raise DomainError(f"spread must be positive, got {spread}")
     g = _ginibre(rng, dim)
     m = g @ g.conj().T / dim + spread * np.eye(dim)
-    return validate_pd(HermitianMatrix._symmetrized(m))
+    return validate_pd(HermitianMatrix._symmetrized(m), vectors)
 
 
 def random_pd(dim: int, seed: int, spread: float) -> PdMatrix:
@@ -411,7 +458,7 @@ def sample_hermitian(
     """Draw a random self-adjoint matrix, rescaled to spectral radius <= radius."""
     g = _ginibre(rng, dim)
     h = HermitianMatrix._symmetrized((g + g.conj().T) / 2.0)
-    rho = float(np.max(np.abs(np.linalg.eigvalsh(h.entries))))
+    rho = float(np.max(np.abs(eigvals(h))))
     if rho > radius:
         h = h * (radius / rho)
     return h

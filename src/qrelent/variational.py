@@ -30,8 +30,7 @@ from .hermitian import (
     EXP_OVERFLOW_LIMIT,
     HermitianMatrix,
     PdMatrix,
-    SpectralDecomposition,
-    eig,
+    eigvals,
     mat_log,
     trace_product,
 )
@@ -91,10 +90,14 @@ class OptimizeResult:
 
 
 def trace_exp_log(h: HermitianMatrix, a: PdMatrix) -> float:
-    """Evaluate ``tr exp(H + log A)`` through the spectral decomposition."""
+    """Evaluate ``tr exp(H + log A)`` as ``sum exp(lambda)`` over the eigenvalues of ``H + log A``.
+
+    Only the eigenvalues are computed; ``log A`` costs one decomposition
+    of ``A`` if its eigenvectors were not carried.
+    """
     if h.dim != a.dim:
         raise DimMismatchError(f"dimension mismatch: {h.dim} vs {a.dim}")
-    w = eig(h + mat_log(a)).eigenvalues
+    w = eigvals(h + mat_log(a))
     top = float(w[-1])
     if top > EXP_OVERFLOW_LIMIT:
         raise OverflowError(
@@ -250,7 +253,7 @@ def maximize_lieb(
         cfg = OptimizeConfig.for_scale(h.frobenius_norm() + a.frobenius_norm())
     k = h + mat_log(a)
     x, w, u, iters, grad_norm, converged, history = _ascend(k.entries, init, cfg)
-    maximizer = PdMatrix(HermitianMatrix._symmetrized(x), SpectralDecomposition(w, u))
+    maximizer = PdMatrix(HermitianMatrix._symmetrized(x), w, u)
     return OptimizeResult(
         maximizer=maximizer,
         value=lieb_objective(maximizer, h, a),

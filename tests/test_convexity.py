@@ -1,8 +1,10 @@
 """Segment tester and the named convexity/concavity suites."""
 
+import dataclasses
 import json
 import math
 
+import numpy as np
 import pytest
 
 from qrelent import (
@@ -30,13 +32,16 @@ def divergence_value(x, y):
 
 
 def _segment_instance(kind, dim, seed):
-    """``(f, p1, p2, t_samples, orientation)`` as the named suite draws them."""
+    """``(f, p1, p2, t_samples, orientation)`` as the named suite draws them.
+
+    As in joint-convexity, the X side carries eigenvalues only.
+    """
     from conftest import sample_hermitian, sample_pd, trial_rng
 
     rng = trial_rng(seed, 0)
     if kind == "joint":
-        p1 = (sample_pd(rng, dim, 0.1), sample_pd(rng, dim, 0.1))
-        p2 = (sample_pd(rng, dim, 0.1), sample_pd(rng, dim, 0.1))
+        p1 = (sample_pd(rng, dim, 0.1, vectors=False), sample_pd(rng, dim, 0.1))
+        p2 = (sample_pd(rng, dim, 0.1, vectors=False), sample_pd(rng, dim, 0.1))
         f, orientation = divergence_value, "convex"
     elif kind == "lieb":
         h = sample_hermitian(rng, dim, 3.0)
@@ -50,15 +55,18 @@ def _segment_instance(kind, dim, seed):
 
 
 def _per_point_segment(f, p1, p2, t_samples, orientation):
-    """Reference segment test: every mixture built and validated on its own."""
+    """Reference segment test: every mixture built and validated on its own.
+
+    A mixture is validated with eigenvectors when an endpoint carries them.
+    """
     orient = {"convex": 1.0, "concave": -1.0}[orientation]
     f1, f2 = f(*p1), f(*p2)
     scale = 1.0 + abs(f1) + abs(f2)
     out = []
     for t in t_samples:
         point = [
-            validate_pd(a.base * t + b.base * (1.0 - t)) if isinstance(a, PdMatrix)
-            else a * t + b * (1.0 - t)
+            validate_pd(a.base * t + b.base * (1.0 - t), _has_vectors(a) or _has_vectors(b))
+            if isinstance(a, PdMatrix) else a * t + b * (1.0 - t)
             for a, b in zip(p1, p2)
         ]
         lhs = f(*point)
@@ -67,10 +75,17 @@ def _per_point_segment(f, p1, p2, t_samples, orientation):
     return out
 
 
+def _has_vectors(m):
+    return m._known_vectors() is not None
+
+
 def _bits(m):
+    # Reads the eigenvectors only if they are at hand, so never computes them.
     parts = [m.entries.tobytes()]
     if isinstance(m, PdMatrix):
-        parts += [m.spectrum.eigenvalues.tobytes(), m.spectrum.vectors.tobytes()]
+        parts.append(m.eigenvalues.tobytes())
+        if _has_vectors(m):
+            parts.append(m.spectrum.vectors.tobytes())
     return parts
 
 
@@ -129,15 +144,32 @@ class TestSegmentTest:
         assert len(seen) == 2 + len(ts)
         for got, (_, want) in zip(seen[2:], reference):
             assert [type(m) for m in got] == [type(m) for m in want]
+            assert [_has_vectors(m) for m in got if isinstance(m, PdMatrix)] == [
+                _has_vectors(a) for a in p1 if isinstance(a, PdMatrix)
+            ]
             assert [_bits(m) for m in got] == [_bits(m) for m in want]
+            for m in got:
+                if isinstance(m, PdMatrix) and not _has_vectors(m):
+                    assert m.eigenvalues.tobytes() == np.linalg.eigvalsh(m.entries).tobytes()
 
     def test_mixture_failing_validation_carries_its_t(self):
         # A hand-built PdMatrix whose spectrum does not belong to its entries
         # makes the mixtures at t >= 0.5 indefinite.
-        liar = PdMatrix(HermitianMatrix.diagonal([-1.0, 1.0]), PdMatrix.identity(2).spectrum)
+        truth = PdMatrix.identity(2).spectrum
+        liar = PdMatrix(HermitianMatrix.diagonal([-1.0, 1.0]), truth.eigenvalues, truth.vectors)
         with pytest.raises(SegmentEvaluationError) as err:
             segment_test(lambda m: m.trace(), liar, PdMatrix.identity(2), [0.2, 0.7], "convex")
         assert err.value.t == 0.7
+        assert isinstance(err.value.__cause__, DomainError)
+
+    @pytest.mark.parametrize("t_bad", [0.5, 0.7])
+    def test_eigenvalues_only_mixture_at_or_below_floor_carries_its_t(self, t_bad):
+        # The mixture at t = 0.5 has eigenvalue 0, the one at 0.7 -0.4.
+        liar = PdMatrix(HermitianMatrix.diagonal([-1.0, 1.0]), np.array([1.0, 1.0]))
+        one = validate_pd(HermitianMatrix.identity(2), vectors=False)
+        with pytest.raises(SegmentEvaluationError) as err:
+            segment_test(lambda m: m.trace(), liar, one, [0.2, t_bad], "convex")
+        assert err.value.t == t_bad
         assert isinstance(err.value.__cause__, DomainError)
 
     def test_evaluation_error_carries_offending_t(self):
@@ -202,6 +234,36 @@ class TestJointConvexitySuite:
         assert report.max_violation <= 1e-10
         assert len(report.trials) == 50 * 10
         assert report.extras["min_divergence_value"] >= -1e-10
+
+    def test_nan_divergence_reaches_min_divergence_value(self, monkeypatch):
+        # the NaN lands on a later evaluation; a min() that skips it reports
+        # the smallest finite value instead
+        from qrelent import convexity
+
+        calls = []
+
+        def nan_on_15th_call(x, y):
+            calls.append(None)
+            d = relative_entropy(x, y)
+            return dataclasses.replace(d, value=math.nan) if len(calls) == 15 else d
+
+        monkeypatch.setattr(convexity, "relative_entropy", nan_on_15th_call)
+        report = joint_convexity_suite(3, 3, 42, 1e-9)
+        assert len(calls) > 15
+        assert not report.passed
+        assert math.isnan(report.extras["min_divergence_value"])
+
+    def test_negative_divergence_fails_the_suite(self, monkeypatch):
+        # A constant divergence has no Jensen gap, so only the
+        # nonnegativity gate on min_divergence_value can fail the suite.
+        from qrelent import DivergenceBreakdown, convexity
+
+        constant = DivergenceBreakdown(-1.0, 0.0, 0.0, 1.0)
+        monkeypatch.setattr(convexity, "relative_entropy", lambda x, y: constant)
+        report = joint_convexity_suite(3, 3, 42, 1e-9)
+        assert report.max_violation <= 1e-9
+        assert report.extras["min_divergence_value"] == -1.0
+        assert not report.passed
 
     def test_pass_iff_max_violation_within_tol(self):
         report = joint_convexity_suite(3, 20, 11, 1e-10)
@@ -324,6 +386,16 @@ class TestPartialMaxSuite:
     def test_optimizer_value_tracks_direct_evaluation(self):
         report = partial_max_concavity_suite(4, 5, 29, 1e-8)
         assert report.extras["max_value_gap"] <= 1e-6
+
+    def test_nan_value_gap_fails_the_suite(self, monkeypatch):
+        # max(0.0, nan) is 0.0: a NaN gap must not read as agreement
+        from qrelent import convexity
+
+        monkeypatch.setattr(convexity, "trace_exp_log", lambda h, a: math.nan)
+        report = partial_max_concavity_suite(3, 2, 23, 1e-8)
+        assert report.invalid_trials == 0 and report.max_violation <= 1e-8
+        assert math.isnan(report.extras["max_value_gap"])
+        assert not report.passed
 
     def test_dim_cap(self):
         with pytest.raises(ValueError):

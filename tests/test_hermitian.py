@@ -15,8 +15,9 @@ from qrelent import (
     HermitianMatrix,
     NotHermitianError,
     PdMatrix,
-    SpectralDecomposition,
     eig,
+    eigvals,
+    entropy,
     mat_exp,
     mat_log,
     matrix_fn,
@@ -289,6 +290,8 @@ PD_CONSTRUCTIONS = {
     "identity": lambda: PdMatrix.identity(4),
     "diagonal": lambda: PdMatrix.diagonal([3.0, 0.5, 1e-3]),
     "scaled": lambda: random_pd(5, 24, 0.1).scaled(2.7),
+    "eigenvalues_only": lambda: sample_pd(trial_rng(36, 0), 5, 0.1, vectors=False),
+    "scaled_eigenvalues_only": lambda: sample_pd(trial_rng(37, 0), 5, 0.1, vectors=False).scaled(2.7),
     "mat_exp": lambda: mat_exp(sample_hermitian(trial_rng(25, 0), 5, 3.0)),
     "maximize_lieb": _pd_via_maximize_lieb,
 }
@@ -301,9 +304,10 @@ class TestPdMatrix:
         base = HermitianMatrix.diagonal([-1.0, 1.0])
         vectors = np.eye(2, dtype=complex)
         for smallest in (-1.0, 0.0, PD_FLOOR, math.nan):
-            spectrum = SpectralDecomposition(np.array([smallest, 1.0]), vectors)
             with pytest.raises(DomainError):
-                PdMatrix(base, spectrum)
+                PdMatrix(base, np.array([smallest, 1.0]), vectors)
+            with pytest.raises(DomainError):
+                PdMatrix(base, np.array([smallest, 1.0]))
         with pytest.raises(DomainError):
             validate_pd(base)
 
@@ -365,7 +369,40 @@ class TestDecompositionCounts:
         a = random_pd(4, 30, 0.1)
         decompositions.update(eigh=0, eigvalsh=0)
         trace_exp_log(h, a)
+        assert decompositions == {"eigh": 0, "eigvalsh": 1}
+
+    def test_eigenvalues_only_pd_matrix_decomposes_for_its_first_log(self, decompositions):
+        entries = random_pd(5, 38, 0.1).entries
+        decompositions.update(eigh=0, eigvalsh=0)
+        a = validate_pd(HermitianMatrix(entries), vectors=False)
+        assert decompositions == {"eigh": 0, "eigvalsh": 1}
+        twin = validate_pd(HermitianMatrix(entries))
+        decompositions.update(eigh=0, eigvalsh=0)
+        first = mat_log(a)
         assert decompositions == {"eigh": 1, "eigvalsh": 0}
+        assert mat_log(a) is first and a.spectrum is a.spectrum
+        assert decompositions == {"eigh": 1, "eigvalsh": 0}
+        # The validated eigenvalues stay; the vectors come from eig.
+        assert a.spectrum.eigenvalues is a.eigenvalues
+        bound = 1e-12 * (1.0 + a.frobenius_norm())
+        assert (first - twin.log).frobenius_norm() <= bound
+        assert abs(entropy(a) - entropy(twin)) <= bound
+
+    def test_segment_with_eigenvalues_only_endpoints_stacks_eigvalsh(self, decompositions):
+        # The joint-convexity segment as the suite draws it: X's mixtures are
+        # one eigvalsh stack, Y's one eigh stack, and D(X;Y) decomposes
+        # nothing else.  Alone, the X side costs one eigvalsh and no eigh.
+        rng = trial_rng(39, 0)
+        p1 = (sample_pd(rng, 4, 0.1, vectors=False), sample_pd(rng, 4, 0.1))
+        p2 = (sample_pd(rng, 4, 0.1, vectors=False), sample_pd(rng, 4, 0.1))
+        decompositions.update(eigh=0, eigvalsh=0)
+        f = lambda x, y: relative_entropy(x, y).value
+        assert len(segment_test(f, p1, p2, [0.1, 0.3, 0.5, 0.9], "convex")) == 4
+        assert decompositions == {"eigh": 1, "eigvalsh": 1}
+
+        decompositions.update(eigh=0, eigvalsh=0)
+        segment_test(lambda x: x.trace(), p1[:1], p2[:1], [0.1, 0.3], "convex")
+        assert decompositions == {"eigh": 0, "eigvalsh": 1}
 
     @pytest.mark.parametrize("kind, pd_components", [("joint", 2), ("lieb", 1), ("fenchel", 0)])
     def test_segment_decomposes_its_mixtures_once_per_pd_component(
@@ -490,7 +527,26 @@ def test_sample_hermitian_spectral_radius_capped():
         assert np.max(np.abs(np.linalg.eigvalsh(h.entries))) <= 3.0 + 1e-12
 
 
-def test_eig_error_type_exists():
-    # numpy's eigh essentially never fails on finite hermitian input; the
-    # error contract is still part of the API surface.
-    assert issubclass(ConvergenceError, Exception)
+@pytest.mark.parametrize(
+    "name", ["eig", "eigvals", "validate_pd_eigenvalues_only", "sample_hermitian", "trace_exp_log"]
+)
+def test_solver_failure_raises_convergence_error(monkeypatch, name):
+    # numpy's solvers essentially never fail on finite self-adjoint input;
+    # a failure is injected to check that it is reported as ConvergenceError.
+    m, a = HermitianMatrix.identity(3), PdMatrix.identity(3)
+    calls = {
+        "eig": lambda: eig(m),
+        "eigvals": lambda: eigvals(m),
+        "validate_pd_eigenvalues_only": lambda: validate_pd(m, vectors=False),
+        "sample_hermitian": lambda: sample_hermitian(trial_rng(10, 0), 3, 3.0),
+        "trace_exp_log": lambda: trace_exp_log(m, a),
+    }
+
+    def fail(*args, **kwargs):
+        raise np.linalg.LinAlgError("injected")
+
+    for solver in ("eigh", "eigvalsh"):
+        monkeypatch.setattr(np.linalg, solver, fail)
+    with pytest.raises(ConvergenceError) as err:
+        calls[name]()
+    assert isinstance(err.value.__cause__, np.linalg.LinAlgError)
