@@ -70,6 +70,7 @@ from .convexity import (
     klein_suite,
     lieb_concavity_suite,
     partial_max_concavity_suite,
+    run_suite,
     sample_lieb_instance,
     segment_test,
     variational_suite,
@@ -104,7 +105,7 @@ __all__ = [
     "SegmentTrial", "BoundTrial", "SuiteReport", "T_GRID", "segment_test",
     "SUITES", "klein_suite", "joint_convexity_suite",
     "lieb_concavity_suite", "partial_max_concavity_suite",
-    "fenchel_convexity_suite", "variational_suite", "sample_lieb_instance",
+    "fenchel_convexity_suite", "variational_suite", "run_suite", "sample_lieb_instance",
     # io
     "read_matrix", "write_matrix", "write_report",
     "matrix_to_dict", "matrix_from_dict",

@@ -15,7 +15,7 @@ import numpy as np
 
 from . import __version__
 # klein_suite and variational_suite stay importable from qrelent.cli.
-from .convexity import SUITES, klein_suite, variational_suite  # noqa: F401
+from .convexity import SUITES, klein_suite, run_suite, suite_args, variational_suite  # noqa: F401
 from .divergence import entropy, relative_entropy
 from .errors import QrelentError
 from .hermitian import HermitianMatrix, PdMatrix, validate_pd
@@ -32,12 +32,13 @@ def cmd_verify(args: argparse.Namespace) -> int:
     names = list(SUITES) if args.suite == "all" else [args.suite]
     if args.flip_orientation and "lieb-concavity" not in names:
         raise ValueError(f"--flip-orientation applies to lieb-concavity, not {args.suite}")
-    runs = [(name, SUITES[name].resolve(args.dim, args.trials, args.tol)) for name in names]
+    for name in names:
+        suite_args(name, args.dim, args.trials, args.seed, args.tol)
     reports = []
-    for name, (dim, trials, tol) in runs:
+    for name in names:
         flip = args.flip_orientation and name == "lieb-concavity"
         kwargs = {"orientation": "convex"} if flip else {}
-        report = SUITES[name].run(dim, trials, args.seed, tol, **kwargs)
+        report = run_suite(name, args.dim, args.trials, args.seed, args.tol, **kwargs)
         reports.append(report)
         status = "PASS" if report.passed else "FAIL"
         print(

@@ -2,22 +2,24 @@
 
 These are falsification harnesses, not proofs: each suite draws seeded
 random instances, evaluates the claimed inequality along segments (or
-against a scalar bound), and reports normalized violations.  A report is
-a pure function of ``(dim, trials, seed, tol)``; every trial derives its
-own generator from the master seed and the trial index, so reruns are
-identical regardless of evaluation order.  ``SUITES`` lists every suite
-with its defaults.
+against a scalar bound), and reports normalized violations.  ``SUITES``
+lists every suite as a per-trial function with its defaults, and
+:func:`run_suite` runs one.  A report is a pure function of ``(dim,
+trials, seed, tol)``; every trial derives its own generator from the
+master seed and its index, so one trial replays alone and reruns are
+identical regardless of evaluation order.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 from typing import Callable, NamedTuple, Sequence, Union
 
 import numpy as np
 
-from .divergence import klein_check, relative_entropy
+from .divergence import relative_entropy
 from .errors import SegmentEvaluationError
 from .hermitian import (
     HermitianMatrix,
@@ -228,117 +230,69 @@ def _witness(t: float, p1: tuple, p2: tuple) -> dict:
     }
 
 
-def _attach_witnesses(trials, p1, p2, tol):
-    out = []
-    for tr in trials:
-        if tr.valid and tr.violation > tol:
-            tr = dataclasses.replace(tr, witness=_witness(tr.t, p1, p2))
-        out.append(tr)
-    return out
-
-
-def _echo(dim: int, trials: int, seed: int, tol: float, **more) -> dict:
-    return {"dim": dim, "trials": trials, "seed": seed, "tol": tol, **more}
-
-
 def _invalid_fraction(records: list) -> float:
     return sum(not r.valid for r in records) / len(records) if records else 1.0
 
 
-def _finish(name, records, tol, config_echo, extras=None, extra_ok=True):
-    """The suite's report: it passes when every valid violation is at most ``tol``.
+def _segment(f, p1: tuple, p2: tuple, rng, orientation: str, tol: float, shown=None) -> list:
+    """``segment_test`` on ``T_GRID`` plus one uniform ``t`` drawn from ``rng``.
 
-    A non-finite valid violation fails the suite and makes ``max_violation``
-    NaN (Python's ``max`` would skip a NaN that does not come first).
+    A valid comparison violating ``tol`` carries its segment as a witness:
+    the endpoints ``shown``, ``(p1, p2)`` unless given.
     """
-    valid_violations = [r.violation for r in records if r.valid]
-    if all(math.isfinite(v) for v in valid_violations):
-        max_violation = max(valid_violations, default=math.nan)
-    else:
-        max_violation = math.nan
-    passed = bool(valid_violations) and max_violation <= tol and extra_ok
-    return SuiteReport(
-        suite_name=name,
-        trials=records,
-        max_violation=max_violation,
-        passed=passed,
-        config_echo=config_echo,
-        invalid_trials=sum(not r.valid for r in records),
-        extras=extras or {},
-    )
+    trials = segment_test(f, p1, p2, T_GRID + (float(rng.uniform()),), orientation)
+    shown = shown or (p1, p2)
+    return [
+        dataclasses.replace(tr, witness=_witness(tr.t, *shown))
+        if tr.valid and tr.violation > tol else tr
+        for tr in trials
+    ]
 
 
-def _check_args(dim: int, trials: int, tol: float, max_dim: int = _MAX_DIM) -> None:
-    if not 1 <= dim <= max_dim:
-        raise ValueError(f"dim must lie in [1, {max_dim}], got {dim}")
-    if trials < 1:
-        raise ValueError(f"trials must be at least 1, got {trials}")
-    if not tol > 0.0:
-        raise ValueError(f"tol must be positive, got {tol}")
+def klein_trial(rng: np.random.Generator, dim: int, tol: float, kind: str) -> tuple[list, list]:
+    """Nonnegativity of the divergence (Klein's inequality), one trial of ``kind``.
 
-
-def _t_samples(rng: np.random.Generator) -> tuple:
-    return T_GRID + (float(rng.uniform()),)
-
-
-def klein_suite(dim: int, trials: int, seed: int, tol: float) -> SuiteReport:
-    """Nonnegativity of the divergence on random PD pairs.
-
-    Three trial kinds: ``nonneg`` (D >= -tol * scale on random pairs),
-    ``identity`` (D(X;X) <= tol * scale), and ``separated`` (D >= 1e-8
-    whenever the pair is at least 0.1 apart in Frobenius norm).  ``D(X;Y)``
-    reads only the eigenvalues of ``X``, so the ``X`` of a pair is sampled
-    without eigenvectors.
+    ``nonneg``: ``D(X;Y) >= -tol * scale`` on a random PD pair.
+    ``identity``: ``D(X;X) <= tol * scale``.  ``separated``: ``D(X;Y) >= 1e-8``
+    for a pair at least 0.1 apart in Frobenius norm.  ``D(X;Y)`` reads only
+    the eigenvalues of ``X``, so the ``X`` of a pair is sampled without
+    eigenvectors.
     """
-    _check_args(dim, trials, tol)
-    records: list[BoundTrial] = []
-    for i in range(trials):
-        rng = trial_rng(seed, i)
-        x = sample_pd(rng, dim, 0.1, vectors=False)
-        y = sample_pd(rng, dim, 0.1)
-        scale = 1.0 + x.frobenius_norm() + y.frobenius_norm()
-        check = klein_check(x, y, tol * scale)
-        records.append(
-            BoundTrial("nonneg", check.value, 0.0, -check.value / scale, scale)
-        )
-
-    for i in range(max(1, trials // 5)):
-        rng = trial_rng(seed, 1_000_000 + i)
+    if kind == "identity":
         x = sample_pd(rng, dim, 0.1)
         value = relative_entropy(x, x).value
         scale = 1.0 + x.frobenius_norm()
-        records.append(BoundTrial("identity", value, 0.0, abs(value) / scale, scale))
-
-    for i in range(min(100, trials)):
-        rng = trial_rng(seed, 2_000_000 + i)
-        x = sample_pd(rng, dim, 0.1, vectors=False)
-        y = sample_pd(rng, dim, 0.1)
-        for _ in range(1000):
-            if (x.base - y.base).frobenius_norm() >= _SEPARATION_DISTANCE:
-                break
-            y = sample_pd(rng, dim, 0.1)
+        return [BoundTrial("identity", value, 0.0, abs(value) / scale, scale)], []
+    x = sample_pd(rng, dim, 0.1, vectors=False)
+    y = sample_pd(rng, dim, 0.1)
+    if kind == "nonneg":
+        scale = 1.0 + x.frobenius_norm() + y.frobenius_norm()
         value = relative_entropy(x, y).value
-        records.append(
-            BoundTrial(
-                "separated", value, _SEPARATION_MIN_DIVERGENCE,
-                _SEPARATION_MIN_DIVERGENCE - value, 1.0,
-            )
-        )
-    return _finish("klein", records, tol, _echo(dim, trials, seed, tol))
+        return [BoundTrial("nonneg", value, 0.0, -value / scale, scale)], []
+    for _ in range(1000):
+        if (x.base - y.base).frobenius_norm() >= _SEPARATION_DISTANCE:
+            break
+        y = sample_pd(rng, dim, 0.1)
+    value = relative_entropy(x, y).value
+    record = BoundTrial(
+        "separated", value, _SEPARATION_MIN_DIVERGENCE,
+        _SEPARATION_MIN_DIVERGENCE - value, 1.0,
+    )
+    return [record], []
 
 
-def joint_convexity_suite(dim: int, trials: int, seed: int, tol: float) -> SuiteReport:
+def joint_convexity_trial(rng: np.random.Generator, dim: int, tol: float) -> tuple[list, list]:
     """Joint convexity of the relative entropy under simultaneous mixing.
 
-    Each trial draws a random PD quadruple (X1, Y1, X2, Y2) and tests
+    Draws a random PD quadruple (X1, Y1, X2, Y2) and tests
     ``D(t X1 + (1-t) X2; t Y1 + (1-t) Y2) <= t D(X1;Y1) + (1-t) D(X2;Y2)``
-    on the t-grid.  The report also records the smallest divergence value
-    evaluated, endpoints included; nonnegativity requires it to stay at or
-    above ``-tol``, and the suite fails otherwise (or when it is NaN).
-    ``D(X;Y)`` reads only the eigenvalues of ``X``, so ``X1`` and ``X2``,
-    and with them every X-mixture, are decomposed without eigenvectors.
+    on the t-grid.  The samples are the divergence values evaluated,
+    endpoints included: nonnegativity requires the smallest of a suite to
+    stay at or above ``-tol``, and the suite fails otherwise (or when it is
+    NaN).  ``D(X;Y)`` reads only the eigenvalues of ``X``, so ``X1`` and
+    ``X2``, and with them every X-mixture, are decomposed without
+    eigenvectors.
     """
-    _check_args(dim, trials, tol)
     values: list[float] = []
 
     def f(x: PdMatrix, y: PdMatrix) -> float:
@@ -346,74 +300,44 @@ def joint_convexity_suite(dim: int, trials: int, seed: int, tol: float) -> Suite
         values.append(value)
         return value
 
-    all_trials: list[SegmentTrial] = []
-    for i in range(trials):
-        rng = trial_rng(seed, i)
-        x1 = sample_pd(rng, dim, 0.1, vectors=False)
-        y1 = sample_pd(rng, dim, 0.1)
-        x2 = sample_pd(rng, dim, 0.1, vectors=False)
-        y2 = sample_pd(rng, dim, 0.1)
-        p1, p2 = (x1, y1), (x2, y2)
-        seg = segment_test(f, p1, p2, _t_samples(rng), "convex")
-        all_trials.extend(_attach_witnesses(seg, p1, p2, tol))
+    x1 = sample_pd(rng, dim, 0.1, vectors=False)
+    y1 = sample_pd(rng, dim, 0.1)
+    x2 = sample_pd(rng, dim, 0.1, vectors=False)
+    y2 = sample_pd(rng, dim, 0.1)
+    return _segment(f, (x1, y1), (x2, y2), rng, "convex", tol), values
+
+
+def _min_divergence(records: list, values: list, tol: float) -> tuple[dict, bool]:
     # np.min, unlike min, returns NaN when any value is NaN.
     min_value = float(np.min(values))
-    return _finish(
-        "joint-convexity",
-        all_trials,
-        tol,
-        _echo(dim, trials, seed, tol),
-        extras={"min_divergence_value": min_value},
-        extra_ok=min_value >= -tol,
-    )
+    return {"min_divergence_value": min_value}, min_value >= -tol
 
 
-def lieb_concavity_suite(
-    dim: int, trials: int, seed: int, tol: float, orientation: str = "concave"
-) -> SuiteReport:
-    """Concavity of ``A -> tr exp(H + log A)`` for fixed self-adjoint ``H``.
+def lieb_concavity_trial(
+    rng: np.random.Generator, dim: int, tol: float, orientation: str
+) -> tuple[list, list]:
+    """Lieb's concavity of ``A -> tr exp(H + log A)`` for fixed self-adjoint ``H``.
 
     ``orientation`` exists for the harness self-test: running the same
     instances with ``"convex"`` must fail for generic dim >= 2, proving
     the tester can detect violations at all.
     """
-    _check_args(dim, trials, tol)
-    all_trials: list[SegmentTrial] = []
-    for i in range(trials):
-        rng = trial_rng(seed, i)
-        h = sample_hermitian(rng, dim, 3.0)
-        a1 = sample_pd(rng, dim, 0.1)
-        a2 = sample_pd(rng, dim, 0.1)
-        seg = segment_test(
-            lambda a: trace_exp_log(h, a), (a1,), (a2,), _t_samples(rng), orientation
-        )
-        all_trials.extend(_attach_witnesses(seg, (a1,), (a2,), tol))
-    return _finish(
-        "lieb-concavity",
-        all_trials,
-        tol,
-        _echo(dim, trials, seed, tol, orientation=orientation),
-    )
+    h = sample_hermitian(rng, dim, 3.0)
+    a1 = sample_pd(rng, dim, 0.1)
+    a2 = sample_pd(rng, dim, 0.1)
+    return _segment(lambda a: trace_exp_log(h, a), (a1,), (a2,), rng, orientation, tol), []
 
 
-def fenchel_convexity_suite(dim: int, trials: int, seed: int, tol: float) -> SuiteReport:
+def fenchel_trial(rng: np.random.Generator, dim: int, tol: float) -> tuple[list, list]:
     """Convexity of ``H -> tr exp(H + log A)`` for fixed positive-definite ``A``.
 
     As the partial maximum of ``tr(XH) - (D(X;A) - tr A)`` over ``X``, the
     map is a supremum of affine functions of ``H`` (a Fenchel conjugate).
     """
-    _check_args(dim, trials, tol)
-    all_trials: list[SegmentTrial] = []
-    for i in range(trials):
-        rng = trial_rng(seed, i)
-        a = sample_pd(rng, dim, 0.1)
-        h1 = sample_hermitian(rng, dim, 3.0)
-        h2 = sample_hermitian(rng, dim, 3.0)
-        seg = segment_test(
-            lambda h: trace_exp_log(h, a), (h1,), (h2,), _t_samples(rng), "convex"
-        )
-        all_trials.extend(_attach_witnesses(seg, (h1,), (h2,), tol))
-    return _finish("fenchel", all_trials, tol, _echo(dim, trials, seed, tol))
+    a = sample_pd(rng, dim, 0.1)
+    h1 = sample_hermitian(rng, dim, 3.0)
+    h2 = sample_hermitian(rng, dim, 3.0)
+    return _segment(lambda h: trace_exp_log(h, a), (h1,), (h2,), rng, "convex", tol), []
 
 
 def _centered_pd(rng: np.random.Generator, dim: int, spread: float) -> PdMatrix:
@@ -437,61 +361,47 @@ def sample_lieb_instance(
     return h, a
 
 
-def partial_max_concavity_suite(
-    dim: int,
-    trials: int,
-    seed: int,
-    tol: float,
-    cfg: OptimizeConfig | None = None,
-) -> SuiteReport:
+def partial_max_trial(
+    rng: np.random.Generator, dim: int, tol: float, cfg: OptimizeConfig | None = None
+) -> tuple[list, list]:
     """Concavity of the optimizer-evaluated partial maximum over ``X``.
 
     Defines ``g(A)`` as the maximum of ``tr(XH) - (D(X;A) - tr A)`` found
     by the Newton ascent (identity start) and segment-tests ``g`` with the
-    concave orientation.  Every converged evaluation is also compared
-    against the direct value ``tr exp(H + log A)``; non-converged
-    evaluations mark the affected trials invalid, and more than 5% invalid
-    fails the suite, as does a value-agreement gap beyond
+    concave orientation.  The samples are the gaps between every converged
+    evaluation and the direct value ``tr exp(H + log A)``; non-converged
+    evaluations mark the affected comparisons invalid.  A suite fails when
+    more than 5% of its comparisons are invalid, or when a gap exceeds
     ``VALUE_AGREEMENT_RTOL``.
     """
-    _check_args(dim, trials, tol, SUITES["partial-max"].dim_cap)
-    all_trials: list[SegmentTrial] = []
-    max_value_gap = 0.0
+    h, a1 = sample_lieb_instance(rng, dim)
+    a2 = _centered_pd(rng, dim, 0.3)
+    gaps: list[float] = []
 
-    for i in range(trials):
-        rng = trial_rng(seed, i)
-        h, a1 = sample_lieb_instance(rng, dim)
-        a2 = _centered_pd(rng, dim, 0.3)
+    def g(a: PdMatrix) -> float | None:
+        res = maximize_lieb(h, a, PdMatrix.identity(dim), cfg)
+        if not res.converged:
+            return None
+        direct = trace_exp_log(h, a)
+        gaps.append(abs(res.value - direct) / (1.0 + abs(direct)))
+        return res.value
 
-        def g(a: PdMatrix) -> float | None:
-            nonlocal max_value_gap
-            res = maximize_lieb(h, a, PdMatrix.identity(dim), cfg)
-            if not res.converged:
-                return None
-            direct = trace_exp_log(h, a)
-            # np.maximum, unlike max, keeps a NaN gap.
-            gap = abs(res.value - direct) / (1.0 + abs(direct))
-            max_value_gap = float(np.maximum(max_value_gap, gap))
-            return res.value
+    records = _segment(g, (a1,), (a2,), rng, "concave", tol, shown=((h, a1), (h, a2)))
+    return records, gaps
 
-        seg = segment_test(g, (a1,), (a2,), _t_samples(rng), "concave")
-        all_trials.extend(_attach_witnesses(seg, (h, a1), (h, a2), tol))
 
-    invalid_fraction = _invalid_fraction(all_trials)
-    extra_ok = invalid_fraction <= MAX_INVALID_FRACTION and max_value_gap <= VALUE_AGREEMENT_RTOL
-    return _finish(
-        "partial-max",
-        all_trials,
-        tol,
-        _echo(dim, trials, seed, tol),
-        extras={
-            "invalid_fraction": invalid_fraction,
-            "max_value_gap": max_value_gap,
-            "value_agreement_rtol": VALUE_AGREEMENT_RTOL,
-            "max_invalid_fraction": MAX_INVALID_FRACTION,
-        },
-        extra_ok=extra_ok,
-    )
+def _partial_max_extras(records: list, gaps: list, tol: float) -> tuple[dict, bool]:
+    invalid_fraction = _invalid_fraction(records)
+    # np.max, unlike max, keeps a NaN gap.
+    max_value_gap = float(np.max(gaps, initial=0.0))
+    extras = {
+        "invalid_fraction": invalid_fraction,
+        "max_value_gap": max_value_gap,
+        "value_agreement_rtol": VALUE_AGREEMENT_RTOL,
+        "max_invalid_fraction": MAX_INVALID_FRACTION,
+    }
+    ok = invalid_fraction <= MAX_INVALID_FRACTION and max_value_gap <= VALUE_AGREEMENT_RTOL
+    return extras, ok
 
 
 def _agreement(kind: str, res, closed_form: Callable[[], tuple]) -> list[BoundTrial]:
@@ -516,77 +426,151 @@ def _agreement(kind: str, res, closed_form: Callable[[], tuple]) -> list[BoundTr
     ]
 
 
-def variational_suite(dim: int, trials: int, seed: int, tol: float) -> SuiteReport:
+def variational_trial(rng: np.random.Generator, dim: int, tol: float) -> tuple[list, list]:
     """Optimizer agreement with the closed-form maximizers.
 
-    Each trial maximizes the trace variational objective on a random ``Y``
-    (argmax must be ``Y`` with value ``tr Y``) and the trace-exponential
-    objective on a conditioned ``(H, A)`` pair (argmax ``exp(H + log A)``
-    with value ``tr exp(H + log A)``).  Recorded violations are normalized
-    gaps minus their budgets (1e-6 for values, 1e-4 for maximizers).
+    Maximizes the trace variational objective on a random ``Y`` (argmax
+    must be ``Y`` with value ``tr Y``) and the trace-exponential objective
+    on a conditioned ``(H, A)`` pair (argmax ``exp(H + log A)`` with value
+    ``tr exp(H + log A)``).  Recorded violations are normalized gaps minus
+    their budgets (1e-6 for values, 1e-4 for maximizers).
     """
-    _check_args(dim, trials, tol)
-    records: list[BoundTrial] = []
-    for i in range(trials):
-        rng = trial_rng(seed, i)
-        y = sample_pd(rng, dim, 0.1)
-        records += _agreement("variational", maximize_variational(y), lambda: (y.trace(), y))
-        h, a = sample_lieb_instance(rng, dim)
-        records += _agreement(
-            "lieb", maximize_lieb(h, a),
-            lambda: (trace_exp_log(h, a), mat_exp(h + mat_log(a))),
-        )
-
-    invalid_fraction = _invalid_fraction(records)
-    return _finish(
-        "variational",
-        records,
-        tol,
-        _echo(dim, trials, seed, tol),
-        extras={
-            "invalid_fraction": invalid_fraction,
-            "value_budget": VALUE_AGREEMENT_RTOL,
-            "argmax_budget": _ARGMAX_AGREEMENT_TOL,
-        },
-        extra_ok=invalid_fraction <= MAX_INVALID_FRACTION,
+    y = sample_pd(rng, dim, 0.1)
+    records = _agreement("variational", maximize_variational(y), lambda: (y.trace(), y))
+    h, a = sample_lieb_instance(rng, dim)
+    records += _agreement(
+        "lieb", maximize_lieb(h, a),
+        lambda: (trace_exp_log(h, a), mat_exp(h + mat_log(a))),
     )
+    return records, []
+
+
+def _variational_extras(records: list, samples: list, tol: float) -> tuple[dict, bool]:
+    invalid_fraction = _invalid_fraction(records)
+    extras = {
+        "invalid_fraction": invalid_fraction,
+        "value_budget": VALUE_AGREEMENT_RTOL,
+        "argmax_budget": _ARGMAX_AGREEMENT_TOL,
+    }
+    return extras, invalid_fraction <= MAX_INVALID_FRACTION
+
+
+class Kind(NamedTuple):
+    """The ``count(trials)`` trials of one kind of a suite.
+
+    Trial ``i`` is drawn from ``trial_rng(seed, first + i)``.  A ``name``
+    of None is not passed to the trial function.
+    """
+
+    name: str | None
+    first: int
+    count: Callable[[int], int]
 
 
 class Suite(NamedTuple):
-    """One row of ``SUITES``: a suite function and its run defaults.
+    """One row of ``SUITES``: a per-trial function and its run defaults.
 
-    ``run(dim, trials, seed, tol)`` returns a :class:`SuiteReport`.
-    ``dim_cap`` is the largest dimension the function accepts; a run
-    asked for more runs at the cap.
+    ``trial(rng, dim, tol, [kind,] **options)`` returns ``(records,
+    samples)`` for one trial drawn from ``rng``.  ``options`` holds the
+    default of each option the config echo records.  ``extras(records,
+    samples, tol)`` reduces the samples of a whole run to the report's
+    extras and whether they pass.
     """
 
-    run: Callable[..., SuiteReport]
+    trial: Callable[..., tuple[list, list]]
     trials: int = 200
     tol: float = 1e-9
-    dim_cap: int = _MAX_DIM
-
-    def resolve(
-        self, dim: int, trials: int | None = None, tol: float | None = None
-    ) -> tuple[int, int, float]:
-        """The ``(dim, trials, tol)`` of one run: defaults filled in, dim capped.
-
-        Raises ValueError when ``dim`` lies outside [1, 64], ``trials`` is
-        below 1 or ``tol`` is not positive.
-        """
-        trials = self.trials if trials is None else trials
-        tol = self.tol if tol is None else tol
-        _check_args(dim, trials, tol)
-        return min(dim, self.dim_cap), trials, tol
+    kinds: tuple = (Kind(None, 0, lambda trials: trials),)
+    options: dict = {}
+    extras: Callable[..., tuple[dict, bool]] = lambda records, samples, tol: ({}, True)
 
 
 # Every suite, in the order ``verify --suite all`` runs them.  partial-max
-# runs one optimization per evaluation, hence fewer trials, a looser
-# tolerance and a capped dimension.
+# runs one optimization per evaluation, hence fewer trials and a looser
+# tolerance.  Klein's kinds start a million indices apart, so their
+# streams do not meet below a million trials.
 SUITES = {
-    "klein": Suite(klein_suite),
-    "joint-convexity": Suite(joint_convexity_suite),
-    "lieb-concavity": Suite(lieb_concavity_suite),
-    "partial-max": Suite(partial_max_concavity_suite, trials=50, tol=1e-8, dim_cap=16),
-    "fenchel": Suite(fenchel_convexity_suite),
-    "variational": Suite(variational_suite),
+    "klein": Suite(klein_trial, kinds=(
+        Kind("nonneg", 0, lambda trials: trials),
+        Kind("identity", 1_000_000, lambda trials: max(1, trials // 5)),
+        Kind("separated", 2_000_000, lambda trials: min(100, trials)),
+    )),
+    "joint-convexity": Suite(joint_convexity_trial, extras=_min_divergence),
+    "lieb-concavity": Suite(lieb_concavity_trial, options={"orientation": "concave"}),
+    "partial-max": Suite(partial_max_trial, trials=50, tol=1e-8, extras=_partial_max_extras),
+    "fenchel": Suite(fenchel_trial),
+    "variational": Suite(variational_trial, extras=_variational_extras),
 }
+
+
+def suite_args(
+    name: str, dim: int, trials: int | None, seed: int, tol: float | None
+) -> tuple[int, float]:
+    """The ``(trials, tol)`` of one run of suite ``name``, defaults filled in.
+
+    Raises ValueError when ``dim`` lies outside [1, 64], ``trials`` is
+    below 1, ``seed`` lies outside [0, 2**64) or ``tol`` is not positive.
+    """
+    row = SUITES[name]
+    trials = row.trials if trials is None else trials
+    tol = row.tol if tol is None else tol
+    if not 1 <= dim <= _MAX_DIM:
+        raise ValueError(f"dim must lie in [1, {_MAX_DIM}], got {dim}")
+    if trials < 1:
+        raise ValueError(f"trials must be at least 1, got {trials}")
+    if not 0 <= seed < 2**64:
+        raise ValueError(f"seed must lie in [0, 2**64), got {seed}")
+    if not tol > 0.0:
+        raise ValueError(f"tol must be positive, got {tol}")
+    return trials, tol
+
+
+def run_suite(
+    name: str, dim: int, trials: int | None, seed: int, tol: float | None, **options
+) -> SuiteReport:
+    """Run every trial of suite ``name``, kind by kind, in index order.
+
+    ``trials`` and ``tol`` of None take the row's defaults; ``options`` go
+    to every trial.  The suite passes when every valid violation is at
+    most ``tol`` and the row's extras pass.  A non-finite valid violation
+    fails the suite and makes ``max_violation`` NaN (Python's ``max``
+    would skip a NaN that does not come first).
+    """
+    trials, tol = suite_args(name, dim, trials, seed, tol)
+    row = SUITES[name]
+    options = {**row.options, **options}
+    records: list = []
+    samples: list = []
+    for kind in row.kinds:
+        named = () if kind.name is None else (kind.name,)
+        for i in range(kind.count(trials)):
+            trial_records, trial_samples = row.trial(
+                trial_rng(seed, kind.first + i), dim, tol, *named, **options
+            )
+            records += trial_records
+            samples += trial_samples
+    extras, extras_ok = row.extras(records, samples, tol)
+    violations = [r.violation for r in records if r.valid]
+    if all(math.isfinite(v) for v in violations):
+        max_violation = max(violations, default=math.nan)
+    else:
+        max_violation = math.nan
+    echo = {"dim": dim, "trials": trials, "seed": seed, "tol": tol}
+    return SuiteReport(
+        suite_name=name,
+        trials=records,
+        max_violation=max_violation,
+        passed=bool(violations) and max_violation <= tol and extras_ok,
+        config_echo={**echo, **{key: options[key] for key in row.options}},
+        invalid_trials=len(records) - len(violations),
+        extras=extras,
+    )
+
+
+# Each suite as a function of ``(dim, trials, seed, tol, **options)``.
+klein_suite = functools.partial(run_suite, "klein")
+joint_convexity_suite = functools.partial(run_suite, "joint-convexity")
+lieb_concavity_suite = functools.partial(run_suite, "lieb-concavity")
+partial_max_concavity_suite = functools.partial(run_suite, "partial-max")
+fenchel_convexity_suite = functools.partial(run_suite, "fenchel")
+variational_suite = functools.partial(run_suite, "variational")

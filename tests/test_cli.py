@@ -66,6 +66,13 @@ class TestVerify:
         assert main(["verify", "--suite", "all", "--tol", "0"]) == 2
         assert capsys.readouterr().out == ""
 
+    def test_seed_outside_64_bits_exits_two(self, capsys):
+        assert main(["verify", "--seed", "-1"]) == 2
+        assert main(["verify", "--suite", "klein", "--seed", str(2**64)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "seed" in captured.err
+
     def test_malformed_flag_exits_two(self):
         assert main(["verify", "--bogus"]) == 2
         assert main(["verify", "--suite", "unknown"]) == 2
@@ -99,15 +106,14 @@ class TestVerify:
         assert main(args + ["--out", out2]) == 0
         assert open(out1, "rb").read() == open(out2, "rb").read()
 
-    def test_partial_max_dim_capped_in_all(self, tmp_path):
-        out = str(tmp_path / "cap.json")
+    def test_every_suite_runs_at_the_requested_dim(self, tmp_path):
+        out = str(tmp_path / "d32.json")
         assert main(["verify", "--suite", "all", "--dim", "32", "--trials", "1",
                      "--seed", "3", "--out", out]) == 0
         doc = json.loads(open(out).read())
         assert doc["summary"]["config"]["dim"] == 32
         echo = {r["suite_name"]: r["config_echo"]["dim"] for r in doc["reports"]}
-        assert echo.pop("partial-max") == 16
-        assert set(echo.values()) == {32}
+        assert echo == {name: 32 for name in SUITES}
 
     @pytest.mark.parametrize("name", list(SUITES))
     def test_default_trials_and_tol_per_suite(self, name, tmp_path):

@@ -20,6 +20,7 @@ from qrelent import (
     matrix_from_dict,
     partial_max_concavity_suite,
     relative_entropy,
+    run_suite,
     segment_test,
     trace_exp_log,
     validate_pd,
@@ -279,15 +280,37 @@ class TestJointConvexitySuite:
 
 @pytest.mark.parametrize("name", list(SUITES))
 def test_rejects_bad_args(name):
-    suite = SUITES[name].run
-    with pytest.raises(ValueError):
-        suite(0, 10, 1, 1e-10)
-    with pytest.raises(ValueError):
-        suite(65, 10, 1, 1e-10)
-    with pytest.raises(ValueError):
-        suite(4, 0, 1, 1e-10)
-    with pytest.raises(ValueError):
-        suite(4, 10, 1, 0.0)
+    for dim, trials, seed, tol in [
+        (0, 10, 1, 1e-10), (65, 10, 1, 1e-10), (4, 0, 1, 1e-10), (4, 10, 1, 0.0),
+        # -1 would otherwise draw the streams of 2**64 - 1
+        (4, 10, -1, 1e-10), (4, 10, 2**64, 1e-10),
+    ]:
+        with pytest.raises(ValueError):
+            run_suite(name, dim, trials, seed, tol)
+
+
+@pytest.mark.parametrize("name, options", [
+    *((name, {}) for name in SUITES),
+    # violations carry witnesses, which must replay too
+    ("lieb-concavity", {"orientation": "convex"}),
+])
+def test_each_trial_replays_alone(name, options):
+    from conftest import trial_rng
+
+    row = SUITES[name]
+    report = run_suite(name, 3, 3, 42, None, **options)
+    full = [json.dumps(r.to_json_dict()) for r in report.trials]
+    start = 0
+    for kind in row.kinds:
+        named = () if kind.name is None else (kind.name,)
+        for i in range(kind.count(3)):
+            records, _ = row.trial(
+                trial_rng(42, kind.first + i), 3, row.tol, *named, **{**row.options, **options}
+            )
+            replayed = [json.dumps(r.to_json_dict()) for r in records]
+            assert replayed == full[start:start + len(replayed)], (kind.name, i)
+            start += len(replayed)
+    assert start == len(full)
 
 
 class TestLiebConcavitySuite:
@@ -396,10 +419,6 @@ class TestPartialMaxSuite:
         assert report.invalid_trials == 0 and report.max_violation <= 1e-8
         assert math.isnan(report.extras["max_value_gap"])
         assert not report.passed
-
-    def test_dim_cap(self):
-        with pytest.raises(ValueError):
-            partial_max_concavity_suite(17, 5, 1, 1e-8)
 
     def test_deterministic_reruns(self):
         a = partial_max_concavity_suite(3, 4, 31, 1e-8)
