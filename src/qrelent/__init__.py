@@ -49,7 +49,6 @@ from .divergence import (
     relative_entropy,
 )
 from .variational import (
-    OptimizeConfig,
     OptimizeResult,
     lieb_gradient,
     lieb_objective,
@@ -98,7 +97,7 @@ __all__ = [
     "DivergenceBreakdown", "KleinCheck", "entropy", "entropy_gradient",
     "relative_entropy", "bregman_residual", "klein_check",
     # variational
-    "OptimizeConfig", "OptimizeResult", "trace_exp_log",
+    "OptimizeResult", "trace_exp_log",
     "variational_objective", "variational_gradient", "lieb_objective",
     "lieb_gradient", "maximize_variational", "maximize_lieb",
     # convexity suites

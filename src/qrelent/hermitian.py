@@ -356,13 +356,21 @@ def mat_exp(m: HermitianMatrix) -> PdMatrix:
     eigenvalue below about -27.6 takes the result to ``PD_FLOOR`` or under.
     """
     dec = eig(m)
-    top = float(dec.eigenvalues[-1])
+    w = exp_eigenvalues(dec.eigenvalues)
+    return PdMatrix(_rebuild(dec.vectors, w), w, dec.vectors)
+
+
+def exp_eigenvalues(w: np.ndarray) -> np.ndarray:
+    """``exp`` of ascending eigenvalues ``w``.
+
+    Raises OverflowError when the largest exceeds ``EXP_OVERFLOW_LIMIT``.
+    """
+    top = float(w[-1])
     if top > EXP_OVERFLOW_LIMIT:
         raise OverflowError(
             f"eigenvalue {top:.6g} exceeds the exp-overflow guard {EXP_OVERFLOW_LIMIT}"
         )
-    w = np.exp(dec.eigenvalues)
-    return PdMatrix(_rebuild(dec.vectors, w), w, dec.vectors)
+    return np.exp(w)
 
 
 def mat_log(a: PdMatrix) -> HermitianMatrix:

@@ -25,52 +25,32 @@ import dataclasses
 import numpy as np
 
 from .divergence import entropy, relative_entropy
-from .errors import DimMismatchError
 from .hermitian import (
-    EXP_OVERFLOW_LIMIT,
     HermitianMatrix,
     PdMatrix,
+    _check_dims,
     eigvals,
+    exp_eigenvalues,
     mat_log,
     trace_product,
 )
 
+# Iteration cap of one ascent.
+_MAX_ITERS = 5000
+# Factor by which a rejected trial step is cut.
+_BACKTRACK_FACTOR = 0.5
+# Armijo sufficient-increase constant.
+_ARMIJO_C = 1e-4
+# Smallest admissible eigenvalue of a trial point; lower ones are rejected.
+_EIG_FLOOR = 1e-10
 # Smallest trial step, whatever the backtrack factor.  A Newton step cut
 # further has stalled against the eigenvalue floor: the maximizer lies below
-# it, and further cuts would only creep towards it until max_iters.
+# it, and further cuts would only creep towards it until the iteration cap.
 _MIN_STEP = 1e-12
 # Acceptance slack absorbing objective rounding noise near the optimum,
 # where the predicted increase drops below double precision; accepted
 # steps therefore stay monotone up to this amount.
 _ACCEPT_SLACK = 1e-12
-
-
-@dataclasses.dataclass(frozen=True)
-class OptimizeConfig:
-    """Tuning knobs for the damped Newton ascent."""
-
-    grad_tol: float
-    max_iters: int = 5000
-    backtrack_factor: float = 0.5
-    armijo_c: float = 1e-4
-    eig_floor: float = 1e-10
-
-    def __post_init__(self):
-        if not self.grad_tol > 0.0:
-            raise ValueError(f"grad_tol must be positive, got {self.grad_tol}")
-        if self.max_iters < 1:
-            raise ValueError(f"max_iters must be at least 1, got {self.max_iters}")
-        if not 0.0 < self.backtrack_factor < 1.0:
-            raise ValueError("backtrack_factor must lie in (0, 1)")
-        if not 0.0 < self.armijo_c < 1.0:
-            raise ValueError("armijo_c must lie in (0, 1)")
-        if not self.eig_floor > 0.0:
-            raise ValueError(f"eig_floor must be positive, got {self.eig_floor}")
-
-    @classmethod
-    def for_scale(cls, scale: float) -> "OptimizeConfig":
-        """Scale-aware default: gradient tolerance ``1e-8 (1 + scale)``."""
-        return cls(grad_tol=1e-8 * (1.0 + float(scale)))
 
 
 @dataclasses.dataclass(frozen=True)
@@ -95,15 +75,7 @@ def trace_exp_log(h: HermitianMatrix, a: PdMatrix) -> float:
     Only the eigenvalues are computed; ``log A`` costs one decomposition
     of ``A`` if its eigenvectors were not carried.
     """
-    if h.dim != a.dim:
-        raise DimMismatchError(f"dimension mismatch: {h.dim} vs {a.dim}")
-    w = eigvals(h + mat_log(a))
-    top = float(w[-1])
-    if top > EXP_OVERFLOW_LIMIT:
-        raise OverflowError(
-            f"eigenvalue {top:.6g} exceeds the exp-overflow guard {EXP_OVERFLOW_LIMIT}"
-        )
-    return float(np.sum(np.exp(w)))
+    return float(np.sum(exp_eigenvalues(eigvals(h + mat_log(a)))))
 
 
 def variational_objective(x: PdMatrix, y: PdMatrix) -> float:
@@ -113,8 +85,6 @@ def variational_objective(x: PdMatrix, y: PdMatrix) -> float:
 
 def variational_gradient(x: PdMatrix, y: PdMatrix) -> HermitianMatrix:
     """Euclidean gradient ``log Y - log X`` of the trace variational objective."""
-    if x.dim != y.dim:
-        raise DimMismatchError(f"dimension mismatch: {x.dim} vs {y.dim}")
     return mat_log(y) - mat_log(x)
 
 
@@ -124,19 +94,11 @@ def lieb_objective(x: PdMatrix, h: HermitianMatrix, a: PdMatrix) -> float:
     Expanding instead to ``tr(X(H + log A) - X log X + X)`` gives the same
     value; agreement of the two routes is covered by tests, not assumed.
     """
-    if x.dim != h.dim or x.dim != a.dim:
-        raise DimMismatchError(
-            f"dimension mismatch: X dim {x.dim}, H dim {h.dim}, A dim {a.dim}"
-        )
     return trace_product(x, h) - relative_entropy(x, a).value + a.trace()
 
 
 def lieb_gradient(x: PdMatrix, h: HermitianMatrix, a: PdMatrix) -> HermitianMatrix:
     """Euclidean gradient ``H + log A - log X``; vanishes at ``X = exp(H + log A)``."""
-    if x.dim != h.dim or x.dim != a.dim:
-        raise DimMismatchError(
-            f"dimension mismatch: X dim {x.dim}, H dim {h.dim}, A dim {a.dim}"
-        )
     return (h + mat_log(a)) - mat_log(x)
 
 
@@ -178,35 +140,41 @@ def _newton_step(k: np.ndarray, w: np.ndarray, u: np.ndarray):
     return float(np.linalg.norm(g)), (d + d.conj().T) / 2.0, float(np.vdot(g, dt).real)
 
 
-def _ascend(k: np.ndarray, init: PdMatrix, cfg: OptimizeConfig):
+def _ascend(k: np.ndarray, init: PdMatrix | None, grad_tol: float):
     """Damped Newton ascent for ``f(X) = tr(XK) - tr(X log X) + tr X``.
 
-    Starts from ``init`` and its carried spectrum.  Each iteration takes
-    the Newton direction ``D`` of :func:`_newton_step` and tries
-    ``X + tD`` with ``t = 1, 1/2, 1/4, ...`` (``backtrack_factor``) until the
-    trial point's smallest eigenvalue exceeds ``eig_floor`` and the Armijo
-    condition ``f(X + tD) >= f(X) + armijo_c t <G, D>`` holds.  A trial
-    point below the floor is rejected, never clipped.  The ascent stops
-    when ``||G||_F <= grad_tol``, after ``max_iters`` iterations, or when
-    no trial step ``t >= 1e-12`` is accepted.
+    Starts from ``init`` and its carried spectrum, or from the identity
+    and its exact spectrum ``(1, I)`` when ``init`` is None.  Each
+    iteration takes the Newton direction ``D`` of :func:`_newton_step` and
+    tries ``X + tD`` with ``t = 1, 1/2, 1/4, ...`` (``_BACKTRACK_FACTOR``)
+    until the trial point's smallest eigenvalue exceeds ``_EIG_FLOOR`` and
+    the Armijo condition ``f(X + tD) >= f(X) + c t <G, D>`` with
+    ``c = _ARMIJO_C`` holds.  A trial point below the floor is rejected,
+    never clipped.  The ascent stops when ``||G||_F <= grad_tol``, after
+    ``_MAX_ITERS`` iterations, or when no trial step ``t >= _MIN_STEP`` is
+    accepted.
     """
-    x = init.entries
-    w, u = init.spectrum.eigenvalues, init.spectrum.vectors
+    if init is None:
+        x = np.eye(k.shape[0], dtype=np.complex128)
+        w, u = np.ones(k.shape[0]), x
+    else:
+        x = init.entries
+        w, u = init.spectrum.eigenvalues, init.spectrum.vectors
     f = _objective(k, x, w)
     grad_norm, d, slope = _newton_step(k, w, u)
     history = [f]
 
     iters = 0
-    while grad_norm > cfg.grad_tol and iters < cfg.max_iters:
+    while grad_norm > grad_tol and iters < _MAX_ITERS:
         t = 1.0
         while t >= _MIN_STEP:
             xc = x + t * d
             wc, uc = np.linalg.eigh(xc)
-            if wc[0] > cfg.eig_floor:
+            if wc[0] > _EIG_FLOOR:
                 fc = _objective(k, xc, wc)
-                if fc >= f + cfg.armijo_c * t * slope - _ACCEPT_SLACK:
+                if fc >= f + _ARMIJO_C * t * slope - _ACCEPT_SLACK:
                     break
-            t *= cfg.backtrack_factor
+            t *= _BACKTRACK_FACTOR
         else:
             break
 
@@ -215,13 +183,11 @@ def _ascend(k: np.ndarray, init: PdMatrix, cfg: OptimizeConfig):
         history.append(f)
         iters += 1
 
-    converged = grad_norm <= cfg.grad_tol
+    converged = grad_norm <= grad_tol
     return x, w, u, iters, grad_norm, converged, tuple(history)
 
 
-def maximize_variational(
-    y: PdMatrix, init: PdMatrix | None = None, cfg: OptimizeConfig | None = None
-) -> OptimizeResult:
+def maximize_variational(y: PdMatrix, init: PdMatrix | None = None) -> OptimizeResult:
     """Maximize ``tr(X log Y - X log X + X)`` over the PD cone.
 
     This is :func:`maximize_lieb` with ``H = 0`` and ``A = Y``, whose
@@ -229,30 +195,25 @@ def maximize_variational(
     ``tr Y`` and the maximizer approximates ``Y``.  Non-convergence is
     reported through ``converged=False``, never raised.
     """
-    return maximize_lieb(HermitianMatrix.zeros(y.dim), y, init, cfg)
+    return maximize_lieb(HermitianMatrix.zeros(y.dim), y, init)
 
 
 def maximize_lieb(
-    h: HermitianMatrix,
-    a: PdMatrix,
-    init: PdMatrix | None = None,
-    cfg: OptimizeConfig | None = None,
+    h: HermitianMatrix, a: PdMatrix, init: PdMatrix | None = None
 ) -> OptimizeResult:
     """Maximize ``tr(XH) - (D(X;A) - tr A)`` over the PD cone.
 
-    On convergence the value approximates ``tr exp(H + log A)`` and the
-    maximizer approximates ``exp(H + log A)``.
+    The ascent starts from ``init``, or from the identity when it is None,
+    and has converged once the gradient norm is at most
+    ``1e-8 (1 + ||H||_F + ||A||_F)``.  On convergence the value
+    approximates ``tr exp(H + log A)`` and the maximizer approximates
+    ``exp(H + log A)``.
     """
-    if h.dim != a.dim:
-        raise DimMismatchError(f"dimension mismatch: H dim {h.dim} vs A dim {a.dim}")
-    if init is None:
-        init = PdMatrix.identity(a.dim)
-    if init.dim != a.dim:
-        raise DimMismatchError(f"dimension mismatch: init {init.dim} vs A {a.dim}")
-    if cfg is None:
-        cfg = OptimizeConfig.for_scale(h.frobenius_norm() + a.frobenius_norm())
     k = h + mat_log(a)
-    x, w, u, iters, grad_norm, converged, history = _ascend(k.entries, init, cfg)
+    if init is not None:
+        _check_dims(init, a)
+    grad_tol = 1e-8 * (1.0 + (h.frobenius_norm() + a.frobenius_norm()))
+    x, w, u, iters, grad_norm, converged, history = _ascend(k.entries, init, grad_tol)
     maximizer = PdMatrix(HermitianMatrix._symmetrized(x), w, u)
     return OptimizeResult(
         maximizer=maximizer,

@@ -66,6 +66,16 @@ class TestVerify:
         assert main(["verify", "--suite", "all", "--tol", "0"]) == 2
         assert capsys.readouterr().out == ""
 
+    def test_infinite_tol_exits_two(self, capsys):
+        # An infinite tol would let the flipped self-test pass; 1e400 parses to inf.
+        for tol in ("inf", "1e400"):
+            args = ["verify", "--suite", "lieb-concavity", "--flip-orientation",
+                    "--dim", "4", "--trials", "5", "--tol", tol]
+            assert main(args) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "tol" in captured.err
+
     def test_seed_outside_64_bits_exits_two(self, capsys):
         assert main(["verify", "--seed", "-1"]) == 2
         assert main(["verify", "--suite", "klein", "--seed", str(2**64)]) == 2

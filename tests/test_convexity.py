@@ -25,6 +25,7 @@ from qrelent import (
     trace_exp_log,
     validate_pd,
 )
+from qrelent.convexity import record_to_json_dict
 from test_divergence import scalar_divergence
 
 
@@ -282,6 +283,8 @@ class TestJointConvexitySuite:
 def test_rejects_bad_args(name):
     for dim, trials, seed, tol in [
         (0, 10, 1, 1e-10), (65, 10, 1, 1e-10), (4, 0, 1, 1e-10), (4, 10, 1, 0.0),
+        # an infinite tol would pass every violation
+        (4, 10, 1, math.inf), (4, 10, 1, math.nan),
         # -1 would otherwise draw the streams of 2**64 - 1
         (4, 10, -1, 1e-10), (4, 10, 2**64, 1e-10),
     ]:
@@ -299,7 +302,7 @@ def test_each_trial_replays_alone(name, options):
 
     row = SUITES[name]
     report = run_suite(name, 3, 3, 42, None, **options)
-    full = [json.dumps(r.to_json_dict()) for r in report.trials]
+    full = [json.dumps(record_to_json_dict(r)) for r in report.trials]
     start = 0
     for kind in row.kinds:
         named = () if kind.name is None else (kind.name,)
@@ -307,7 +310,7 @@ def test_each_trial_replays_alone(name, options):
             records, _ = row.trial(
                 trial_rng(42, kind.first + i), 3, row.tol, *named, **{**row.options, **options}
             )
-            replayed = [json.dumps(r.to_json_dict()) for r in records]
+            replayed = [json.dumps(record_to_json_dict(r)) for r in records]
             assert replayed == full[start:start + len(replayed)], (kind.name, i)
             start += len(replayed)
     assert start == len(full)
@@ -445,12 +448,13 @@ class TestPartialMaxSuite:
             trials = segment_test(g, (a1,), (a2,), T_GRID, orientation)
             assert all(abs(tr.violation) <= 1e-8 for tr in trials)
 
-    def test_non_converged_evaluations_counted_and_fail_the_suite(self):
-        from qrelent import OptimizeConfig
+    def test_non_converged_evaluations_counted_and_fail_the_suite(self, monkeypatch):
+        from qrelent import variational
 
-        # starving the optimizer makes every evaluation invalid
-        strangled = OptimizeConfig(grad_tol=1e-14, max_iters=1)
-        report = partial_max_concavity_suite(3, 4, 31, 1e-8, cfg=strangled)
+        # with no iteration allowed, every evaluation stops at the identity
+        # start, which is not its maximizer, and is invalid
+        monkeypatch.setattr(variational, "_MAX_ITERS", 0)
+        report = partial_max_concavity_suite(3, 4, 31, 1e-8)
         assert not report.passed
         assert report.invalid_trials == len(report.trials)
         assert report.extras["invalid_fraction"] == 1.0

@@ -32,7 +32,8 @@ from qrelent import (
 )
 from qrelent import hermitian
 from qrelent.hermitian import _ginibre
-from qrelent.variational import OptimizeConfig, _ascend
+from qrelent.convexity import sample_lieb_instance
+from qrelent.variational import _ascend
 from conftest import random_unitary, sample_hermitian, sample_pd, trial_rng
 
 
@@ -138,8 +139,8 @@ class TestExactArithmetic:
         assert sampled.entries.tobytes() == expected.entries.tobytes()
 
         # The maximizer, against the last iterate of the ascent it comes from.
-        cfg = OptimizeConfig.for_scale(h.frobenius_norm() + a.frobenius_norm())
-        x = _ascend((h + mat_log(a)).entries, PdMatrix.identity(dim), cfg)[0]
+        grad_tol = 1e-8 * (1.0 + (h.frobenius_norm() + a.frobenius_norm()))
+        x = _ascend((h + mat_log(a)).entries, None, grad_tol)[0]
         pairs.append((maximize_lieb(h, a).maximizer, x))
 
         for result, raw in pairs:
@@ -420,9 +421,8 @@ class TestDecompositionCounts:
         assert decompositions == {"eigh": pd_components, "eigvalsh": 0}
 
     def test_maximize_lieb_decomposes_each_trial_point_once(self, monkeypatch):
-        # The identity start is decomposed once, by PdMatrix.identity; after
-        # it, neither the start, nor log A, nor the maximizer is decomposed
-        # apart from the ascent's trial points.
+        # Neither the default identity start, nor log A, nor the maximizer
+        # is decomposed apart from the ascent's trial points.
         points = []
         solver = np.linalg.eigh
 
@@ -434,11 +434,10 @@ class TestDecompositionCounts:
         a = random_pd(4, 32, 0.3)
         monkeypatch.setattr(np.linalg, "eigh", recorded)
         res = maximize_lieb(h, a)
-        assert res.converged and len(points) - 1 >= res.iters >= 1
-        assert points[0].tobytes() == np.eye(4, dtype=complex).tobytes()
-        distinct = {p.tobytes() for p in points[1:]}
-        assert len(distinct) == len(points) - 1
-        assert points[0].tobytes() not in distinct
+        assert res.converged and len(points) >= res.iters >= 1
+        distinct = {p.tobytes() for p in points}
+        assert len(distinct) == len(points)
+        assert np.eye(4, dtype=complex).tobytes() not in distinct
         assert points[-1].tobytes() == res.maximizer.entries.tobytes()
 
         # Started next to the maximizer, every full Newton step is accepted:
@@ -447,6 +446,22 @@ class TestDecompositionCounts:
         points.clear()
         res = maximize_lieb(HermitianMatrix.zeros(4), a, near)
         assert res.converged and len(points) == res.iters >= 2
+
+    @pytest.mark.parametrize("n", [1, 4, 16])
+    def test_default_start_is_the_identity_without_its_decomposition(self, decompositions, n):
+        h, a = sample_lieb_instance(trial_rng(40, n), n)
+        decompositions.update(eigh=0, eigvalsh=0)
+        default = maximize_lieb(h, a)
+        counts = dict(decompositions)
+        decompositions.update(eigh=0, eigvalsh=0)
+        given = maximize_lieb(h, a, PdMatrix.identity(n))
+        assert decompositions == {"eigh": counts["eigh"] + 1, "eigvalsh": counts["eigvalsh"]}
+        for res in (default, given):
+            assert res.converged and res.iters >= 1
+        assert default.maximizer.entries.tobytes() == given.maximizer.entries.tobytes()
+        assert default.maximizer.eigenvalues.tobytes() == given.maximizer.eigenvalues.tobytes()
+        assert (default.value, default.iters) == (given.value, given.iters)
+        assert default.objective_history == given.objective_history
 
 
 class TestTraceProduct:

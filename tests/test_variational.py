@@ -1,6 +1,5 @@
 """Variational objectives, their gradients, and the PD-cone maximizer."""
 
-import dataclasses
 import math
 from decimal import Decimal, localcontext
 
@@ -10,7 +9,6 @@ import pytest
 from qrelent import (
     DimMismatchError,
     HermitianMatrix,
-    OptimizeConfig,
     PdMatrix,
     entropy,
     lieb_gradient,
@@ -27,6 +25,7 @@ from qrelent import (
     variational_objective,
 )
 from qrelent.convexity import sample_lieb_instance
+from qrelent import variational
 from qrelent.variational import _logarithmic_mean, _newton_step
 from conftest import (
     as_pd,
@@ -103,6 +102,26 @@ class TestTraceExpLog:
             assert trace_exp_log(shifted, a) == pytest.approx(
                 math.exp(c) * base, rel=1e-9
             )
+
+
+_I2, _I3 = PdMatrix.identity(2), PdMatrix.identity(3)
+_Z2, _Z3 = HermitianMatrix.zeros(2), HermitianMatrix.zeros(3)
+
+
+@pytest.mark.parametrize("call", [
+    pytest.param(lambda: lieb_objective(_I2, _Z3, _I3), id="lieb_objective-X-vs-H"),
+    pytest.param(lambda: lieb_objective(_I2, _Z2, _I3), id="lieb_objective-X-vs-A"),
+    pytest.param(lambda: lieb_gradient(_I2, _Z3, _I3), id="lieb_gradient-X-vs-H"),
+    pytest.param(lambda: lieb_gradient(_I2, _Z2, _I3), id="lieb_gradient-X-vs-A"),
+    pytest.param(lambda: variational_objective(_I2, _I3), id="variational_objective"),
+    pytest.param(lambda: variational_gradient(_I2, _I3), id="variational_gradient"),
+    pytest.param(lambda: maximize_lieb(_Z2, _I3), id="maximize_lieb-H-vs-A"),
+    pytest.param(lambda: maximize_lieb(_Z2, _I2, _I3), id="maximize_lieb-init-vs-A"),
+    pytest.param(lambda: maximize_variational(_I2, _I3), id="maximize_variational-init-vs-Y"),
+])
+def test_every_entry_point_rejects_mismatched_dimensions(call):
+    with pytest.raises(DimMismatchError):
+        call()
 
 
 class TestVariationalObjective:
@@ -189,15 +208,14 @@ class TestMaximizeVariational:
 
     def test_converged_implies_gradient_below_tolerance(self):
         y = random_pd(4, 88, 0.1)
-        cfg = OptimizeConfig.for_scale(y.frobenius_norm())
-        res = maximize_variational(y, cfg=cfg)
+        res = maximize_variational(y)
         assert res.converged
-        assert res.grad_norm_final <= cfg.grad_tol
+        assert res.grad_norm_final <= 1e-8 * (1 + y.frobenius_norm())
 
-    def test_not_converged_returns_result(self):
+    def test_not_converged_returns_result(self, monkeypatch):
+        monkeypatch.setattr(variational, "_MAX_ITERS", 2)
         y = random_pd(4, 89, 0.1)
-        cfg = OptimizeConfig(grad_tol=1e-8 * (1 + y.frobenius_norm()), max_iters=2)
-        res = maximize_variational(y, cfg=cfg)
+        res = maximize_variational(y)
         assert not res.converged
         assert res.iters <= 2
         assert res.maximizer.min_eigenvalue > 0.0
@@ -315,40 +333,10 @@ class TestFenchelValue:
             assert lhs <= rhs + 1e-10 * (1.0 + abs(rhs))
 
 
-class TestOptimizeConfig:
-    def test_for_scale(self):
-        cfg = OptimizeConfig.for_scale(3.0)
-        assert cfg.grad_tol == pytest.approx(4e-8)
-        assert cfg.max_iters == 5000
-        assert cfg.backtrack_factor == 0.5
-        assert cfg.armijo_c == 1e-4
-        assert cfg.eig_floor == 1e-10
-
-    @pytest.mark.parametrize(
-        "kwargs",
-        [
-            {"grad_tol": 0.0},
-            {"grad_tol": 1e-8, "max_iters": 0},
-            {"grad_tol": 1e-8, "backtrack_factor": 0.0},
-            {"grad_tol": 1e-8, "backtrack_factor": 1.0},
-            {"grad_tol": 1e-8, "armijo_c": 0.0},
-            {"grad_tol": 1e-8, "eig_floor": 0.0},
-        ],
-    )
-    def test_rejects_out_of_range_fields(self, kwargs):
-        with pytest.raises(ValueError):
-            OptimizeConfig(**kwargs)
-
-    def test_fields(self):
-        # One ascent, no knob selecting another: the Newton step has no step size.
-        assert [f.name for f in dataclasses.fields(OptimizeConfig)] == [
-            "grad_tol", "max_iters", "backtrack_factor", "armijo_c", "eig_floor",
-        ]
-
-
 def test_maximizer_below_the_floor_stops_early():
-    # exp(H + log A) has the eigenvalue e^-30 < eig_floor: no trial point near
-    # it is admissible, so the ascent gives up instead of creeping to max_iters.
+    # exp(H + log A) has the eigenvalue e^-30 < 1e-10, the eigenvalue floor:
+    # no trial point near it is admissible, so the ascent gives up instead of
+    # creeping to the iteration cap.
     res = maximize_lieb(HermitianMatrix.diagonal([-30.0, 0.5]), PdMatrix.identity(2))
     assert not res.converged
     assert res.iters <= 100
@@ -368,9 +356,9 @@ def test_line_search_tries_steps_down_to_1e_12_for_any_factor(monkeypatch, facto
         return solver(m, *args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "eigh", recorded)
-    cfg = OptimizeConfig(grad_tol=1e-8, backtrack_factor=factor)
-    res = maximize_lieb(HermitianMatrix.diagonal([-30.0, 0.5]), PdMatrix.identity(2), cfg=cfg)
-    assert not res.converged and res.iters < cfg.max_iters
+    monkeypatch.setattr(variational, "_BACKTRACK_FACTOR", factor)
+    res = maximize_lieb(HermitianMatrix.diagonal([-30.0, 0.5]), PdMatrix.identity(2))
+    assert not res.converged and res.iters < variational._MAX_ITERS
     x = res.maximizer.entries
     last = max(i for i, p in enumerate(points) if p.tobytes() == x.tobytes())
     full = np.linalg.norm(points[last + 1] - x)
