@@ -69,8 +69,9 @@ class SegmentTrial:
 
     ``violation = (lhs - rhs) * orientation / scale`` with orientation +1
     for convexity claims and -1 for concavity claims, so positive means the
-    claimed inequality failed.  ``witness`` carries the offending instance
-    (in the matrix file format) when the trial violates the tolerance.
+    claimed inequality failed.  ``witness`` is set when the trial violates
+    the tolerance: ``{"t": t}``, plus the segment's whole instance (in the
+    matrix file format) on the segment's first violating trial.
     """
 
     t: float
@@ -209,14 +210,6 @@ def segment_test(
     return trials
 
 
-def _witness(t: float, p1: tuple, p2: tuple) -> dict:
-    return {
-        "t": t,
-        "p1": [matrix_to_dict(m) for m in p1],
-        "p2": [matrix_to_dict(m) for m in p2],
-    }
-
-
 def _invalid_fraction(records: list) -> float:
     return sum(not r.valid for r in records) / len(records) if records else 1.0
 
@@ -224,16 +217,24 @@ def _invalid_fraction(records: list) -> float:
 def _segment(f, p1: tuple, p2: tuple, rng, orientation: str, tol: float, shown=None) -> list:
     """``segment_test`` on ``T_GRID`` plus one uniform ``t`` drawn from ``rng``.
 
-    A valid comparison violating ``tol`` carries its segment as a witness:
-    the endpoints ``shown``, ``(p1, p2)`` unless given.
+    A valid comparison violating ``tol`` carries a witness ``{"t": t}``.
+    The first one of the segment also carries the endpoints ``shown``,
+    ``(p1, p2)`` unless given, as ``"p1"`` and ``"p2"`` lists of matrix
+    dicts; the later ones carry only their ``t``.
     """
     trials = segment_test(f, p1, p2, T_GRID + (float(rng.uniform()),), orientation)
-    shown = shown or (p1, p2)
-    return [
-        dataclasses.replace(tr, witness=_witness(tr.t, *shown))
-        if tr.valid and tr.violation > tol else tr
-        for tr in trials
-    ]
+    first = True
+    records = []
+    for tr in trials:
+        if tr.valid and tr.violation > tol:
+            witness = {"t": tr.t}
+            if first:
+                for key, point in zip(("p1", "p2"), shown or (p1, p2)):
+                    witness[key] = [matrix_to_dict(m) for m in point]
+                first = False
+            tr = dataclasses.replace(tr, witness=witness)
+        records.append(tr)
+    return records
 
 
 def klein_trial(rng: np.random.Generator, dim: int, tol: float, kind: str) -> tuple[list, list]:
@@ -312,7 +313,9 @@ def lieb_concavity_trial(
     h = sample_hermitian(rng, dim, 3.0)
     a1 = sample_pd(rng, dim, 0.1)
     a2 = sample_pd(rng, dim, 0.1)
-    return _segment(lambda a: trace_exp_log(h, a), (a1,), (a2,), rng, orientation, tol), []
+    records = _segment(lambda a: trace_exp_log(h, a), (a1,), (a2,), rng, orientation, tol,
+                       shown=((h, a1), (h, a2)))
+    return records, []
 
 
 def fenchel_trial(rng: np.random.Generator, dim: int, tol: float) -> tuple[list, list]:
@@ -324,7 +327,9 @@ def fenchel_trial(rng: np.random.Generator, dim: int, tol: float) -> tuple[list,
     a = sample_pd(rng, dim, 0.1)
     h1 = sample_hermitian(rng, dim, 3.0)
     h2 = sample_hermitian(rng, dim, 3.0)
-    return _segment(lambda h: trace_exp_log(h, a), (h1,), (h2,), rng, "convex", tol), []
+    records = _segment(lambda h: trace_exp_log(h, a), (h1,), (h2,), rng, "convex", tol,
+                       shown=((h1, a), (h2, a)))
+    return records, []
 
 
 def _centered_pd(rng: np.random.Generator, dim: int, spread: float) -> PdMatrix:

@@ -51,7 +51,7 @@ class HermitianMatrix:
             raise NotHermitianError(f"expected a square matrix, got shape {m.shape}")
         if m.shape[0] < 1:
             raise NotHermitianError("matrix dimension must be at least 1")
-        if not np.all(np.isfinite(m)):
+        if not np.isfinite(m).all():
             raise NotHermitianError("matrix has non-finite entries")
         anti = np.linalg.norm(m - m.conj().T)
         if anti > SYMMETRIZE_RTOL * (1.0 + np.linalg.norm(m)):
@@ -90,7 +90,7 @@ class HermitianMatrix:
         # Sums, differences and real multiples of exactly self-adjoint arrays
         # are exactly self-adjoint: symmetrizing would change at most the sign
         # of a zero, so only finiteness is checked.
-        if not np.all(np.isfinite(m)):
+        if not np.isfinite(m).all():
             raise NotHermitianError("matrix has non-finite entries")
         m.setflags(write=False)
         out = object.__new__(cls)

@@ -362,16 +362,115 @@ class TestLiebConcavitySuite:
         witnesses = [t.witness for t in report.trials if t.witness is not None]
         assert witnesses
         w = witnesses[0]
-        # the offending tuple replays through the matrix format
-        a1 = validate_pd(matrix_from_dict(w["p1"][0]))
-        a2 = validate_pd(matrix_from_dict(w["p2"][0]))
+        # the offending tuple replays through the matrix format; A follows H
+        a1 = validate_pd(matrix_from_dict(w["p1"][1]))
+        a2 = validate_pd(matrix_from_dict(w["p2"][1]))
         assert a1.dim == a2.dim == 3
         assert 0.0 < w["t"] < 1.0
+
+    def test_flipped_witnesses_replay(self):
+        # each block's first witness holds (H, A1) and (H, A2)
+        def lhs(p1, p2, t):
+            (h, a1), (h2, a2) = p1, p2
+            assert np.array_equal(h.entries, h2.entries)
+            return trace_exp_log(h, validate_pd(a1 * t + a2 * (1.0 - t)))
+
+        report = lieb_concavity_suite(4, 5, 17, 1e-10, orientation="convex")
+        assert _replay_witnesses(report, 1e-10, lhs) > 0
 
     def test_scalar_case_is_affine_hence_both_orientations_pass(self):
         report = lieb_concavity_suite(1, 20, 3, 1e-10)
         flipped = lieb_concavity_suite(1, 20, 3, 1e-10, orientation="convex")
         assert report.passed and flipped.passed
+
+
+def _replay_witnesses(report, tol, lhs) -> int:
+    """Check every trial's block of witnesses; return how many replayed.
+
+    A record carries a witness exactly when it is valid and violates
+    ``tol``; only the block's first witness holds the endpoints, and
+    ``lhs(p1, p2, t)`` on them recomputes every violating record's
+    ``lhs`` within ``1e-12 * scale``.
+    """
+    width = len(T_GRID) + 1
+    replayed = 0
+    for start in range(0, len(report.trials), width):
+        block = report.trials[start:start + width]
+        assert [r.witness is not None for r in block] == [
+            r.valid and r.violation > tol for r in block
+        ]
+        witnesses = [r.witness for r in block if r.witness is not None]
+        assert witnesses, start
+        assert all("p1" not in w and "p2" not in w for w in witnesses[1:])
+        p1 = [matrix_from_dict(d) for d in witnesses[0]["p1"]]
+        p2 = [matrix_from_dict(d) for d in witnesses[0]["p2"]]
+        for r in block:
+            if r.witness is not None:
+                assert r.witness["t"] == r.t
+                assert abs(lhs(p1, p2, r.t) - r.lhs) <= 1e-12 * r.scale
+                replayed += 1
+    return replayed
+
+
+class TestWitnesses:
+    @staticmethod
+    def _joint_point(rng):
+        from conftest import sample_pd
+
+        return (sample_pd(rng, 3, 0.1, vectors=False), sample_pd(rng, 3, 0.1))
+
+    def test_endpoints_appear_once_per_segment(self):
+        from conftest import trial_rng
+        from qrelent.convexity import _segment
+
+        calls = []
+
+        def rises_off_the_endpoints(x, y):
+            # 0 at both endpoints, 1 at every mixture: every comparison violates
+            calls.append(None)
+            return 0.0 if len(calls) <= 2 else 1.0
+
+        rng = trial_rng(7, 0)
+        p1, p2 = self._joint_point(rng), self._joint_point(rng)
+        records = _segment(rises_off_the_endpoints, p1, p2, rng, "convex", 1e-9)
+        assert len(records) == len(T_GRID) + 1
+        assert all(r.witness is not None and r.witness["t"] == r.t for r in records)
+        assert ["p1" in r.witness for r in records] == [True] + [False] * len(T_GRID)
+        assert ["p2" in r.witness for r in records] == [True] + [False] * len(T_GRID)
+        for key, point in (("p1", p1), ("p2", p2)):
+            shown = [matrix_from_dict(d) for d in records[0].witness[key]]
+            assert len(shown) == 2
+            assert all(np.array_equal(m.entries, e.entries) for m, e in zip(shown, point))
+
+    def test_segment_without_violation_carries_no_witness(self):
+        from conftest import trial_rng
+        from qrelent.convexity import _segment
+
+        rng = trial_rng(7, 0)
+        p1, p2 = self._joint_point(rng), self._joint_point(rng)
+        records = _segment(lambda x, y: 1.0, p1, p2, rng, "convex", 1e-9)
+        assert all(r.witness is None for r in records)
+
+    def test_failing_report_is_at_most_a_quarter_of_the_old_size(self):
+        # 613 909 bytes when every violation carried its own endpoints
+        report = lieb_concavity_suite(6, 20, 42, 1e-9, orientation="convex")
+        assert len(json.dumps(report.to_json_dict())) <= 613_909 // 4
+
+    def test_fenchel_witnesses_replay(self, monkeypatch):
+        # the negated map is concave, so the convexity claim fails; each
+        # block's first witness holds (H1, A) and (H2, A)
+        from qrelent import convexity
+
+        monkeypatch.setattr(convexity, "trace_exp_log", lambda h, a: -trace_exp_log(h, a))
+
+        def lhs(p1, p2, t):
+            (h1, a), (h2, a2) = p1, p2
+            assert np.array_equal(a.entries, a2.entries)
+            return -trace_exp_log(h1 * t + h2 * (1.0 - t), validate_pd(a))
+
+        report = fenchel_convexity_suite(4, 5, 17, 1e-10)
+        assert not report.passed
+        assert _replay_witnesses(report, 1e-10, lhs) > 0
 
 
 class TestFenchelConvexitySuite:
