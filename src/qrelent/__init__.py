@@ -69,6 +69,7 @@ from .convexity import (
     klein_suite,
     lieb_concavity_suite,
     partial_max_concavity_suite,
+    pointwise,
     run_suite,
     sample_lieb_instance,
     segment_test,
@@ -101,7 +102,7 @@ __all__ = [
     "variational_objective", "variational_gradient", "lieb_objective",
     "lieb_gradient", "maximize_variational", "maximize_lieb",
     # convexity suites
-    "SegmentTrial", "BoundTrial", "SuiteReport", "T_GRID", "segment_test",
+    "SegmentTrial", "BoundTrial", "SuiteReport", "T_GRID", "segment_test", "pointwise",
     "SUITES", "klein_suite", "joint_convexity_suite",
     "lieb_concavity_suite", "partial_max_concavity_suite",
     "fenchel_convexity_suite", "variational_suite", "run_suite", "sample_lieb_instance",

@@ -19,14 +19,17 @@ from typing import Callable, NamedTuple, Sequence, Union
 
 import numpy as np
 
-from .divergence import relative_entropy
+from .divergence import relative_entropies, relative_entropy
 from .errors import SegmentEvaluationError
 from .hermitian import (
     HermitianMatrix,
     PdMatrix,
+    PdStack,
     mat_exp,
     mat_log,
+    mixtures,
     pd_mixtures,
+    pd_stack,
     sample_hermitian,
     sample_pd,
     trial_rng,
@@ -36,6 +39,7 @@ from .variational import (
     maximize_lieb,
     maximize_variational,
     trace_exp_log,
+    trace_exp_logs,
 )
 
 # Deterministic interior grid; endpoint t-values are trivially tight and
@@ -145,27 +149,65 @@ def _as_point(p) -> tuple:
     return tuple(p)
 
 
-def _mixtures(a: Matrix, b: Matrix, ts: Sequence[float]) -> Callable[[int], Matrix]:
-    """Componentwise mixtures ``t a + (1-t) b``: ``mixture(k)`` is the one at ``ts[k]``."""
+Stack = Union[PdStack, np.ndarray]
+
+
+def _rows(a: Matrix, b: Matrix, ts: Sequence[float] | None = None) -> Callable[[slice], Stack]:
+    """One component of a segment's points, as a function of a range of rows.
+
+    The rows are the endpoints ``(a, b)`` when ``ts`` is None, else the
+    mixtures ``t a + (1-t) b`` for ``t`` in ``ts``.  Positive-definite
+    components give PdStacks (mixtures validated when taken), self-adjoint
+    ones arrays of entries.
+    """
     if isinstance(a, PdMatrix) and isinstance(b, PdMatrix):
-        return pd_mixtures(a, b, ts)
+        return pd_stack((a, b)).__getitem__ if ts is None else pd_mixtures(a, b, ts)
     if isinstance(a, HermitianMatrix) and isinstance(b, HermitianMatrix):
-        return lambda k: a * ts[k] + b * (1.0 - ts[k])
+        entries = np.stack((a.entries, b.entries)) if ts is None else mixtures(a, b, ts)
+        return entries.__getitem__
     raise TypeError(f"cannot mix {type(a).__name__} with {type(b).__name__}")
 
 
-def _call(f: Callable[..., float | None], t: float, point: Callable[[], tuple]) -> float | None:
-    # Building the point is part of the evaluation: a mixture that fails its
-    # validation is reported with its t, like a failure inside f.
+def _evaluate(f: Callable[..., Sequence], rows: list, ts: list[float]) -> list[float | None]:
+    """``f`` at the points ``ts``, in one call on the stacked points.
+
+    Should that call raise, the points are evaluated again one at a time,
+    each as a stack of one and in order, so that the first point that fails
+    (its validation as a mixture included) is raised as
+    SegmentEvaluationError with its ``t``.
+    """
     try:
-        value = f(*point())
-        return None if value is None else float(value)
-    except Exception as exc:  # noqa: BLE001 - re-raised with context
-        raise SegmentEvaluationError(t, str(exc)) from exc
+        values = f(*(r(slice(None)) for r in rows))
+    except Exception:  # noqa: BLE001 - located below, point by point
+        values = []
+        for k, t in enumerate(ts):
+            try:
+                values += f(*(r(slice(k, k + 1)) for r in rows))
+            except Exception as exc:  # noqa: BLE001 - re-raised with context
+                raise SegmentEvaluationError(t, str(exc)) from exc
+    return [None if v is None else float(v) for v in values]
+
+
+def pointwise(g: Callable[..., float | None]) -> Callable[..., list]:
+    """Lift ``g``, a function of matrices, to the stacked points of :func:`segment_test`.
+
+    The lifted function calls ``g`` once per point, in order; a point's
+    positive-definite components are PdMatrix values carrying their rows'
+    spectra.
+    """
+
+    def f(*stacks: Stack) -> list:
+        return [
+            g(*(s.point(k) if isinstance(s, PdStack) else HermitianMatrix._exact(s[k])
+                for s in stacks))
+            for k in range(len(stacks[0]))
+        ]
+
+    return f
 
 
 def segment_test(
-    f: Callable[..., float | None],
+    f: Callable[..., Sequence],
     p1,
     p2,
     t_samples: Sequence[float],
@@ -178,11 +220,16 @@ def segment_test(
     mixture of the endpoint values.  Violations are normalized by
     ``1 + |f(p1)| + |f(p2)|``.
 
-    The mixtures of a positive-definite component are decomposed together,
-    one stacked ``eigh`` for all ``t``, and each is validated positive
-    definite when ``f`` is about to be evaluated there.  Any exception from
-    building a mixture or from ``f`` is raised as SegmentEvaluationError
-    carrying that ``t`` (1.0 and 0.0 for the endpoints).
+    ``f`` evaluates stacked points: it takes one stack per component, a
+    PdStack for a positive-definite one and an array of entries for a
+    self-adjoint one, and returns one value per row.  It is called twice,
+    on the two endpoints and then on every mixture; :func:`pointwise`
+    lifts a function of single matrices.  The mixtures of a
+    positive-definite component are decomposed together, one stacked
+    ``eigh`` for all ``t``, and validated positive definite before ``f``
+    sees them.  Any exception from building the mixtures or from ``f`` is
+    raised as SegmentEvaluationError carrying the ``t`` of the first point
+    that fails (1.0 and 0.0 for the endpoints).
 
     ``f`` returns None for a point it could not evaluate (an optimizer run
     that did not converge).  The comparison at that ``t`` is then recorded
@@ -192,15 +239,13 @@ def segment_test(
     orient = _ORIENTATIONS[orientation]
     p1, p2 = _as_point(p1), _as_point(p2)
     ts = [float(t) for t in t_samples]
-    f1 = _call(f, 1.0, lambda: p1)
-    f2 = _call(f, 0.0, lambda: p2)
+    f1, f2 = _evaluate(f, [_rows(a, b) for a, b in zip(p1, p2)], [1.0, 0.0])
     if f1 is None or f2 is None:
         return [SegmentTrial(t, 0.0, 0.0, 0.0, 1.0, valid=False) for t in ts]
     scale = 1.0 + abs(f1) + abs(f2)
-    mixtures = [_mixtures(a, b, ts) for a, b in zip(p1, p2)]
+    lhs_values = _evaluate(f, [_rows(a, b, ts) for a, b in zip(p1, p2)], ts) if ts else []
     trials = []
-    for k, t in enumerate(ts):
-        lhs = _call(f, t, lambda: tuple(mixture(k) for mixture in mixtures))
+    for t, lhs in zip(ts, lhs_values):
         if lhs is None:
             trials.append(SegmentTrial(t, 0.0, 0.0, 0.0, scale, valid=False))
             continue
@@ -214,13 +259,14 @@ def _invalid_fraction(records: list) -> float:
     return sum(not r.valid for r in records) / len(records) if records else 1.0
 
 
-def _segment(f, p1: tuple, p2: tuple, rng, orientation: str, tol: float, shown=None) -> list:
+def _segment(f, p1: tuple, p2: tuple, rng, orientation: str, tol: float, fixed=None) -> list:
     """``segment_test`` on ``T_GRID`` plus one uniform ``t`` drawn from ``rng``.
 
     A valid comparison violating ``tol`` carries a witness ``{"t": t}``.
-    The first one of the segment also carries the endpoints ``shown``,
-    ``(p1, p2)`` unless given, as ``"p1"`` and ``"p2"`` lists of matrix
-    dicts; the later ones carry only their ``t``.
+    The first one of the segment also carries the endpoints as ``"p1"``
+    and ``"p2"``, lists of matrix dicts, and the matrix ``fixed`` along the
+    segment, if any, once as ``"fixed"``; the later ones carry only their
+    ``t``.
     """
     trials = segment_test(f, p1, p2, T_GRID + (float(rng.uniform()),), orientation)
     first = True
@@ -229,8 +275,10 @@ def _segment(f, p1: tuple, p2: tuple, rng, orientation: str, tol: float, shown=N
         if tr.valid and tr.violation > tol:
             witness = {"t": tr.t}
             if first:
-                for key, point in zip(("p1", "p2"), shown or (p1, p2)):
-                    witness[key] = [matrix_to_dict(m) for m in point]
+                witness["p1"] = [matrix_to_dict(m) for m in p1]
+                witness["p2"] = [matrix_to_dict(m) for m in p2]
+                if fixed is not None:
+                    witness["fixed"] = matrix_to_dict(fixed)
                 first = False
             tr = dataclasses.replace(tr, witness=witness)
         records.append(tr)
@@ -283,9 +331,9 @@ def joint_convexity_trial(rng: np.random.Generator, dim: int, tol: float) -> tup
     """
     values: list[float] = []
 
-    def f(x: PdMatrix, y: PdMatrix) -> float:
-        value = relative_entropy(x, y).value
-        values.append(value)
+    def f(x: PdStack, y: PdStack) -> np.ndarray:
+        value = relative_entropies(x.eigenvalues, x.entries, y.entries, y.log)[0]
+        values.extend(value.tolist())
         return value
 
     x1 = sample_pd(rng, dim, 0.1, vectors=False)
@@ -313,8 +361,8 @@ def lieb_concavity_trial(
     h = sample_hermitian(rng, dim, 3.0)
     a1 = sample_pd(rng, dim, 0.1)
     a2 = sample_pd(rng, dim, 0.1)
-    records = _segment(lambda a: trace_exp_log(h, a), (a1,), (a2,), rng, orientation, tol,
-                       shown=((h, a1), (h, a2)))
+    records = _segment(lambda a: trace_exp_logs(h.entries, a.log), (a1,), (a2,), rng,
+                       orientation, tol, fixed=h)
     return records, []
 
 
@@ -327,8 +375,9 @@ def fenchel_trial(rng: np.random.Generator, dim: int, tol: float) -> tuple[list,
     a = sample_pd(rng, dim, 0.1)
     h1 = sample_hermitian(rng, dim, 3.0)
     h2 = sample_hermitian(rng, dim, 3.0)
-    records = _segment(lambda h: trace_exp_log(h, a), (h1,), (h2,), rng, "convex", tol,
-                       shown=((h1, a), (h2, a)))
+    log_a = mat_log(a).entries
+    records = _segment(lambda h: trace_exp_logs(h, log_a), (h1,), (h2,), rng, "convex", tol,
+                       fixed=a)
     return records, []
 
 
@@ -376,7 +425,7 @@ def partial_max_trial(rng: np.random.Generator, dim: int, tol: float) -> tuple[l
         gaps.append(abs(res.value - direct) / (1.0 + abs(direct)))
         return res.value
 
-    records = _segment(g, (a1,), (a2,), rng, "concave", tol, shown=((h, a1), (h, a2)))
+    records = _segment(pointwise(g), (a1,), (a2,), rng, "concave", tol, fixed=h)
     return records, gaps
 
 

@@ -15,8 +15,11 @@ import numpy as np
 from .hermitian import (
     HermitianMatrix,
     PdMatrix,
+    _check_dims,
     mat_log,
     trace_product,
+    trace_products,
+    traces,
 )
 
 
@@ -50,8 +53,12 @@ def entropy(x: PdMatrix) -> float:
     conditions better; agreement with the ``tr(X log X)`` route is covered
     by tests rather than assumed.
     """
-    w = x.eigenvalues
-    return float(np.sum(w * np.log(w)))
+    return float(entropies(x.eigenvalues))
+
+
+def entropies(w: np.ndarray) -> np.ndarray:
+    """``sum lambda log lambda`` over the last axis of positive eigenvalues ``w``."""
+    return (w * np.log(w)).sum(axis=-1)
 
 
 def entropy_gradient(y: PdMatrix) -> HermitianMatrix:
@@ -61,11 +68,24 @@ def entropy_gradient(y: PdMatrix) -> HermitianMatrix:
 
 def relative_entropy(x: PdMatrix, y: PdMatrix) -> DivergenceBreakdown:
     """Quantum relative entropy of ``X`` with respect to ``Y``, with summands."""
-    entropy_x = entropy(x)
-    cross_term = trace_product(x, mat_log(y))
-    trace_gap = x.trace() - y.trace()
-    value = entropy_x - cross_term - trace_gap
-    return DivergenceBreakdown(value, entropy_x, cross_term, trace_gap)
+    _check_dims(x, y)
+    parts = relative_entropies(x.eigenvalues, x.entries, y.entries, mat_log(y).entries)
+    return DivergenceBreakdown(*map(float, parts))
+
+
+def relative_entropies(
+    x_eigenvalues: np.ndarray, x: np.ndarray, y: np.ndarray, log_y: np.ndarray
+) -> tuple[np.ndarray, ...]:
+    """``D(X;Y)`` and its summands, for one pair or for each pair of two stacks.
+
+    Takes X's eigenvalues and entries and Y's entries and logarithm, and
+    returns ``(value, entropy_x, cross_term, trace_gap)`` in the order of
+    :class:`DivergenceBreakdown`, each with the stacks' leading shape.
+    """
+    entropy_x = entropies(x_eigenvalues)
+    cross_term = trace_products(x, log_y)
+    trace_gap = traces(x) - traces(y)
+    return entropy_x - cross_term - trace_gap, entropy_x, cross_term, trace_gap
 
 
 def bregman_residual(x: PdMatrix, y: PdMatrix) -> float:

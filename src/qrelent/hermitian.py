@@ -31,6 +31,12 @@ PD_FLOOR = 1e-12
 EXP_OVERFLOW_LIMIT = 700.0
 
 _SEED_MASK = 0xFFFFFFFFFFFFFFFF
+# Largest block of a stack that the stacked kernels take at once.  The
+# temporaries of a block stay below glibc's 128 KB mmap threshold, so they
+# reuse freed heap memory; a stack-sized temporary (655 KB for ten 64 x 64
+# matrices) gets fresh pages, at one page fault per 4 KB (about 2 us each
+# on a 2-core x86-64 VM).
+_BLOCK_BYTES = 1 << 16
 
 
 @dataclasses.dataclass(frozen=True, eq=False)
@@ -79,8 +85,7 @@ class HermitianMatrix:
         return cls(np.diag(np.asarray(values, dtype=np.float64)))
 
     def trace(self) -> float:
-        # Diagonal is exactly real after symmetrization.
-        return float(np.trace(self.entries).real)
+        return float(traces(self.entries))
 
     def frobenius_norm(self) -> float:
         return float(np.linalg.norm(self.entries))
@@ -227,6 +232,55 @@ class SpectralDecomposition:
         return (u * self.eigenvalues) @ u.conj().T
 
 
+@dataclasses.dataclass(frozen=True, eq=False)
+class PdStack:
+    """Positive-definite matrices along a leading axis, with the eigenvalues that prove them.
+
+    The stacked PdMatrix, for evaluating many points with one call per
+    kernel.  ``entries[k]`` has the ascending eigenvalues
+    ``eigenvalues[k]`` and, when ``vectors`` is given, the eigenvectors
+    ``vectors[k]``.  Construction raises DomainError, as :func:`validate_pd`
+    does, unless every smallest eigenvalue exceeds ``PD_FLOOR``.  The
+    arrays are read-only.
+    """
+
+    entries: np.ndarray
+    eigenvalues: np.ndarray
+    vectors: np.ndarray | None = None
+
+    def __post_init__(self):
+        smallest = self.eigenvalues[:, 0]
+        ok = smallest > PD_FLOOR
+        if not ok.all():
+            raise DomainError(
+                f"matrix is not positive definite: smallest eigenvalue {smallest[~ok][0]:.6g}"
+            )
+        for a in (self.entries, self.eigenvalues, self.vectors):
+            if a is not None:
+                a.setflags(write=False)
+
+    def __len__(self) -> int:
+        return len(self.entries)
+
+    def __getitem__(self, rows: slice) -> "PdStack":
+        vectors = None if self.vectors is None else self.vectors[rows]
+        return PdStack(self.entries[rows], self.eigenvalues[rows], vectors)
+
+    def point(self, k: int) -> PdMatrix:
+        """Matrix ``k`` as a PdMatrix carrying its spectrum."""
+        vectors = None if self.vectors is None else self.vectors[k]
+        return PdMatrix(HermitianMatrix._exact(self.entries[k]), self.eigenvalues[k], vectors)
+
+    @functools.cached_property
+    def log(self) -> np.ndarray:
+        """The entries of every matrix logarithm, built at once from the carried spectra.
+
+        Eigenvectors not given cost one stacked ``eigh`` first.
+        """
+        vectors = _eigh(self.entries)[1] if self.vectors is None else self.vectors
+        return _reconstruct(vectors, np.log(self.eigenvalues))
+
+
 MatrixLike = Union[HermitianMatrix, PdMatrix]
 
 
@@ -281,45 +335,88 @@ def _eigh(entries: np.ndarray, vectors: bool = True):
         ) from exc
 
 
+def pd_stack(points: Sequence[PdMatrix]) -> PdStack:
+    """The positive-definite ``points`` as one stack, with their carried spectra.
+
+    The stack has eigenvectors when every point has them at hand.
+    """
+    vectors = [p._known_vectors() for p in points]
+    return PdStack(
+        np.stack([p.entries for p in points]),
+        np.stack([p.eigenvalues for p in points]),
+        None if any(v is None for v in vectors) else np.stack(vectors),
+    )
+
+
+def mixtures(a: MatrixLike, b: MatrixLike, ts: Sequence[float]) -> np.ndarray:
+    """The entries of ``t A + (1-t) B`` for every ``t`` in ``ts``, stacked.
+
+    Each equals the entries of ``A * t + B * (1 - t)`` in HermitianMatrix
+    arithmetic bit for bit.
+    """
+    _check_dims(a, b)
+    t = np.asarray(ts, dtype=np.float64)[:, None, None]
+    out = np.empty(t.shape[:1] + a.entries.shape, dtype=np.complex128)
+    step = _block_rows(out)
+    for k in range(0, len(out), step):
+        block, tk = out[k:k + step], t[k:k + step]
+        np.multiply(a.entries, tk, out=block)
+        block += b.entries * (1.0 - tk)
+    return out
+
+
 def pd_mixtures(
     a: PdMatrix, b: PdMatrix, ts: Sequence[float]
-) -> Callable[[int], PdMatrix]:
+) -> Callable[[slice], PdStack]:
     """The mixtures ``t A + (1-t) B`` for every ``t`` in ``ts``, decomposed as one stack.
 
     One ``eigh`` call decomposes all of them, which at small n costs about
     half as much per matrix as separate calls.  When neither endpoint has
     its eigenvectors at hand, the mixtures follow them: one ``eigvalsh``
-    call computes their eigenvalues only.  The returned ``mixture(k)``
-    builds the PdMatrix for ``ts[k]`` when asked, so only one is alive at a
-    time; like :func:`validate_pd` it raises DomainError when that
-    mixture's smallest eigenvalue is at or below ``PD_FLOOR``.  A solver
-    failure raises ConvergenceError.  Each mixture equals
-    ``validate_pd(a.base * t + b.base * (1 - t))`` bit for bit, validated
-    with ``vectors=False`` when the stack is eigenvalues only.
+    call computes their eigenvalues only.  The returned ``rows(sl)``
+    builds the PdStack of the mixtures ``ts[sl]``; like :func:`validate_pd`
+    it raises DomainError when one of them has its smallest eigenvalue at
+    or below ``PD_FLOOR``.  A solver failure raises ConvergenceError.  Each
+    mixture equals ``validate_pd(a.base * t + b.base * (1 - t))`` bit for
+    bit, validated with ``vectors=False`` when the stack is eigenvalues
+    only.
     """
-
-    def entries(t: float) -> np.ndarray:
-        return a.entries * t + b.entries * (1.0 - t)
-
-    # Only the decomposition is kept; a mixture's entries are computed again
-    # when it is built, because holding the stack as well raised the peak
-    # memory of the segment suites at n = 64 by about 1.3 MB.
-    stack = np.empty((len(ts),) + a.entries.shape, dtype=np.complex128)
-    for k, t in enumerate(ts):
-        stack[k] = entries(t)
+    entries = mixtures(a, b, ts)
     vectors = a._known_vectors() is not None or b._known_vectors() is not None
-    w, u = _eigh(stack, vectors)
+    w, u = _eigh(entries, vectors)
 
-    def mixture(k: int) -> PdMatrix:
-        base = HermitianMatrix._exact(entries(ts[k]))
-        return PdMatrix(base, w[k], None if u is None else u[k])
+    def rows(sl: slice) -> PdStack:
+        return PdStack(entries[sl], w[sl], None if u is None else u[sl])
 
-    return mixture
+    return rows
+
+
+def _reconstruct(u: np.ndarray, vals: np.ndarray) -> np.ndarray:
+    # U diag(vals) U* with real vals, for one matrix or a stack, stored as
+    # its Hermitian part (M + M*)/2 so that it is exactly self-adjoint.
+    n = u.shape[-1]
+    out = np.empty(u.shape, dtype=np.complex128)
+    us, ms, vs = u.reshape(-1, n, n), out.reshape(-1, n, n), vals.reshape(-1, 1, n)
+    step = _block_rows(us)
+    for k in range(0, len(us), step):
+        ub, m = us[k:k + step], ms[k:k + step]
+        conj = ub.conj()
+        np.matmul(ub * vs[k:k + step], conj.transpose(0, 2, 1), out=m)
+        # conj's buffer takes M*.
+        np.conjugate(m.transpose(0, 2, 1), out=conj)
+        m += conj
+        m /= 2.0
+    return out
+
+
+def _block_rows(stack: np.ndarray) -> int:
+    # Matrices of a stack in one block of at most _BLOCK_BYTES, at least one.
+    return max(1, _BLOCK_BYTES // (stack.itemsize * stack.shape[-1] ** 2))
 
 
 def _rebuild(u: np.ndarray, vals: np.ndarray) -> HermitianMatrix:
-    # U diag(vals) U* with real vals; re-symmetrized so storage is exact.
-    return HermitianMatrix._symmetrized((u * vals) @ u.conj().T)
+    # U diag(vals) U* with real vals, as a HermitianMatrix.
+    return HermitianMatrix._exact(_reconstruct(u, vals))
 
 
 def matrix_fn(m: HermitianMatrix, f: Callable[[float], float]) -> HermitianMatrix:
@@ -361,11 +458,11 @@ def mat_exp(m: HermitianMatrix) -> PdMatrix:
 
 
 def exp_eigenvalues(w: np.ndarray) -> np.ndarray:
-    """``exp`` of ascending eigenvalues ``w``.
+    """``exp`` of ascending eigenvalues ``w``, of one matrix or along the last axis of a stack.
 
     Raises OverflowError when the largest exceeds ``EXP_OVERFLOW_LIMIT``.
     """
-    top = float(w[-1])
+    top = float(np.max(w[..., -1]))
     if top > EXP_OVERFLOW_LIMIT:
         raise OverflowError(
             f"eigenvalue {top:.6g} exceeds the exp-overflow guard {EXP_OVERFLOW_LIMIT}"
@@ -385,15 +482,37 @@ def trace_product(a: MatrixLike, b: MatrixLike) -> float:
     against ``1e-10 (1 + ||A||_F ||B||_F)`` and then discarded.
     """
     _check_dims(a, b)
-    ae, be = a.entries, b.entries
-    # vdot conjugates its first argument: sum conj(B_ij) A_ij = tr(AB).
-    t = np.vdot(be, ae)
-    bound = 1e-10 * (1.0 + np.linalg.norm(ae) * np.linalg.norm(be))
-    if abs(t.imag) > bound:
-        raise NotHermitianError(
-            f"trace product has imaginary residue {t.imag:.3e} beyond {bound:.3e}"
-        )
-    return float(t.real)
+    return float(trace_products(a.entries, b.entries))
+
+
+def trace_products(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``tr(A B)`` for self-adjoint entries, of one pair or of each pair of two stacks.
+
+    Checked as :func:`trace_product` is: NotHermitianError when an
+    imaginary residue exceeds ``1e-10 (1 + ||A||_F ||B||_F)``.
+    """
+    n = a.shape[-1]
+    flat_a, flat_b = a.reshape(-1, n * n), b.reshape(-1, n * n)
+    # vdot conjugates its first argument: sum conj(B_ij) A_ij = tr(AB).  One
+    # call per pair, each summing in the order of a single product.
+    t = np.array([np.vdot(bk, ak) for ak, bk in zip(flat_a, flat_b)])
+    # Every bound is at least 1e-10, so the norms are computed only when a
+    # residue exceeds that.
+    if (np.abs(t.imag) > 1e-10).any():
+        bound = 1e-10 * (1.0 + np.linalg.norm(flat_a, axis=-1) * np.linalg.norm(flat_b, axis=-1))
+        beyond = np.abs(t.imag) > bound
+        if beyond.any():
+            k = int(np.argmax(beyond))
+            raise NotHermitianError(
+                f"trace product has imaginary residue {t.imag[k]:.3e} beyond {bound[k]:.3e}"
+            )
+    return t.real.reshape(a.shape[:-2])
+
+
+def traces(entries: np.ndarray) -> np.ndarray:
+    """Traces of self-adjoint entries, of one matrix or of each matrix of a stack."""
+    # The diagonal is exactly real after symmetrization.
+    return np.trace(entries, axis1=-2, axis2=-1).real
 
 
 def validate_pd(m: MatrixLike, vectors: bool = True) -> PdMatrix:

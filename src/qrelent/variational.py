@@ -24,12 +24,13 @@ import dataclasses
 
 import numpy as np
 
-from .divergence import entropy, relative_entropy
+from .divergence import entropies, entropy, relative_entropy
+from .errors import NotHermitianError
 from .hermitian import (
     HermitianMatrix,
     PdMatrix,
     _check_dims,
-    eigvals,
+    _eigh,
     exp_eigenvalues,
     mat_log,
     trace_product,
@@ -75,7 +76,22 @@ def trace_exp_log(h: HermitianMatrix, a: PdMatrix) -> float:
     Only the eigenvalues are computed; ``log A`` costs one decomposition
     of ``A`` if its eigenvectors were not carried.
     """
-    return float(np.sum(exp_eigenvalues(eigvals(h + mat_log(a)))))
+    _check_dims(h, a)
+    return float(trace_exp_logs(h.entries, mat_log(a).entries))
+
+
+def trace_exp_logs(h: np.ndarray, log_a: np.ndarray) -> np.ndarray:
+    """``tr exp(H + log A)`` from the entries of ``H`` and ``log A``, over their leading axes.
+
+    Either argument may be one matrix or a stack; they broadcast.  One
+    ``eigvalsh`` call computes the eigenvalues of every ``H + log A``.
+    Raises NotHermitianError when ``H + log A`` has a non-finite entry and
+    OverflowError when an eigenvalue exceeds ``EXP_OVERFLOW_LIMIT``.
+    """
+    k = h + log_a
+    if not np.isfinite(k).all():
+        raise NotHermitianError("matrix has non-finite entries")
+    return exp_eigenvalues(_eigh(k, vectors=False)[0]).sum(axis=-1)
 
 
 def variational_objective(x: PdMatrix, y: PdMatrix) -> float:
@@ -121,7 +137,7 @@ def _logarithmic_mean(w: np.ndarray) -> np.ndarray:
 
 def _objective(k: np.ndarray, x: np.ndarray, w: np.ndarray) -> float:
     # f(X) = tr(XK) - tr(X log X) + tr X, with w the eigenvalues of X.
-    return float(np.vdot(k, x).real) - float(np.sum(w * np.log(w))) + float(np.sum(w))
+    return float(np.vdot(k, x).real) - float(entropies(w)) + float(np.sum(w))
 
 
 def _newton_step(k: np.ndarray, w: np.ndarray, u: np.ndarray):

@@ -19,6 +19,7 @@ from qrelent import (
     lieb_concavity_suite,
     matrix_from_dict,
     partial_max_concavity_suite,
+    pointwise,
     relative_entropy,
     run_suite,
     segment_test,
@@ -26,6 +27,9 @@ from qrelent import (
     validate_pd,
 )
 from qrelent.convexity import record_to_json_dict
+from qrelent.divergence import relative_entropies
+from qrelent.hermitian import pd_stack
+from qrelent.variational import trace_exp_logs
 from test_divergence import scalar_divergence
 
 
@@ -33,10 +37,22 @@ def divergence_value(x, y):
     return relative_entropy(x, y).value
 
 
-def _segment_instance(kind, dim, seed):
-    """``(f, p1, p2, t_samples, orientation)`` as the named suite draws them.
+def _lieb(h):
+    """The lieb-concavity suite's stacked ``A -> tr exp(H + log A)``."""
+    return lambda a: trace_exp_logs(h.entries, a.log)
 
-    As in joint-convexity, the X side carries eigenvalues only.
+
+def _fenchel(a):
+    """The fenchel suite's stacked ``H -> tr exp(H + log A)``."""
+    return lambda h: trace_exp_logs(h, a.log.entries)
+
+
+def _segment_instance(kind, dim, seed):
+    """``(f, stacked, p1, p2, t_samples, orientation)`` as the named suite draws them.
+
+    ``f`` is the claim's function of single matrices and ``stacked`` the
+    suite's stacked evaluation of it.  As in joint-convexity, the X side
+    carries eigenvalues only.
     """
     from conftest import sample_hermitian, sample_pd, trial_rng
 
@@ -45,15 +61,16 @@ def _segment_instance(kind, dim, seed):
         p1 = (sample_pd(rng, dim, 0.1, vectors=False), sample_pd(rng, dim, 0.1))
         p2 = (sample_pd(rng, dim, 0.1, vectors=False), sample_pd(rng, dim, 0.1))
         f, orientation = divergence_value, "convex"
+        stacked = lambda x, y: relative_entropies(x.eigenvalues, x.entries, y.entries, y.log)[0]
     elif kind == "lieb":
         h = sample_hermitian(rng, dim, 3.0)
         p1, p2 = (sample_pd(rng, dim, 0.1),), (sample_pd(rng, dim, 0.1),)
-        f, orientation = (lambda a: trace_exp_log(h, a)), "concave"
+        f, stacked, orientation = (lambda a: trace_exp_log(h, a)), _lieb(h), "concave"
     else:
         a = sample_pd(rng, dim, 0.1)
         p1, p2 = (sample_hermitian(rng, dim, 3.0),), (sample_hermitian(rng, dim, 3.0),)
-        f, orientation = (lambda h: trace_exp_log(h, a)), "convex"
-    return f, p1, p2, T_GRID + (float(rng.uniform()),), orientation
+        f, stacked, orientation = (lambda h: trace_exp_log(h, a)), _fenchel(a), "convex"
+    return f, stacked, p1, p2, T_GRID + (float(rng.uniform()),), orientation
 
 
 def _per_point_segment(f, p1, p2, t_samples, orientation):
@@ -96,13 +113,13 @@ class TestSegmentTest:
         p1 = PdMatrix.diagonal([1.0, 2.0])
         p2 = PdMatrix.diagonal([5.0, 0.3])
         for orientation in ("convex", "concave"):
-            trials = segment_test(lambda m: m.trace(), p1, p2, T_GRID, orientation)
+            trials = segment_test(pointwise(lambda m: m.trace()), p1, p2, T_GRID, orientation)
             assert all(abs(tr.violation) <= 1e-12 for tr in trials)
 
     def test_scalar_parabola_midpoint(self):
         p1 = HermitianMatrix.diagonal([0.0])
         p2 = HermitianMatrix.diagonal([2.0])
-        (trial,) = segment_test(lambda m: m.trace() ** 2, p1, p2, [0.5], "convex")
+        (trial,) = segment_test(pointwise(lambda m: m.trace() ** 2), p1, p2, [0.5], "convex")
         assert trial.lhs == pytest.approx(1.0)
         assert trial.rhs == pytest.approx(2.0)
         assert trial.scale == pytest.approx(5.0)
@@ -115,29 +132,29 @@ class TestSegmentTest:
             rng = trial_rng(201, i)
             p1 = (sample_pd(rng, 4, 0.1), sample_pd(rng, 4, 0.1))
             p2 = (sample_pd(rng, 4, 0.1), sample_pd(rng, 4, 0.1))
-            trials = segment_test(divergence_value, p1, p2, T_GRID, "convex")
+            trials = segment_test(pointwise(divergence_value), p1, p2, T_GRID, "convex")
             assert all(tr.violation <= 1e-10 for tr in trials)
 
     def test_mixture_of_pd_points_is_validated_pd(self):
         p1 = PdMatrix.diagonal([1.0, 3.0])
         p2 = PdMatrix.diagonal([2.0, 0.5])
         seen = []
-        segment_test(lambda m: seen.append(m) or m.trace(), p1, p2, [0.25], "convex")
+        segment_test(pointwise(lambda m: seen.append(m) or m.trace()), p1, p2, [0.25], "convex")
         mixture = seen[-1]
         assert isinstance(mixture, PdMatrix)
         assert mixture.min_eigenvalue > 0.0
 
-    @pytest.mark.parametrize("dim", [1, 2, 6, 16])
+    @pytest.mark.parametrize("dim", [1, 2, 6, 16, 64])
     @pytest.mark.parametrize("kind", ["joint", "lieb", "fenchel"])
     def test_stacked_mixtures_match_per_point_validation(self, kind, dim):
-        f, p1, p2, ts, orientation = _segment_instance(kind, dim, 300 + dim)
+        f, stacked, p1, p2, ts, orientation = _segment_instance(kind, dim, 300 + dim)
         seen = []
 
         def recorded(*point):
             seen.append(point)
             return f(*point)
 
-        trials = segment_test(recorded, p1, p2, ts, orientation)
+        trials = segment_test(pointwise(recorded), p1, p2, ts, orientation)
         reference = _per_point_segment(f, p1, p2, ts, orientation)
         assert [(tr.t, tr.lhs, tr.rhs, tr.violation, tr.scale) for tr in trials] == [
             fields for fields, _ in reference
@@ -153,6 +170,48 @@ class TestSegmentTest:
             for m in got:
                 if isinstance(m, PdMatrix) and not _has_vectors(m):
                     assert m.eigenvalues.tobytes() == np.linalg.eigvalsh(m.entries).tobytes()
+        # The suite's stacked evaluation equals the per-point route bit for
+        # bit, at the endpoints and at every t.
+        ends = [
+            pd_stack(pair) if isinstance(pair[0], PdMatrix) else np.stack([m.entries for m in pair])
+            for pair in zip(p1, p2)
+        ]
+        assert list(stacked(*ends)) == [f(*p1), f(*p2)]
+        trials = segment_test(stacked, p1, p2, ts, orientation)
+        assert [(tr.t, tr.lhs, tr.rhs, tr.violation, tr.scale) for tr in trials] == [
+            fields for fields, _ in reference
+        ]
+
+    @pytest.mark.parametrize("middle", [True, False])
+    def test_stacked_mixture_at_or_below_floor_carries_its_t(self, middle):
+        # Only the mixture at t = 0.7 is indefinite (liar's entries are not
+        # those of its spectrum), in the middle or at the end of the stack.
+        truth = PdMatrix.identity(2).spectrum
+        liar = PdMatrix(HermitianMatrix.diagonal([-1.0, 1.0]), truth.eigenvalues, truth.vectors)
+        ts = [0.2, 0.7, 0.3] if middle else [0.2, 0.3, 0.7]
+        h = HermitianMatrix.diagonal([0.5, -0.5])
+        with pytest.raises(SegmentEvaluationError) as err:
+            segment_test(_lieb(h), liar, PdMatrix.identity(2), ts, "concave")
+        assert err.value.t == 0.7
+        assert isinstance(err.value.__cause__, DomainError)
+
+    @pytest.mark.parametrize("middle", [True, False])
+    def test_stacked_exp_overflow_carries_its_t(self, middle):
+        # liar's entries diag(e^701, 1) are not those of its spectrum, so the
+        # endpoints evaluate; of the mixtures only the one at t = 0.9 puts
+        # an eigenvalue of H + log A, about 701 + log t, above the guard.
+        truth = PdMatrix.identity(2).spectrum
+        with np.errstate(over="ignore"):  # ||diag(e^701, 1)||_F overflows
+            entries = HermitianMatrix.diagonal([math.exp(701.0), 1.0])
+        liar = PdMatrix(entries, truth.eigenvalues, truth.vectors)
+        ts = [0.1, 0.9, 0.3] if middle else [0.1, 0.3, 0.9]
+        h = HermitianMatrix.zeros(2)
+        with pytest.raises(SegmentEvaluationError) as err:
+            segment_test(_lieb(h), liar, PdMatrix.identity(2), ts, "concave")
+        assert err.value.t == 0.9
+        assert isinstance(err.value.__cause__, OverflowError)
+        # Without the t = 0.9 mixture, the same segment evaluates.
+        assert len(segment_test(_lieb(h), liar, PdMatrix.identity(2), [0.1, 0.3], "concave")) == 2
 
     def test_mixture_failing_validation_carries_its_t(self):
         # A hand-built PdMatrix whose spectrum does not belong to its entries
@@ -160,7 +219,9 @@ class TestSegmentTest:
         truth = PdMatrix.identity(2).spectrum
         liar = PdMatrix(HermitianMatrix.diagonal([-1.0, 1.0]), truth.eigenvalues, truth.vectors)
         with pytest.raises(SegmentEvaluationError) as err:
-            segment_test(lambda m: m.trace(), liar, PdMatrix.identity(2), [0.2, 0.7], "convex")
+            segment_test(
+                pointwise(lambda m: m.trace()), liar, PdMatrix.identity(2), [0.2, 0.7], "convex"
+            )
         assert err.value.t == 0.7
         assert isinstance(err.value.__cause__, DomainError)
 
@@ -170,7 +231,7 @@ class TestSegmentTest:
         liar = PdMatrix(HermitianMatrix.diagonal([-1.0, 1.0]), np.array([1.0, 1.0]))
         one = validate_pd(HermitianMatrix.identity(2), vectors=False)
         with pytest.raises(SegmentEvaluationError) as err:
-            segment_test(lambda m: m.trace(), liar, one, [0.2, t_bad], "convex")
+            segment_test(pointwise(lambda m: m.trace()), liar, one, [0.2, t_bad], "convex")
         assert err.value.t == t_bad
         assert isinstance(err.value.__cause__, DomainError)
 
@@ -183,23 +244,23 @@ class TestSegmentTest:
         p1 = PdMatrix.diagonal([1.0])
         p2 = PdMatrix.diagonal([2.0])
         with pytest.raises(SegmentEvaluationError) as err:
-            segment_test(boom, p1, p2, [0.1, 0.5, 0.9], "convex")
+            segment_test(pointwise(boom), p1, p2, [0.1, 0.5, 0.9], "convex")
         assert err.value.t == 0.5
 
     def test_none_evaluations_become_invalid_records(self):
         p1 = PdMatrix.diagonal([1.0])
         p2 = PdMatrix.diagonal([2.0])
         skip_mid = lambda m: None if abs(m.trace() - 1.5) < 1e-9 else m.trace()
-        trials = segment_test(skip_mid, p1, p2, [0.1, 0.5, 0.9], "convex")
+        trials = segment_test(pointwise(skip_mid), p1, p2, [0.1, 0.5, 0.9], "convex")
         assert [tr.valid for tr in trials] == [True, False, True]
         skip_p2 = lambda m: None if m.trace() == 2.0 else m.trace()
-        trials = segment_test(skip_p2, p1, p2, [0.1, 0.5], "convex")
+        trials = segment_test(pointwise(skip_p2), p1, p2, [0.1, 0.5], "convex")
         assert [tr.valid for tr in trials] == [False, False]
 
     def test_heterogeneous_points_rejected(self):
         with pytest.raises(TypeError):
             segment_test(
-                lambda m: m.trace(),
+                pointwise(lambda m: m.trace()),
                 PdMatrix.identity(2),
                 HermitianMatrix.identity(2),
                 [0.5],
@@ -213,7 +274,7 @@ class TestJointConvexitySuite:
         # (1.5, 1.5) where the divergence vanishes.
         p1 = (PdMatrix.diagonal([2.0]), PdMatrix.diagonal([1.0]))
         p2 = (PdMatrix.diagonal([1.0]), PdMatrix.diagonal([2.0]))
-        (trial,) = segment_test(divergence_value, p1, p2, [0.5], "convex")
+        (trial,) = segment_test(pointwise(divergence_value), p1, p2, [0.5], "convex")
         d1 = scalar_divergence(2.0, 1.0)
         d2 = scalar_divergence(1.0, 2.0)
         assert trial.lhs == pytest.approx(0.0, abs=1e-14)
@@ -225,7 +286,7 @@ class TestJointConvexitySuite:
         # nonnegative, so every violation is <= 0 up to rounding
         x1 = PdMatrix.diagonal([1.0, 2.0])
         x2 = PdMatrix.diagonal([3.0, 0.5])
-        trials = segment_test(divergence_value, (x1, x1), (x2, x2), T_GRID, "convex")
+        trials = segment_test(pointwise(divergence_value), (x1, x1), (x2, x2), T_GRID, "convex")
         for tr in trials:
             assert tr.lhs >= -1e-12
             assert tr.violation <= 1e-12
@@ -244,24 +305,30 @@ class TestJointConvexitySuite:
 
         calls = []
 
-        def nan_on_15th_call(x, y):
+        def nan_in_4th_call(*args):
+            # the 4th call evaluates the second trial's mixtures
             calls.append(None)
-            d = relative_entropy(x, y)
-            return dataclasses.replace(d, value=math.nan) if len(calls) == 15 else d
+            value, *summands = relative_entropies(*args)
+            if len(calls) == 4:
+                value = value.copy()
+                value[3] = math.nan
+            return (value, *summands)
 
-        monkeypatch.setattr(convexity, "relative_entropy", nan_on_15th_call)
+        monkeypatch.setattr(convexity, "relative_entropies", nan_in_4th_call)
         report = joint_convexity_suite(3, 3, 42, 1e-9)
-        assert len(calls) > 15
+        assert len(calls) > 4
         assert not report.passed
         assert math.isnan(report.extras["min_divergence_value"])
 
     def test_negative_divergence_fails_the_suite(self, monkeypatch):
         # A constant divergence has no Jensen gap, so only the
         # nonnegativity gate on min_divergence_value can fail the suite.
-        from qrelent import DivergenceBreakdown, convexity
+        from qrelent import convexity
 
-        constant = DivergenceBreakdown(-1.0, 0.0, 0.0, 1.0)
-        monkeypatch.setattr(convexity, "relative_entropy", lambda x, y: constant)
+        def constant(x_eigenvalues, x, y, log_y):
+            return (np.full(len(x), -1.0),) + (np.zeros(len(x)),) * 2 + (np.ones(len(x)),)
+
+        monkeypatch.setattr(convexity, "relative_entropies", constant)
         report = joint_convexity_suite(3, 3, 42, 1e-9)
         assert report.max_violation <= 1e-9
         assert report.extras["min_divergence_value"] == -1.0
@@ -320,7 +387,7 @@ class TestLiebConcavitySuite:
     def test_degenerate_segment_zero_violation(self):
         a = PdMatrix.diagonal([1.0, 2.0])
         h = HermitianMatrix.diagonal([0.5, -0.5])
-        trials = segment_test(lambda m: trace_exp_log(h, m), (a,), (a,), T_GRID, "concave")
+        trials = segment_test(_lieb(h), (a,), (a,), T_GRID, "concave")
         assert all(abs(tr.violation) <= 1e-12 for tr in trials)
 
     def test_commuting_diagonal_restriction_is_affine(self):
@@ -328,7 +395,7 @@ class TestLiebConcavitySuite:
         h = HermitianMatrix.diagonal([1.0, -0.7, 0.3])
         a1 = PdMatrix.diagonal([0.5, 2.0, 1.0])
         a2 = PdMatrix.diagonal([3.0, 0.2, 0.8])
-        trials = segment_test(lambda m: trace_exp_log(h, m), (a1,), (a2,), T_GRID, "concave")
+        trials = segment_test(_lieb(h), (a1,), (a2,), T_GRID, "concave")
         assert all(abs(tr.violation) <= 1e-12 for tr in trials)
 
     def test_random_suite_passes(self):
@@ -342,13 +409,17 @@ class TestLiebConcavitySuite:
 
         calls = []
 
-        def nan_on_15th_call(h, a):
+        def nan_in_4th_call(h, log_a):
+            # the 4th call evaluates the second trial's mixtures
             calls.append(None)
-            return math.nan if len(calls) == 15 else trace_exp_log(h, a)
+            values = trace_exp_logs(h, log_a)
+            if len(calls) == 4:
+                values[3] = math.nan
+            return values
 
-        monkeypatch.setattr(convexity, "trace_exp_log", nan_on_15th_call)
+        monkeypatch.setattr(convexity, "trace_exp_logs", nan_in_4th_call)
         report = lieb_concavity_suite(4, 3, 42, 1e-9)
-        assert len(calls) > 15
+        assert len(calls) > 4
         assert not report.passed
         assert math.isnan(report.max_violation)
 
@@ -362,17 +433,17 @@ class TestLiebConcavitySuite:
         witnesses = [t.witness for t in report.trials if t.witness is not None]
         assert witnesses
         w = witnesses[0]
-        # the offending tuple replays through the matrix format; A follows H
-        a1 = validate_pd(matrix_from_dict(w["p1"][1]))
-        a2 = validate_pd(matrix_from_dict(w["p2"][1]))
-        assert a1.dim == a2.dim == 3
+        # the offending tuple replays through the matrix format: A1 and A2
+        # as the endpoints, H once as the fixed matrix
+        (a1,), (a2,) = ([validate_pd(matrix_from_dict(d)) for d in w[k]] for k in ("p1", "p2"))
+        h = matrix_from_dict(w["fixed"])
+        assert a1.dim == a2.dim == h.dim == 3
         assert 0.0 < w["t"] < 1.0
 
     def test_flipped_witnesses_replay(self):
-        # each block's first witness holds (H, A1) and (H, A2)
-        def lhs(p1, p2, t):
-            (h, a1), (h2, a2) = p1, p2
-            assert np.array_equal(h.entries, h2.entries)
+        # each block's first witness holds A1, A2 and the fixed H
+        def lhs(p1, p2, h, t):
+            (a1,), (a2,) = p1, p2
             return trace_exp_log(h, validate_pd(a1 * t + a2 * (1.0 - t)))
 
         report = lieb_concavity_suite(4, 5, 17, 1e-10, orientation="convex")
@@ -388,9 +459,9 @@ def _replay_witnesses(report, tol, lhs) -> int:
     """Check every trial's block of witnesses; return how many replayed.
 
     A record carries a witness exactly when it is valid and violates
-    ``tol``; only the block's first witness holds the endpoints, and
-    ``lhs(p1, p2, t)`` on them recomputes every violating record's
-    ``lhs`` within ``1e-12 * scale``.
+    ``tol``; only the block's first witness holds the endpoints and the
+    fixed matrix, and ``lhs(p1, p2, fixed, t)`` on them recomputes every
+    violating record's ``lhs`` within ``1e-12 * scale``.
     """
     width = len(T_GRID) + 1
     replayed = 0
@@ -401,13 +472,15 @@ def _replay_witnesses(report, tol, lhs) -> int:
         ]
         witnesses = [r.witness for r in block if r.witness is not None]
         assert witnesses, start
-        assert all("p1" not in w and "p2" not in w for w in witnesses[1:])
+        assert all(set(w) == {"t"} for w in witnesses[1:])
+        assert set(witnesses[0]) == {"t", "p1", "p2", "fixed"}
         p1 = [matrix_from_dict(d) for d in witnesses[0]["p1"]]
         p2 = [matrix_from_dict(d) for d in witnesses[0]["p2"]]
+        fixed = matrix_from_dict(witnesses[0]["fixed"])
         for r in block:
             if r.witness is not None:
                 assert r.witness["t"] == r.t
-                assert abs(lhs(p1, p2, r.t) - r.lhs) <= 1e-12 * r.scale
+                assert abs(lhs(p1, p2, fixed, r.t) - r.lhs) <= 1e-12 * r.scale
                 replayed += 1
     return replayed
 
@@ -432,7 +505,7 @@ class TestWitnesses:
 
         rng = trial_rng(7, 0)
         p1, p2 = self._joint_point(rng), self._joint_point(rng)
-        records = _segment(rises_off_the_endpoints, p1, p2, rng, "convex", 1e-9)
+        records = _segment(pointwise(rises_off_the_endpoints), p1, p2, rng, "convex", 1e-9)
         assert len(records) == len(T_GRID) + 1
         assert all(r.witness is not None and r.witness["t"] == r.t for r in records)
         assert ["p1" in r.witness for r in records] == [True] + [False] * len(T_GRID)
@@ -448,7 +521,7 @@ class TestWitnesses:
 
         rng = trial_rng(7, 0)
         p1, p2 = self._joint_point(rng), self._joint_point(rng)
-        records = _segment(lambda x, y: 1.0, p1, p2, rng, "convex", 1e-9)
+        records = _segment(pointwise(lambda x, y: 1.0), p1, p2, rng, "convex", 1e-9)
         assert all(r.witness is None for r in records)
 
     def test_failing_report_is_at_most_a_quarter_of_the_old_size(self):
@@ -458,14 +531,13 @@ class TestWitnesses:
 
     def test_fenchel_witnesses_replay(self, monkeypatch):
         # the negated map is concave, so the convexity claim fails; each
-        # block's first witness holds (H1, A) and (H2, A)
+        # block's first witness holds H1, H2 and the fixed A
         from qrelent import convexity
 
-        monkeypatch.setattr(convexity, "trace_exp_log", lambda h, a: -trace_exp_log(h, a))
+        monkeypatch.setattr(convexity, "trace_exp_logs", lambda h, log_a: -trace_exp_logs(h, log_a))
 
-        def lhs(p1, p2, t):
-            (h1, a), (h2, a2) = p1, p2
-            assert np.array_equal(a.entries, a2.entries)
+        def lhs(p1, p2, a, t):
+            (h1,), (h2,) = p1, p2
             return -trace_exp_log(h1 * t + h2 * (1.0 - t), validate_pd(a))
 
         report = fenchel_convexity_suite(4, 5, 17, 1e-10)
@@ -477,14 +549,14 @@ class TestFenchelConvexitySuite:
     def test_degenerate_segment(self):
         a = PdMatrix.diagonal([1.0, 2.0])
         h = HermitianMatrix.diagonal([0.5, -0.5])
-        trials = segment_test(lambda m: trace_exp_log(m, a), (h,), (h,), T_GRID, "convex")
+        trials = segment_test(_fenchel(a), (h,), (h,), T_GRID, "convex")
         assert all(abs(tr.violation) <= 1e-12 for tr in trials)
 
     def test_commuting_diagonal_scalar_convexity(self):
         a = PdMatrix.diagonal([1.0, 2.0])
         h1 = HermitianMatrix.diagonal([1.0, -1.0])
         h2 = HermitianMatrix.diagonal([-0.5, 0.5])
-        (trial,) = segment_test(lambda m: trace_exp_log(m, a), (h1,), (h2,), [0.5], "convex")
+        (trial,) = segment_test(_fenchel(a), (h1,), (h2,), [0.5], "convex")
         # oracle by direct summation: sum_i a_i e^{h_i}
         lhs = 1.0 * math.exp(0.25) + 2.0 * math.exp(-0.25)
         rhs = 0.5 * (math.exp(1.0) + 2.0 * math.exp(-1.0)) + 0.5 * (
@@ -544,7 +616,7 @@ class TestPartialMaxSuite:
         a1 = PdMatrix.diagonal([1.0, 2.0, 0.5])
         a2 = PdMatrix.diagonal([3.0, 0.4, 1.1])
         for orientation in ("concave", "convex"):
-            trials = segment_test(g, (a1,), (a2,), T_GRID, orientation)
+            trials = segment_test(pointwise(g), (a1,), (a2,), T_GRID, orientation)
             assert all(abs(tr.violation) <= 1e-8 for tr in trials)
 
     def test_non_converged_evaluations_counted_and_fail_the_suite(self, monkeypatch):

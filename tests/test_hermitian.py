@@ -1,5 +1,6 @@
 """Hermitian core: symmetrization, spectral calculus, random generation."""
 
+import functools
 import math
 
 import numpy as np
@@ -22,6 +23,7 @@ from qrelent import (
     mat_log,
     matrix_fn,
     maximize_lieb,
+    pointwise,
     random_pd,
     relative_entropy,
     segment_test,
@@ -30,7 +32,7 @@ from qrelent import (
     trace_product,
     validate_pd,
 )
-from qrelent import hermitian
+from qrelent import convexity, hermitian
 from qrelent.hermitian import _ginibre
 from qrelent.convexity import sample_lieb_instance
 from qrelent.variational import _ascend
@@ -398,11 +400,11 @@ class TestDecompositionCounts:
         p2 = (sample_pd(rng, 4, 0.1, vectors=False), sample_pd(rng, 4, 0.1))
         decompositions.update(eigh=0, eigvalsh=0)
         f = lambda x, y: relative_entropy(x, y).value
-        assert len(segment_test(f, p1, p2, [0.1, 0.3, 0.5, 0.9], "convex")) == 4
+        assert len(segment_test(pointwise(f), p1, p2, [0.1, 0.3, 0.5, 0.9], "convex")) == 4
         assert decompositions == {"eigh": 1, "eigvalsh": 1}
 
         decompositions.update(eigh=0, eigvalsh=0)
-        segment_test(lambda x: x.trace(), p1[:1], p2[:1], [0.1, 0.3], "convex")
+        segment_test(pointwise(lambda x: x.trace()), p1[:1], p2[:1], [0.1, 0.3], "convex")
         assert decompositions == {"eigh": 0, "eigvalsh": 1}
 
     @pytest.mark.parametrize("kind, pd_components", [("joint", 2), ("lieb", 1), ("fenchel", 0)])
@@ -416,9 +418,34 @@ class TestDecompositionCounts:
             p1 = tuple(sample_pd(rng, 4, 0.1) for _ in range(pd_components))
             p2 = tuple(sample_pd(rng, 4, 0.1) for _ in range(pd_components))
         decompositions.update(eigh=0, eigvalsh=0)
-        trials = segment_test(lambda *m: m[0].trace(), p1, p2, [0.1, 0.3, 0.5, 0.9], "convex")
+        trials = segment_test(
+            pointwise(lambda *m: m[0].trace()), p1, p2, [0.1, 0.3, 0.5, 0.9], "convex"
+        )
         assert len(trials) == 4
         assert decompositions == {"eigh": pd_components, "eigvalsh": 0}
+
+    @pytest.mark.parametrize("grid", [(0.5,), (0.1, 0.3, 0.5, 0.9), convexity.T_GRID])
+    @pytest.mark.parametrize("trial, counts", [
+        # sampling: X1, X2 eigvalsh, Y1, Y2 eigh; segment: one stack each side
+        (convexity.joint_convexity_trial, {"eigh": 3, "eigvalsh": 3}),
+        # sampling: H eigvalsh, A1, A2 eigh; segment: the A stack, then one
+        # eigvalsh of H + log A for the endpoints and one for the mixtures
+        (functools.partial(convexity.lieb_concavity_trial, orientation="concave"),
+         {"eigh": 3, "eigvalsh": 3}),
+        # sampling: A eigh, H1, H2 eigvalsh; segment: as lieb, no stack to decompose
+        (convexity.fenchel_trial, {"eigh": 1, "eigvalsh": 4}),
+    ])
+    def test_segment_trial_decomposes_in_stacks_whatever_the_grid(
+        self, decompositions, monkeypatch, trial, counts, grid
+    ):
+        # One trial of each closed-form claim, on grids of 1, 4 and 9 points
+        # plus the drawn t: the counts stay the same, so no evaluation falls
+        # back to one decomposition per point.
+        monkeypatch.setattr(convexity, "T_GRID", grid)
+        decompositions.update(eigh=0, eigvalsh=0)
+        records, _ = trial(trial_rng(41, 0), 6, 1e-9)
+        assert len(records) == len(grid) + 1
+        assert decompositions == counts
 
     def test_maximize_lieb_decomposes_each_trial_point_once(self, monkeypatch):
         # Neither the default identity start, nor log A, nor the maximizer
