@@ -403,43 +403,69 @@ def sample_lieb_instance(
 
 
 def partial_max_trial(rng: np.random.Generator, dim: int, tol: float) -> tuple[list, list]:
-    """Concavity of the optimizer-evaluated partial maximum over ``X``.
+    """Concavity of the optimizer-evaluated partial maximum over ``X``, link by link.
 
-    Defines ``g(A)`` as the maximum of ``tr(XH) - (D(X;A) - tr A)`` found
-    by the Newton ascent (identity start) and segment-tests ``g`` with the
-    concave orientation.  The samples are the gaps between every converged
-    evaluation and the direct value ``tr exp(H + log A)``; non-converged
-    evaluations mark the affected comparisons invalid.  A suite fails when
-    more than 5% of its comparisons are invalid, or when a gap exceeds
-    ``VALUE_AGREEMENT_RTOL``.
+    Defines ``g(A)`` as the maximum of ``phi(X, A) = tr(XH) - (D(X;A) -
+    tr A)`` found by the Newton ascent and segment-tests ``g`` with the
+    concave orientation.  The paper's proof runs through the maximizers
+    ``X1*``, ``X2*`` of the endpoints (cold ascents from the identity):
+    ``phi`` is jointly concave, so with ``X_t = t X1* + (1-t) X2*``
+
+        g(A_t) >= phi(X_t, A_t) >= t g(A1) + (1-t) g(A2).
+
+    Each point of the segment is ``(A, X*)``, so the ascent at ``A_t``
+    starts from ``X_t``, and at an endpoint from its own maximizer.  The
+    samples are, per converged evaluation, the gap to the direct value
+    ``tr exp(H + log A)``, and per valid comparison the two links: the
+    joint-concavity margin ``phi(X_t, A_t) - rhs`` and the ascent gain
+    ``g(A_t) - phi(X_t, A_t)``, both over the segment's scale.
+    Non-converged evaluations mark the affected comparisons invalid.  A
+    suite fails when more than 5% of its comparisons are invalid, when a
+    gap exceeds ``VALUE_AGREEMENT_RTOL``, or when a link falls below
+    ``-tol``.
     """
     h, a1 = sample_lieb_instance(rng, dim)
     a2 = _centered_pd(rng, dim, 0.3)
     gaps: list[float] = []
+    # The objective at each evaluation's start point, by the value found:
+    # a record's lhs is that value.
+    starts: dict[float, float] = {}
 
-    def g(a: PdMatrix) -> float | None:
-        res = maximize_lieb(h, a)
+    def g(a: PdMatrix, x: PdMatrix) -> float | None:
+        res = maximize_lieb(h, a, x)
         if not res.converged:
             return None
         direct = trace_exp_log(h, a)
         gaps.append(abs(res.value - direct) / (1.0 + abs(direct)))
+        starts[res.value] = res.objective_history[0]
         return res.value
 
-    records = _segment(pointwise(g), (a1,), (a2,), rng, "concave", tol, fixed=h)
-    return records, gaps
+    x1, x2 = maximize_lieb(h, a1).maximizer, maximize_lieb(h, a2).maximizer
+    records = _segment(pointwise(g), (a1, x1), (a2, x2), rng, "concave", tol, fixed=h)
+    valid = [r for r in records if r.valid]
+    margins = [(starts[r.lhs] - r.rhs) / r.scale for r in valid]
+    gains = [(r.lhs - starts[r.lhs]) / r.scale for r in valid]
+    return records, [(gaps, margins, gains)]
 
 
-def _partial_max_extras(records: list, gaps: list, tol: float) -> tuple[dict, bool]:
+def _partial_max_extras(records: list, samples: list, tol: float) -> tuple[dict, bool]:
+    # Each trial's sample is its (gaps, margins, gains).
+    gaps, margins, gains = (np.concatenate(lists) for lists in zip(*samples))
     invalid_fraction = _invalid_fraction(records)
-    # np.max, unlike max, keeps a NaN gap.
+    # np.max and np.min, unlike max and min, keep a NaN.
     max_value_gap = float(np.max(gaps, initial=0.0))
+    min_margin = float(np.min(margins, initial=math.inf))
+    min_gain = float(np.min(gains, initial=math.inf))
     extras = {
         "invalid_fraction": invalid_fraction,
         "max_value_gap": max_value_gap,
+        "min_ascent_gain": min_gain,
+        "min_joint_concavity_margin": min_margin,
         "value_agreement_rtol": VALUE_AGREEMENT_RTOL,
         "max_invalid_fraction": MAX_INVALID_FRACTION,
     }
-    ok = invalid_fraction <= MAX_INVALID_FRACTION and max_value_gap <= VALUE_AGREEMENT_RTOL
+    ok = (invalid_fraction <= MAX_INVALID_FRACTION and max_value_gap <= VALUE_AGREEMENT_RTOL
+          and min_margin >= -tol and min_gain >= -tol)
     return extras, ok
 
 
@@ -477,10 +503,13 @@ def variational_trial(rng: np.random.Generator, dim: int, tol: float) -> tuple[l
     y = sample_pd(rng, dim, 0.1)
     records = _agreement("variational", maximize_variational(y), lambda: (y.trace(), y))
     h, a = sample_lieb_instance(rng, dim)
-    records += _agreement(
-        "lieb", maximize_lieb(h, a),
-        lambda: (trace_exp_log(h, a), mat_exp(h + mat_log(a))),
-    )
+
+    def lieb_closed_form() -> tuple[float, PdMatrix]:
+        # One decomposition of H + log A gives the argmax and its trace.
+        x_star = mat_exp(h + mat_log(a))
+        return float(x_star.eigenvalues.sum()), x_star
+
+    records += _agreement("lieb", maximize_lieb(h, a), lieb_closed_form)
     return records, []
 
 

@@ -15,7 +15,8 @@ Frechet derivative of ``log`` at ``X``, which in X's eigenbasis is a
 Hadamard product with the first divided differences of ``log``
 (Daleckii-Krein; Higham, *Functions of Matrices*, 2008, ch. 3; Bhatia,
 *Matrix Analysis*, 1997, sec. V.3).  The eigendecomposition that evaluates
-``f`` at an iterate therefore also gives the Newton direction there.
+``f`` at an iterate therefore also gives the Newton direction there, and
+the ascent runs in the iterate's eigenbasis.
 """
 
 from __future__ import annotations
@@ -25,15 +26,17 @@ import dataclasses
 import numpy as np
 
 from .divergence import entropies, entropy, relative_entropy
-from .errors import NotHermitianError
+from .errors import DomainError, NotHermitianError
 from .hermitian import (
     HermitianMatrix,
     PdMatrix,
     _check_dims,
     _eigh,
+    _rebuild,
     exp_eigenvalues,
     mat_log,
     trace_product,
+    validate_pd,
 )
 
 # Iteration cap of one ascent.
@@ -136,71 +139,87 @@ def _logarithmic_mean(w: np.ndarray) -> np.ndarray:
 
 
 def _objective(k: np.ndarray, x: np.ndarray, w: np.ndarray) -> float:
-    # f(X) = tr(XK) - tr(X log X) + tr X, with w the eigenvalues of X.
+    # f(X) = tr(XK) - tr(X log X) + tr X, with w the eigenvalues of X; K and
+    # X may be written in any one orthonormal basis.
     return float(np.vdot(k, x).real) - float(entropies(w)) + float(np.sum(w))
 
 
 def _newton_step(k: np.ndarray, w: np.ndarray, u: np.ndarray):
-    """Gradient norm, Newton direction and slope at ``X = U diag(w) U*``.
+    """``K`` in X's eigenbasis, gradient norm, Newton direction and slope at ``X = U diag(w) U*``.
 
-    The gradient is ``G = K - log X``; in X's eigenbasis it reads
-    ``U* G U = U* K U - diag(log w)``.  The Hessian is ``-Dlog(X)``, so the
-    Newton direction ``D = U ((U* G U) o Phi) U*`` solves ``Dlog(X)[D] = G``
-    (see :func:`_logarithmic_mean`).  The slope ``<G, D>`` is positive
-    whenever ``G`` is nonzero.
+    Returns ``(K~, ||G||_F, D~, <G, D~>)`` with ``K~ = U* K U``, made
+    exactly self-adjoint.  The gradient ``K - log X`` reads
+    ``G = K~ - diag(log w)`` in X's eigenbasis.  The Hessian is
+    ``-Dlog(X)``, so the Newton direction ``D = U D~ U*`` with
+    ``D~ = G o Phi`` solves ``Dlog(X)[D] = G`` (see
+    :func:`_logarithmic_mean`).  The slope is positive whenever ``G`` is
+    nonzero.
     """
-    g = u.conj().T @ k @ u
-    g[np.diag_indices_from(g)] -= np.log(w)
+    kt = u.conj().T @ k @ u
+    kt = (kt + kt.conj().T) / 2.0
+    g = kt - np.diag(np.log(w))
     dt = g * _logarithmic_mean(w)
-    d = u @ dt @ u.conj().T
-    return float(np.linalg.norm(g)), (d + d.conj().T) / 2.0, float(np.vdot(g, dt).real)
+    return kt, float(np.linalg.norm(g)), dt, float(np.vdot(g, dt).real)
 
 
-def _ascend(k: np.ndarray, init: PdMatrix | None, grad_tol: float):
-    """Damped Newton ascent for ``f(X) = tr(XK) - tr(X log X) + tr X``.
+def _ascend(k: np.ndarray, init: PdMatrix, grad_tol: float):
+    """Damped Newton ascent for ``f(X) = tr(XK) - tr(X log X) + tr X``, in X's eigenbasis.
 
-    Starts from ``init`` and its carried spectrum, or from the identity
-    and its exact spectrum ``(1, I)`` when ``init`` is None.  Each
-    iteration takes the Newton direction ``D`` of :func:`_newton_step` and
-    tries ``X + tD`` with ``t = 1, 1/2, 1/4, ...`` (``_BACKTRACK_FACTOR``)
-    until the trial point's smallest eigenvalue exceeds ``_EIG_FLOOR`` and
-    the Armijo condition ``f(X + tD) >= f(X) + c t <G, D>`` with
-    ``c = _ARMIJO_C`` holds.  A trial point below the floor is rejected,
-    never clipped.  The ascent stops when ``||G||_F <= grad_tol``, after
-    ``_MAX_ITERS`` iterations, or when no trial step ``t >= _MIN_STEP`` is
-    accepted.
+    Starts from ``init`` and its carried spectrum and carries the iterate
+    as ``(w, U)``, ``X = U diag(w) U*``.  Each iteration takes the
+    direction ``D~`` of :func:`_newton_step` and tries
+    ``M = diag(w) + t D~``, the point ``X + tD`` written in X's eigenbasis,
+    with ``t = 1, 1/2, 1/4, ...`` (``_BACKTRACK_FACTOR``) until the trial
+    point's smallest eigenvalue exceeds ``_EIG_FLOOR`` and the Armijo
+    condition ``f(X + tD) >= f(X) + c t <G, D>`` with ``c = _ARMIJO_C``
+    holds.  A trial point below the floor is rejected, never clipped.  The
+    decomposition ``M = V diag(w') V*`` of an accepted point gives the
+    next iterate ``(w', U V)``.  The ascent stops when
+    ``||G||_F <= grad_tol``, after ``_MAX_ITERS`` iterations, or when no
+    trial step ``t >= _MIN_STEP`` is accepted.  Returns the last iterate's
+    ``(w, U)``, the iteration count, the final gradient norm and the
+    objective at the start and after every accepted step.
     """
-    if init is None:
-        x = np.eye(k.shape[0], dtype=np.complex128)
-        w, u = np.ones(k.shape[0]), x
-    else:
-        x = init.entries
-        w, u = init.spectrum.eigenvalues, init.spectrum.vectors
-    f = _objective(k, x, w)
-    grad_norm, d, slope = _newton_step(k, w, u)
+    w, u = init.spectrum.eigenvalues, init.spectrum.vectors
+    kt, grad_norm, dt, slope = _newton_step(k, w, u)
+    f = _objective(kt, np.diag(w), w)
     history = [f]
 
     iters = 0
     while grad_norm > grad_tol and iters < _MAX_ITERS:
         t = 1.0
         while t >= _MIN_STEP:
-            xc = x + t * d
-            wc, uc = np.linalg.eigh(xc)
+            m = np.diag(w) + t * dt
+            wc, v = np.linalg.eigh(m)
             if wc[0] > _EIG_FLOOR:
-                fc = _objective(k, xc, wc)
+                fc = _objective(kt, m, wc)
                 if fc >= f + _ARMIJO_C * t * slope - _ACCEPT_SLACK:
                     break
             t *= _BACKTRACK_FACTOR
         else:
             break
 
-        x, w, u, f = xc, wc, uc, fc
-        grad_norm, d, slope = _newton_step(k, w, u)
+        w, u, f = wc, u @ v, fc
+        kt, grad_norm, dt, slope = _newton_step(k, w, u)
         history.append(f)
         iters += 1
 
-    converged = grad_norm <= grad_tol
-    return x, w, u, iters, grad_norm, converged, tuple(history)
+    return w, u, iters, grad_norm, tuple(history)
+
+
+def _maximizer(w: np.ndarray, u: np.ndarray) -> PdMatrix:
+    """``X = U diag(w) U*`` for the last iterate ``(w, U)`` of an ascent, decomposed afresh.
+
+    The product of the steps' eigenvector matrices drifts from unitary by
+    rounding, so X carries its own decomposition; only when forming X has
+    taken an eigenvalue near ``_EIG_FLOOR`` to ``PD_FLOOR`` or under (its
+    error is about ``eps ||X||``) does it carry ``(w, U)`` instead.
+    """
+    x = _rebuild(u, w)
+    try:
+        return validate_pd(x)
+    except DomainError:
+        return PdMatrix(x, w, u)
 
 
 def maximize_variational(y: PdMatrix, init: PdMatrix | None = None) -> OptimizeResult:
@@ -219,23 +238,26 @@ def maximize_lieb(
 ) -> OptimizeResult:
     """Maximize ``tr(XH) - (D(X;A) - tr A)`` over the PD cone.
 
-    The ascent starts from ``init``, or from the identity when it is None,
-    and has converged once the gradient norm is at most
-    ``1e-8 (1 + ||H||_F + ||A||_F)``.  On convergence the value
-    approximates ``tr exp(H + log A)`` and the maximizer approximates
-    ``exp(H + log A)``.
+    The ascent starts from ``init`` and its spectrum, or from the identity
+    and its exact spectrum ``(1, I)`` when it is None, and has converged
+    once the gradient norm is at most ``1e-8 (1 + ||H||_F + ||A||_F)``.  On
+    convergence the value approximates ``tr exp(H + log A)`` and the
+    maximizer approximates ``exp(H + log A)``.  A run that takes no step
+    returns its start as the maximizer.
     """
     k = h + mat_log(a)
-    if init is not None:
-        _check_dims(init, a)
+    if init is None:
+        eye = np.eye(a.dim, dtype=np.complex128)
+        init = PdMatrix(HermitianMatrix._exact(eye), np.ones(a.dim), eye)
+    _check_dims(init, a)
     grad_tol = 1e-8 * (1.0 + (h.frobenius_norm() + a.frobenius_norm()))
-    x, w, u, iters, grad_norm, converged, history = _ascend(k.entries, init, grad_tol)
-    maximizer = PdMatrix(HermitianMatrix._symmetrized(x), w, u)
+    w, u, iters, grad_norm, history = _ascend(k.entries, init, grad_tol)
+    maximizer = init if iters == 0 else _maximizer(w, u)
     return OptimizeResult(
         maximizer=maximizer,
         value=lieb_objective(maximizer, h, a),
         iters=iters,
         grad_norm_final=grad_norm,
-        converged=converged,
+        converged=grad_norm <= grad_tol,
         objective_history=history,
     )

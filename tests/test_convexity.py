@@ -24,6 +24,7 @@ from qrelent import (
     run_suite,
     segment_test,
     trace_exp_log,
+    trace_product,
     validate_pd,
 )
 from qrelent.convexity import record_to_json_dict
@@ -630,6 +631,123 @@ class TestPartialMaxSuite:
         assert report.invalid_trials == len(report.trials)
         assert report.extras["invalid_fraction"] == 1.0
         assert all(not t.valid for t in report.trials)
+
+
+def _partial_max_instance(seed):
+    """``(h, a1, a2, x1, x2)`` of partial-max trial ``(seed, 0)`` at dim 4: X* the endpoint maximizers."""
+    from conftest import trial_rng
+    from qrelent import maximize_lieb
+    from qrelent.convexity import _centered_pd, sample_lieb_instance
+
+    rng = trial_rng(seed, 0)
+    h, a1 = sample_lieb_instance(rng, 4)
+    a2 = _centered_pd(rng, 4, 0.3)
+    return h, a1, a2, maximize_lieb(h, a1).maximizer, maximize_lieb(h, a2).maximizer
+
+
+class TestPartialMaxWarmStart:
+    @pytest.mark.parametrize("seed", [23, 29, 31])
+    def test_mixture_ascent_from_x_t_is_shorter_than_a_cold_one(self, seed):
+        from qrelent import maximize_lieb
+
+        h, a1, a2, x1, x2 = _partial_max_instance(seed)
+        for t in T_GRID:
+            a_t = validate_pd(a1.base * t + a2.base * (1.0 - t))
+            x_t = validate_pd(x1.base * t + x2.base * (1.0 - t))
+            warm, cold = maximize_lieb(h, a_t, x_t), maximize_lieb(h, a_t)
+            assert warm.converged and cold.converged
+            assert warm.iters < cold.iters, t
+            assert warm.value == pytest.approx(cold.value, rel=1e-10)
+            # the start is phi(X_t, A_t), computed by the divergence route too
+            phi = trace_product(x_t, h) - relative_entropy(x_t, a_t).value + a_t.trace()
+            assert warm.objective_history[0] == pytest.approx(phi, rel=1e-13)
+
+    def test_endpoint_started_at_its_maximizer_takes_no_iteration(self):
+        from qrelent import maximize_lieb
+
+        h, a1, _, x1, _ = _partial_max_instance(23)
+        cold = maximize_lieb(h, a1)
+        res = maximize_lieb(h, a1, x1)
+        assert res.converged and res.iters == 0
+        assert res.maximizer is x1
+        assert res.value == cold.value
+
+    def test_runs_at_dim_one_where_the_endpoints_coincide(self, tmp_path):
+        from qrelent.cli import main
+
+        out = str(tmp_path / "r.json")
+        assert main(["verify", "--suite", "partial-max", "--dim", "1", "--trials", "5",
+                     "--out", out]) == 0
+        (report,) = json.load(open(out))["reports"]
+        extras = report["extras"]
+        # g(A) = e^h A is affine in A, so both links are tight up to rounding
+        assert abs(extras["min_joint_concavity_margin"]) <= 1e-14
+        assert abs(extras["min_ascent_gain"]) <= 1e-14
+
+    def test_injected_failure_names_its_t(self, monkeypatch):
+        # The stacked evaluation fails at t = 0.3, and so does the
+        # point-by-point one; every point it reaches starts from its own X_t.
+        from qrelent import convexity
+        from conftest import trial_rng
+
+        h, a1, a2, x1, x2 = _partial_max_instance(23)
+        bad = validate_pd(a1.base * 0.3 + a2.base * 0.7).entries
+        solver = convexity.maximize_lieb
+
+        def failing(h_, a, init=None):
+            if init is not None:
+                t = next(t for t in (1.0, 0.0, *T_GRID)
+                         if np.array_equal(a.entries, (a1.base * t + a2.base * (1.0 - t)).entries))
+                assert np.array_equal(init.entries, (x1.base * t + x2.base * (1.0 - t)).entries)
+                if np.array_equal(a.entries, bad):
+                    raise DomainError("injected")
+            return solver(h_, a, init)
+
+        monkeypatch.setattr(convexity, "maximize_lieb", failing)
+        with pytest.raises(SegmentEvaluationError) as err:
+            convexity.partial_max_trial(trial_rng(23, 0), 4, 1e-8)
+        assert err.value.t == 0.3
+
+    def test_nan_start_objective_fails_the_suite(self, monkeypatch):
+        # a NaN start objective makes both links NaN, which min() could skip
+        from qrelent import convexity, maximize_lieb
+
+        def nan_start(h, a, init=None):
+            res = maximize_lieb(h, a, init)
+            if init is not None and res.iters > 0:
+                res = dataclasses.replace(res, objective_history=(math.nan,))
+            return res
+
+        monkeypatch.setattr(convexity, "maximize_lieb", nan_start)
+        report = partial_max_concavity_suite(3, 2, 23, 1e-8)
+        assert report.invalid_trials == 0 and report.max_violation <= 1e-8
+        assert report.extras["max_value_gap"] <= 1e-6
+        assert math.isnan(report.extras["min_joint_concavity_margin"])
+        assert math.isnan(report.extras["min_ascent_gain"])
+        assert not report.passed
+
+    @pytest.mark.parametrize("shift, broken, held", [
+        (1.0, "min_ascent_gain", "min_joint_concavity_margin"),
+        (-1.0, "min_joint_concavity_margin", "min_ascent_gain"),
+    ])
+    def test_either_link_below_tol_fails_the_suite(self, monkeypatch, shift, broken, held):
+        # shifting every mixture's start objective breaks one link, the
+        # Jensen comparison and the value gaps staying as they are
+        from qrelent import convexity, maximize_lieb
+
+        def shifted_start(h, a, init=None):
+            res = maximize_lieb(h, a, init)
+            if init is not None and res.iters > 0:
+                history = (res.objective_history[0] + shift,) + res.objective_history[1:]
+                res = dataclasses.replace(res, objective_history=history)
+            return res
+
+        monkeypatch.setattr(convexity, "maximize_lieb", shifted_start)
+        report = partial_max_concavity_suite(3, 2, 23, 1e-8)
+        assert report.max_violation <= 1e-8 and report.extras["max_value_gap"] <= 1e-6
+        assert report.extras[held] > 0.0
+        assert report.extras[broken] < -1e-8
+        assert not report.passed
 
 
 class TestSuiteReportShape:

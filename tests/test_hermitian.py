@@ -140,10 +140,10 @@ class TestExactArithmetic:
             expected = expected * (1.0 / rho)
         assert sampled.entries.tobytes() == expected.entries.tobytes()
 
-        # The maximizer, against the last iterate of the ascent it comes from.
+        # The maximizer, against the last iterate (w, U) of the ascent it comes from.
         grad_tol = 1e-8 * (1.0 + (h.frobenius_norm() + a.frobenius_norm()))
-        x = _ascend((h + mat_log(a)).entries, None, grad_tol)[0]
-        pairs.append((maximize_lieb(h, a).maximizer, x))
+        w, u = _ascend((h + mat_log(a)).entries, PdMatrix.identity(dim), grad_tol)[:2]
+        pairs.append((maximize_lieb(h, a).maximizer, (u * w) @ u.conj().T))
 
         for result, raw in pairs:
             assert result.entries.tobytes() == symmetrize(raw).entries.tobytes()
@@ -448,8 +448,9 @@ class TestDecompositionCounts:
         assert decompositions == counts
 
     def test_maximize_lieb_decomposes_each_trial_point_once(self, monkeypatch):
-        # Neither the default identity start, nor log A, nor the maximizer
-        # is decomposed apart from the ascent's trial points.
+        # Neither the default identity start nor log A is decomposed apart
+        # from the ascent's trial points; the maximizer is decomposed once,
+        # last.
         points = []
         solver = np.linalg.eigh
 
@@ -468,11 +469,11 @@ class TestDecompositionCounts:
         assert points[-1].tobytes() == res.maximizer.entries.tobytes()
 
         # Started next to the maximizer, every full Newton step is accepted:
-        # one decomposition per iteration.
+        # one decomposition per iteration, and one of the maximizer.
         near = a.scaled(1.1)
         points.clear()
         res = maximize_lieb(HermitianMatrix.zeros(4), a, near)
-        assert res.converged and len(points) == res.iters >= 2
+        assert res.converged and len(points) == res.iters + 1 and res.iters >= 2
 
     @pytest.mark.parametrize("n", [1, 4, 16])
     def test_default_start_is_the_identity_without_its_decomposition(self, decompositions, n):

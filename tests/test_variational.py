@@ -359,8 +359,13 @@ def test_line_search_tries_steps_down_to_1e_12_for_any_factor(monkeypatch, facto
     monkeypatch.setattr(variational, "_BACKTRACK_FACTOR", factor)
     res = maximize_lieb(HermitianMatrix.diagonal([-30.0, 0.5]), PdMatrix.identity(2))
     assert not res.converged and res.iters < variational._MAX_ITERS
+    # Every matrix here is diagonal, so each eigenbasis is the standard one
+    # up to signs: the last accepted trial point equals the maximizer,
+    # whose own decomposition comes after the last line search.
     x = res.maximizer.entries
-    last = max(i for i, p in enumerate(points) if p.tobytes() == x.tobytes())
+    assert points[-1].tobytes() == x.tobytes()
+    points = points[:-1]
+    last = max(i for i, p in enumerate(points) if np.array_equal(p, x))
     full = np.linalg.norm(points[last + 1] - x)
     steps = [np.linalg.norm(p - x) / full for p in points[last + 1:]]
     # ||(X + tD) - X|| carries a rounding error of about eps ||X|| / t.
@@ -419,7 +424,12 @@ class TestNewtonStep:
         h, a = sample_lieb_instance(rng, 5)
         x = sample_pd(rng, 5, 0.1)
         k = (h + mat_log(a)).entries
-        grad_norm, d, slope = _newton_step(k, x.spectrum.eigenvalues, x.spectrum.vectors)
+        u = x.spectrum.vectors
+        kt, grad_norm, dt, slope = _newton_step(k, x.spectrum.eigenvalues, u)
+        # K~ = U* K U, exactly self-adjoint; D = U D~ U* back in the standard basis.
+        assert np.array_equal(kt, kt.conj().T)
+        assert np.linalg.norm(kt - u.conj().T @ k @ u) <= 1e-14 * np.linalg.norm(k)
+        d = u @ dt @ u.conj().T
         g = lieb_gradient(x, h, a)
         assert grad_norm == pytest.approx(g.frobenius_norm(), rel=1e-12)
         assert slope == pytest.approx(trace_product(g, HermitianMatrix(d)), rel=1e-12)
@@ -454,6 +464,20 @@ class TestNewtonConvergence:
         assert res.iters <= 12
         direct = trace_exp_log(h, a)
         assert res.value == pytest.approx(direct, rel=1e-10)
+
+    @pytest.mark.parametrize("i", range(20))
+    def test_maximizer_near_the_floor_at_a_large_norm_does_not_raise(self, i):
+        # exp(H) has the spectrum e^-22.5 = 1.7e-10 ... e^16 = 8.9e6: forming
+        # U diag(w) U* errs by about eps ||X|| = 2e-9, which can take its
+        # smallest eigenvalue below PD_FLOOR; the iterate's spectrum then stays.
+        rng = trial_rng(7, i)
+        u = random_unitary(rng, 4)
+        h = HermitianMatrix((u * np.array([-22.5, -1.0, 2.0, 16.0])) @ u.conj().T)
+        a = PdMatrix.identity(4)
+        res = maximize_lieb(h, a)
+        assert res.maximizer.min_eigenvalue > 1e-12
+        if res.converged:
+            assert res.value == pytest.approx(trace_exp_log(h, a), rel=1e-10)
 
     def test_ill_conditioned_instance_converges(self):
         # dim 16, A with spectrum 1e-6 ... 1e3 in a random basis.
