@@ -58,10 +58,10 @@ from .variational import (
     variational_gradient,
     variational_objective,
 )
+from .segments import SegmentTrial, pointwise, segment_test
 from .convexity import (
     SUITES,
     BoundTrial,
-    SegmentTrial,
     SuiteReport,
     T_GRID,
     fenchel_convexity_suite,
@@ -69,10 +69,8 @@ from .convexity import (
     klein_suite,
     lieb_concavity_suite,
     partial_max_concavity_suite,
-    pointwise,
     run_suite,
     sample_lieb_instance,
-    segment_test,
     variational_suite,
 )
 from .matrixio import (

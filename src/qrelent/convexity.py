@@ -1,13 +1,14 @@
-"""Randomized midpoint/Jensen testers for convexity and concavity claims.
+"""Randomized midpoint/Jensen suites for convexity and concavity claims.
 
 These are falsification harnesses, not proofs: each suite draws seeded
-random instances, evaluates the claimed inequality along segments (or
-against a scalar bound), and reports normalized violations.  ``SUITES``
-lists every suite as a per-trial function with its defaults, and
-:func:`run_suite` runs one.  A report is a pure function of ``(dim,
-trials, seed, tol)``; every trial derives its own generator from the
-master seed and its index, so one trial replays alone and reruns are
-identical regardless of evaluation order.
+random instances, evaluates the claimed inequality along segments (with
+the tester of :mod:`qrelent.segments`) or against a scalar bound, and
+reports normalized violations.  ``SUITES`` lists every suite as a
+function of a chunk of trials with its defaults, and :func:`run_suite`
+runs one.  A report is a pure function of ``(dim, trials, seed, tol)``;
+every trial derives its own generator from the master seed and its
+index, so one trial replays alone (a chunk of one) and reruns are
+identical regardless of how trials are chunked.
 """
 
 from __future__ import annotations
@@ -15,26 +16,27 @@ from __future__ import annotations
 import dataclasses
 import functools
 import math
-from typing import Callable, NamedTuple, Sequence, Union
+from typing import Callable, NamedTuple, Sequence, TypeAlias
 
 import numpy as np
 
-from .divergence import relative_entropies, relative_entropy
-from .errors import SegmentEvaluationError
+# relative_entropy stays importable from qrelent.convexity.
+from .divergence import relative_entropies, relative_entropy  # noqa: F401
 from .hermitian import (
+    _BLOCK_BYTES,
     HermitianMatrix,
     PdMatrix,
     PdStack,
+    hermitian_draws,
     mat_exp,
     mat_log,
-    mixtures,
-    pd_mixtures,
+    pd_draws,
     pd_stack,
-    sample_hermitian,
-    sample_pd,
     trial_rng,
+    validate_pd_stack,
 )
 from .matrixio import matrix_to_dict
+from .segments import SegmentTrial, Stack, _as_point, _as_stack, _entries, pointwise, segment_test
 from .variational import (
     maximize_lieb,
     maximize_variational,
@@ -46,8 +48,6 @@ from .variational import (
 # deliberately omitted.  Each trial appends one uniform random t.
 T_GRID = (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9)
 
-_ORIENTATIONS = {"convex": 1.0, "concave": -1.0}
-
 # Required agreement between an optimizer-evaluated partial maximum and the
 # direct trace-exponential value, normalized by 1 + |direct value|.
 VALUE_AGREEMENT_RTOL = 1e-6
@@ -58,33 +58,17 @@ _ARGMAX_AGREEMENT_TOL = 1e-4
 MAX_INVALID_FRACTION = 0.05
 # Largest dimension any suite accepts.
 _MAX_DIM = 64
+# Largest trial count any suite accepts: klein's kinds start a million
+# indices apart, so more trials would draw one generator twice.
+_MAX_TRIALS = 1_000_000
 # Klein strictness probe: pairs at least this far apart in Frobenius norm
 # must have a divergence above the minimum.
 _SEPARATION_DISTANCE = 0.1
 _SEPARATION_MIN_DIVERGENCE = 1e-8
 
-Matrix = Union[HermitianMatrix, PdMatrix]
-Point = Sequence[Matrix]
-
-
-@dataclasses.dataclass(frozen=True)
-class SegmentTrial:
-    """One Jensen comparison at mixture parameter ``t``.
-
-    ``violation = (lhs - rhs) * orientation / scale`` with orientation +1
-    for convexity claims and -1 for concavity claims, so positive means the
-    claimed inequality failed.  ``witness`` is set when the trial violates
-    the tolerance: ``{"t": t}``, plus the segment's whole instance (in the
-    matrix file format) on the segment's first violating trial.
-    """
-
-    t: float
-    lhs: float
-    rhs: float
-    violation: float
-    scale: float
-    valid: bool = True
-    witness: dict | None = None
+# One generator per trial of a chunk; a string, since reading np.random
+# would import numpy.random with this module.
+Rngs: TypeAlias = "Sequence[np.random.Generator]"
 
 
 @dataclasses.dataclass(frozen=True)
@@ -143,184 +127,83 @@ class SuiteReport:
         }
 
 
-def _as_point(p) -> tuple:
-    if isinstance(p, (HermitianMatrix, PdMatrix)):
-        return (p,)
-    return tuple(p)
-
-
-Stack = Union[PdStack, np.ndarray]
-
-
-def _rows(a: Matrix, b: Matrix, ts: Sequence[float] | None = None) -> Callable[[slice], Stack]:
-    """One component of a segment's points, as a function of a range of rows.
-
-    The rows are the endpoints ``(a, b)`` when ``ts`` is None, else the
-    mixtures ``t a + (1-t) b`` for ``t`` in ``ts``.  Positive-definite
-    components give PdStacks (mixtures validated when taken), self-adjoint
-    ones arrays of entries.
-    """
-    if isinstance(a, PdMatrix) and isinstance(b, PdMatrix):
-        return pd_stack((a, b)).__getitem__ if ts is None else pd_mixtures(a, b, ts)
-    if isinstance(a, HermitianMatrix) and isinstance(b, HermitianMatrix):
-        entries = np.stack((a.entries, b.entries)) if ts is None else mixtures(a, b, ts)
-        return entries.__getitem__
-    raise TypeError(f"cannot mix {type(a).__name__} with {type(b).__name__}")
-
-
-def _evaluate(f: Callable[..., Sequence], rows: list, ts: list[float]) -> list[float | None]:
-    """``f`` at the points ``ts``, in one call on the stacked points.
-
-    Should that call raise, the points are evaluated again one at a time,
-    each as a stack of one and in order, so that the first point that fails
-    (its validation as a mixture included) is raised as
-    SegmentEvaluationError with its ``t``.
-    """
-    try:
-        values = f(*(r(slice(None)) for r in rows))
-    except Exception:  # noqa: BLE001 - located below, point by point
-        values = []
-        for k, t in enumerate(ts):
-            try:
-                values += f(*(r(slice(k, k + 1)) for r in rows))
-            except Exception as exc:  # noqa: BLE001 - re-raised with context
-                raise SegmentEvaluationError(t, str(exc)) from exc
-    return [None if v is None else float(v) for v in values]
-
-
-def pointwise(g: Callable[..., float | None]) -> Callable[..., list]:
-    """Lift ``g``, a function of matrices, to the stacked points of :func:`segment_test`.
-
-    The lifted function calls ``g`` once per point, in order; a point's
-    positive-definite components are PdMatrix values carrying their rows'
-    spectra.
-    """
-
-    def f(*stacks: Stack) -> list:
-        return [
-            g(*(s.point(k) if isinstance(s, PdStack) else HermitianMatrix._exact(s[k])
-                for s in stacks))
-            for k in range(len(stacks[0]))
-        ]
-
-    return f
-
-
-def segment_test(
-    f: Callable[..., Sequence],
-    p1,
-    p2,
-    t_samples: Sequence[float],
-    orientation: str,
-) -> list[SegmentTrial]:
-    """Evaluate a Jensen inequality along the segment from ``p2`` to ``p1``.
-
-    For each ``t`` the mixture is ``t p1 + (1-t) p2`` (componentwise), the
-    left side is ``f`` at the mixture, and the right side the scalar
-    mixture of the endpoint values.  Violations are normalized by
-    ``1 + |f(p1)| + |f(p2)|``.
-
-    ``f`` evaluates stacked points: it takes one stack per component, a
-    PdStack for a positive-definite one and an array of entries for a
-    self-adjoint one, and returns one value per row.  It is called twice,
-    on the two endpoints and then on every mixture; :func:`pointwise`
-    lifts a function of single matrices.  The mixtures of a
-    positive-definite component are decomposed together, one stacked
-    ``eigh`` for all ``t``, and validated positive definite before ``f``
-    sees them.  Any exception from building the mixtures or from ``f`` is
-    raised as SegmentEvaluationError carrying the ``t`` of the first point
-    that fails (1.0 and 0.0 for the endpoints).
-
-    ``f`` returns None for a point it could not evaluate (an optimizer run
-    that did not converge).  The comparison at that ``t`` is then recorded
-    as invalid; when an endpoint is None, every comparison is, and no
-    mixture is evaluated.
-    """
-    orient = _ORIENTATIONS[orientation]
-    p1, p2 = _as_point(p1), _as_point(p2)
-    ts = [float(t) for t in t_samples]
-    f1, f2 = _evaluate(f, [_rows(a, b) for a, b in zip(p1, p2)], [1.0, 0.0])
-    if f1 is None or f2 is None:
-        return [SegmentTrial(t, 0.0, 0.0, 0.0, 1.0, valid=False) for t in ts]
-    scale = 1.0 + abs(f1) + abs(f2)
-    lhs_values = _evaluate(f, [_rows(a, b, ts) for a, b in zip(p1, p2)], ts) if ts else []
-    trials = []
-    for t, lhs in zip(ts, lhs_values):
-        if lhs is None:
-            trials.append(SegmentTrial(t, 0.0, 0.0, 0.0, scale, valid=False))
-            continue
-        rhs = t * f1 + (1.0 - t) * f2
-        violation = (lhs - rhs) * orient / scale
-        trials.append(SegmentTrial(t, lhs, rhs, violation, scale))
-    return trials
-
-
 def _invalid_fraction(records: list) -> float:
     return sum(not r.valid for r in records) / len(records) if records else 1.0
 
 
-def _segment(f, p1: tuple, p2: tuple, rng, orientation: str, tol: float, fixed=None) -> list:
-    """``segment_test`` on ``T_GRID`` plus one uniform ``t`` drawn from ``rng``.
+def _segment(f, p1, p2, rngs: Rngs, orientation: str, tol: float, fixed=None,
+             ends: Sequence | None = None) -> list:
+    """``segment_test`` on ``T_GRID`` plus one uniform ``t`` drawn from each segment's generator.
 
-    A valid comparison violating ``tol`` carries a witness ``{"t": t}``.
-    The first one of the segment also carries the endpoints as ``"p1"``
-    and ``"p2"``, lists of matrix dicts, and the matrix ``fixed`` along the
-    segment, if any, once as ``"fixed"``; the later ones carry only their
-    ``t``.
+    Segment ``s`` of the stacks ``p1``, ``p2`` (and ``fixed``) belongs to
+    the trial of ``rngs[s]``.  A valid comparison violating ``tol``
+    carries a witness ``{"t": t}``.  The first one of a segment also
+    carries its endpoints as ``"p1"`` and ``"p2"``, lists of matrix dicts,
+    and its matrix ``fixed``, if any, once as ``"fixed"``; the later ones
+    carry only their ``t``.
     """
-    trials = segment_test(f, p1, p2, T_GRID + (float(rng.uniform()),), orientation)
-    first = True
+    p1, p2 = _as_point(p1), _as_point(p2)
+    ts = [T_GRID + (float(rng.uniform()),) for rng in rngs]
+    trials = segment_test(f, p1, p2, ts, orientation, fixed, ends)
+    width = len(T_GRID) + 1
+
+    def matrix(c: Stack, s: int) -> dict:
+        return matrix_to_dict(HermitianMatrix._exact(_entries(c)[s]))
+
     records = []
-    for tr in trials:
-        if tr.valid and tr.violation > tol:
-            witness = {"t": tr.t}
-            if first:
-                witness["p1"] = [matrix_to_dict(m) for m in p1]
-                witness["p2"] = [matrix_to_dict(m) for m in p2]
-                if fixed is not None:
-                    witness["fixed"] = matrix_to_dict(fixed)
-                first = False
-            tr = dataclasses.replace(tr, witness=witness)
-        records.append(tr)
+    for s in range(len(rngs)):
+        first = True
+        for tr in trials[s * width:(s + 1) * width]:
+            if tr.valid and tr.violation > tol:
+                witness = {"t": tr.t}
+                if first:
+                    witness["p1"] = [matrix(c, s) for c in p1]
+                    witness["p2"] = [matrix(c, s) for c in p2]
+                    if fixed is not None:
+                        witness["fixed"] = matrix(_as_stack(fixed), s)
+                    first = False
+                tr = dataclasses.replace(tr, witness=witness)
+            records.append(tr)
     return records
 
 
-def klein_trial(rng: np.random.Generator, dim: int, tol: float, kind: str) -> tuple[list, list]:
-    """Nonnegativity of the divergence (Klein's inequality), one trial of ``kind``.
+def klein_trial(rngs: Rngs, dim: int, tol: float, kind: str) -> tuple[list, list]:
+    """Nonnegativity of the divergence (Klein's inequality), a chunk of trials of ``kind``.
 
     ``nonneg``: ``D(X;Y) >= -tol * scale`` on a random PD pair.
     ``identity``: ``D(X;X) <= tol * scale``.  ``separated``: ``D(X;Y) >= 1e-8``
-    for a pair at least 0.1 apart in Frobenius norm.  ``D(X;Y)`` reads only
-    the eigenvalues of ``X``, so the ``X`` of a pair is sampled without
-    eigenvectors.
+    for a pair at least 0.1 apart in Frobenius norm (``Y`` is drawn again
+    until it is).  ``D(X;Y)`` reads only the eigenvalues of ``X``, so the
+    ``X`` of a pair is validated without eigenvectors.
     """
     if kind == "identity":
-        x = sample_pd(rng, dim, 0.1)
-        value = relative_entropy(x, x).value
-        scale = 1.0 + x.frobenius_norm()
-        return [BoundTrial("identity", value, 0.0, abs(value) / scale, scale)], []
-    x = sample_pd(rng, dim, 0.1, vectors=False)
-    y = sample_pd(rng, dim, 0.1)
-    if kind == "nonneg":
-        scale = 1.0 + x.frobenius_norm() + y.frobenius_norm()
-        value = relative_entropy(x, y).value
-        return [BoundTrial("nonneg", value, 0.0, -value / scale, scale)], []
-    for _ in range(1000):
-        if (x.base - y.base).frobenius_norm() >= _SEPARATION_DISTANCE:
-            break
-        y = sample_pd(rng, dim, 0.1)
-    value = relative_entropy(x, y).value
-    record = BoundTrial(
-        "separated", value, _SEPARATION_MIN_DIVERGENCE,
-        _SEPARATION_MIN_DIVERGENCE - value, 1.0,
-    )
-    return [record], []
+        x = y = validate_pd_stack(pd_draws(rngs, dim, 0.1)[:, 0])
+    else:
+        pairs = pd_draws(rngs, dim, 0.1, 2)
+        if kind == "separated":
+            for rng, pair in zip(rngs, pairs):
+                for _ in range(1000):
+                    if np.linalg.norm(pair[0] - pair[1]) >= _SEPARATION_DISTANCE:
+                        break
+                    pair[1] = pd_draws([rng], dim, 0.1)[0, 0]
+        x, y = validate_pd_stack(pairs[:, 0], vectors=False), validate_pd_stack(pairs[:, 1])
+    values = relative_entropies(x.eigenvalues, x.entries, y.entries, y.log)[0].tolist()
+    if kind == "separated":
+        return [BoundTrial(kind, v, _SEPARATION_MIN_DIVERGENCE, _SEPARATION_MIN_DIVERGENCE - v, 1.0)
+                for v in values], []
+    # Norms one matrix at a time, as HermitianMatrix.frobenius_norm computes them.
+    norms = [[float(np.linalg.norm(e)) for e in m.entries] for m in (x, y)]
+    if kind == "identity":
+        return [BoundTrial(kind, v, 0.0, abs(v) / (1.0 + nx), 1.0 + nx)
+                for v, nx in zip(values, norms[0])], []
+    return [BoundTrial(kind, v, 0.0, -v / (1.0 + nx + ny), 1.0 + nx + ny)
+            for v, nx, ny in zip(values, *norms)], []
 
 
-def joint_convexity_trial(rng: np.random.Generator, dim: int, tol: float) -> tuple[list, list]:
+def joint_convexity_trial(rngs: Rngs, dim: int, tol: float) -> tuple[list, list]:
     """Joint convexity of the relative entropy under simultaneous mixing.
 
-    Draws a random PD quadruple (X1, Y1, X2, Y2) and tests
+    Draws a random PD quadruple (X1, Y1, X2, Y2) per trial and tests
     ``D(t X1 + (1-t) X2; t Y1 + (1-t) Y2) <= t D(X1;Y1) + (1-t) D(X2;Y2)``
     on the t-grid.  The samples are the divergence values evaluated,
     endpoints included: nonnegativity requires the smallest of a suite to
@@ -333,14 +216,13 @@ def joint_convexity_trial(rng: np.random.Generator, dim: int, tol: float) -> tup
 
     def f(x: PdStack, y: PdStack) -> np.ndarray:
         value = relative_entropies(x.eigenvalues, x.entries, y.entries, y.log)[0]
-        values.extend(value.tolist())
+        values.extend(value.ravel().tolist())
         return value
 
-    x1 = sample_pd(rng, dim, 0.1, vectors=False)
-    y1 = sample_pd(rng, dim, 0.1)
-    x2 = sample_pd(rng, dim, 0.1, vectors=False)
-    y2 = sample_pd(rng, dim, 0.1)
-    return _segment(f, (x1, y1), (x2, y2), rng, "convex", tol), values
+    quadruples = pd_draws(rngs, dim, 0.1, 4)
+    x = validate_pd_stack(quadruples[:, 0::2], vectors=False)
+    y = validate_pd_stack(quadruples[:, 1::2])
+    return _segment(f, (x[:, 0], y[:, 0]), (x[:, 1], y[:, 1]), rngs, "convex", tol), values
 
 
 def _min_divergence(records: list, values: list, tol: float) -> tuple[dict, bool]:
@@ -349,60 +231,55 @@ def _min_divergence(records: list, values: list, tol: float) -> tuple[dict, bool
     return {"min_divergence_value": min_value}, min_value >= -tol
 
 
-def lieb_concavity_trial(
-    rng: np.random.Generator, dim: int, tol: float, orientation: str
-) -> tuple[list, list]:
+def lieb_concavity_trial(rngs: Rngs, dim: int, tol: float, orientation: str) -> tuple[list, list]:
     """Lieb's concavity of ``A -> tr exp(H + log A)`` for fixed self-adjoint ``H``.
 
     ``orientation`` exists for the harness self-test: running the same
     instances with ``"convex"`` must fail for generic dim >= 2, proving
     the tester can detect violations at all.
     """
-    h = sample_hermitian(rng, dim, 3.0)
-    a1 = sample_pd(rng, dim, 0.1)
-    a2 = sample_pd(rng, dim, 0.1)
-    records = _segment(lambda a: trace_exp_logs(h.entries, a.log), (a1,), (a2,), rng,
-                       orientation, tol, fixed=h)
-    return records, []
+    h = hermitian_draws(rngs, dim, 3.0)[:, 0]
+    a = validate_pd_stack(pd_draws(rngs, dim, 0.1, 2))
+    return _segment(lambda h, a: trace_exp_logs(h, a.log), (a[:, 0],), (a[:, 1],), rngs,
+                    orientation, tol, fixed=h), []
 
 
-def fenchel_trial(rng: np.random.Generator, dim: int, tol: float) -> tuple[list, list]:
+def fenchel_trial(rngs: Rngs, dim: int, tol: float) -> tuple[list, list]:
     """Convexity of ``H -> tr exp(H + log A)`` for fixed positive-definite ``A``.
 
     As the partial maximum of ``tr(XH) - (D(X;A) - tr A)`` over ``X``, the
     map is a supremum of affine functions of ``H`` (a Fenchel conjugate).
     """
-    a = sample_pd(rng, dim, 0.1)
-    h1 = sample_hermitian(rng, dim, 3.0)
-    h2 = sample_hermitian(rng, dim, 3.0)
-    log_a = mat_log(a).entries
-    records = _segment(lambda h: trace_exp_logs(h, log_a), (h1,), (h2,), rng, "convex", tol,
-                       fixed=a)
-    return records, []
+    a = validate_pd_stack(pd_draws(rngs, dim, 0.1)[:, 0])
+    h = hermitian_draws(rngs, dim, 3.0, 2)
+    return _segment(lambda a, h: trace_exp_logs(h, a.log), (h[:, 0],), (h[:, 1],), rngs,
+                    "convex", tol, fixed=a), []
 
 
-def _centered_pd(rng: np.random.Generator, dim: int, spread: float) -> PdMatrix:
-    """Random PD matrix rescaled so its log-spectrum is centered at zero."""
-    a = sample_pd(rng, dim, spread)
-    w = a.eigenvalues
-    return a.scaled(1.0 / math.sqrt(float(w[0]) * float(w[-1])))
+def _lieb_instances(rngs: Rngs, dim: int, count: int) -> tuple[np.ndarray, PdStack]:
+    """Conditioned ``(H, A_1 .. A_count)`` instances, one per generator.
+
+    ``H`` has spectral radius <= 1.7 and each ``A`` a log-spectrum centered
+    at zero (``A`` rescaled by ``1/sqrt(w_min w_max)``), so the eigenvalues
+    of ``H + log A`` stay near [-3, 3]; failures then indicate math errors
+    rather than conditioning.  Returns the entries of the ``H`` stack and
+    the ``A`` stack, shape (len(rngs), count).
+    """
+    h = hermitian_draws(rngs, dim, 1.7)[:, 0]
+    a = validate_pd_stack(pd_draws(rngs, dim, 0.3, count))
+    c = 1.0 / np.sqrt(a.eigenvalues[..., 0] * a.eigenvalues[..., -1])
+    return h, PdStack(a.entries * c[..., None, None], a.eigenvalues * c[..., None], a.vectors)
 
 
 def sample_lieb_instance(
     rng: np.random.Generator, dim: int
 ) -> tuple[HermitianMatrix, PdMatrix]:
-    """Conditioned (H, A) pair for optimizer-backed evaluations.
-
-    ``H`` has spectral radius <= 1.7 and ``A`` a centered log-spectrum, so
-    the eigenvalues of ``H + log A`` stay near [-3, 3]; failures then
-    indicate math errors rather than conditioning.
-    """
-    h = sample_hermitian(rng, dim, 1.7)
-    a = _centered_pd(rng, dim, 0.3)
-    return h, a
+    """Conditioned (H, A) pair for optimizer-backed evaluations (:func:`_lieb_instances`)."""
+    h, a = _lieb_instances([rng], dim, 1)
+    return HermitianMatrix._exact(h[0]), a.point((0, 0))
 
 
-def partial_max_trial(rng: np.random.Generator, dim: int, tol: float) -> tuple[list, list]:
+def partial_max_trial(rngs: Rngs, dim: int, tol: float) -> tuple[list, list]:
     """Concavity of the optimizer-evaluated partial maximum over ``X``, link by link.
 
     Defines ``g(A)`` as the maximum of ``phi(X, A) = tr(XH) - (D(X;A) -
@@ -413,8 +290,8 @@ def partial_max_trial(rng: np.random.Generator, dim: int, tol: float) -> tuple[l
 
         g(A_t) >= phi(X_t, A_t) >= t g(A1) + (1-t) g(A2).
 
-    Each point of the segment is ``(A, X*)``, so the ascent at ``A_t``
-    starts from ``X_t``, and at an endpoint from its own maximizer.  The
+    The cold ascents give the endpoint values.  Each point of the segment
+    is ``(A, X*)``, so the ascent at ``A_t`` starts from ``X_t``.  The
     samples are, per converged evaluation, the gap to the direct value
     ``tr exp(H + log A)``, and per valid comparison the two links: the
     joint-concavity margin ``phi(X_t, A_t) - rhs`` and the ascent gain
@@ -424,24 +301,34 @@ def partial_max_trial(rng: np.random.Generator, dim: int, tol: float) -> tuple[l
     gap exceeds ``VALUE_AGREEMENT_RTOL``, or when a link falls below
     ``-tol``.
     """
-    h, a1 = sample_lieb_instance(rng, dim)
-    a2 = _centered_pd(rng, dim, 0.3)
+    h, a = _lieb_instances(rngs, dim, 2)
     gaps: list[float] = []
     # The objective at each evaluation's start point, by the value found:
     # a record's lhs is that value.
     starts: dict[float, float] = {}
 
-    def g(a: PdMatrix, x: PdMatrix) -> float | None:
-        res = maximize_lieb(h, a, x)
+    def value(res, h: HermitianMatrix, a: PdMatrix) -> float | None:
         if not res.converged:
             return None
         direct = trace_exp_log(h, a)
         gaps.append(abs(res.value - direct) / (1.0 + abs(direct)))
-        starts[res.value] = res.objective_history[0]
         return res.value
 
-    x1, x2 = maximize_lieb(h, a1).maximizer, maximize_lieb(h, a2).maximizer
-    records = _segment(pointwise(g), (a1, x1), (a2, x2), rng, "concave", tol, fixed=h)
+    def g(h: HermitianMatrix, a: PdMatrix, x: PdMatrix) -> float | None:
+        res = maximize_lieb(h, a, x)
+        if res.converged:
+            starts[res.value] = res.objective_history[0]
+        return value(res, h, a)
+
+    ends, maximizers = [], []
+    for s in range(len(rngs)):
+        hs, pair = HermitianMatrix._exact(h[s]), (a.point((s, 0)), a.point((s, 1)))
+        runs = [maximize_lieb(hs, ai) for ai in pair]
+        ends.append([value(res, hs, ai) for res, ai in zip(runs, pair)])
+        maximizers += [res.maximizer for res in runs]
+    x = pd_stack(maximizers)
+    records = _segment(pointwise(g), (a[:, 0], x[0::2]), (a[:, 1], x[1::2]), rngs, "concave",
+                       tol, fixed=h, ends=ends)
     valid = [r for r in records if r.valid]
     margins = [(starts[r.lhs] - r.rhs) / r.scale for r in valid]
     gains = [(r.lhs - starts[r.lhs]) / r.scale for r in valid]
@@ -491,7 +378,7 @@ def _agreement(kind: str, res, closed_form: Callable[[], tuple]) -> list[BoundTr
     ]
 
 
-def variational_trial(rng: np.random.Generator, dim: int, tol: float) -> tuple[list, list]:
+def variational_trial(rngs: Rngs, dim: int, tol: float) -> tuple[list, list]:
     """Optimizer agreement with the closed-form maximizers.
 
     Maximizes the trace variational objective on a random ``Y`` (argmax
@@ -500,16 +387,20 @@ def variational_trial(rng: np.random.Generator, dim: int, tol: float) -> tuple[l
     ``tr exp(H + log A)``).  Recorded violations are normalized gaps minus
     their budgets (1e-6 for values, 1e-4 for maximizers).
     """
-    y = sample_pd(rng, dim, 0.1)
-    records = _agreement("variational", maximize_variational(y), lambda: (y.trace(), y))
-    h, a = sample_lieb_instance(rng, dim)
+    ys = validate_pd_stack(pd_draws(rngs, dim, 0.1)[:, 0])
+    hs, a_stack = _lieb_instances(rngs, dim, 1)
+    records = []
+    for s in range(len(rngs)):
+        y = ys.point(s)
+        records += _agreement("variational", maximize_variational(y), lambda: (y.trace(), y))
+        h, a = HermitianMatrix._exact(hs[s]), a_stack.point((s, 0))
 
-    def lieb_closed_form() -> tuple[float, PdMatrix]:
-        # One decomposition of H + log A gives the argmax and its trace.
-        x_star = mat_exp(h + mat_log(a))
-        return float(x_star.eigenvalues.sum()), x_star
+        def lieb_closed_form() -> tuple[float, PdMatrix]:
+            # One decomposition of H + log A gives the argmax and its trace.
+            x_star = mat_exp(h + mat_log(a))
+            return float(x_star.eigenvalues.sum()), x_star
 
-    records += _agreement("lieb", maximize_lieb(h, a), lieb_closed_form)
+        records += _agreement("lieb", maximize_lieb(h, a), lieb_closed_form)
     return records, []
 
 
@@ -527,7 +418,7 @@ class Kind(NamedTuple):
     """The ``count(trials)`` trials of one kind of a suite.
 
     Trial ``i`` is drawn from ``trial_rng(seed, first + i)``.  A ``name``
-    of None is not passed to the trial function.
+    of None is not passed to the chunk function.
     """
 
     name: str | None
@@ -536,13 +427,14 @@ class Kind(NamedTuple):
 
 
 class Suite(NamedTuple):
-    """One row of ``SUITES``: a per-trial function and its run defaults.
+    """One row of ``SUITES``: a function of a chunk of trials and its run defaults.
 
-    ``trial(rng, dim, tol, [kind,] **options)`` returns ``(records,
-    samples)`` for one trial drawn from ``rng``.  ``options`` holds the
-    default of each option the config echo records.  ``extras(records,
-    samples, tol)`` reduces the samples of a whole run to the report's
-    extras and whether they pass.
+    ``trial(rngs, dim, tol, [kind,] **options)`` returns ``(records,
+    samples)`` for consecutive trials, trial ``s`` drawn from ``rngs[s]``,
+    records in trial order; a chunk of one runs one trial alone.
+    ``options`` holds the default of each option the config echo records.
+    ``extras(records, samples, tol)`` reduces the samples of a whole run to
+    the report's extras and whether they pass.
     """
 
     trial: Callable[..., tuple[list, list]]
@@ -556,7 +448,7 @@ class Suite(NamedTuple):
 # Every suite, in the order ``verify --suite all`` runs them.  partial-max
 # runs one optimization per evaluation, hence fewer trials and a looser
 # tolerance.  Klein's kinds start a million indices apart, so their
-# streams do not meet below a million trials.
+# streams do not meet up to _MAX_TRIALS.
 SUITES = {
     "klein": Suite(klein_trial, kinds=(
         Kind("nonneg", 0, lambda trials: trials),
@@ -576,17 +468,17 @@ def suite_args(
 ) -> tuple[int, float]:
     """The ``(trials, tol)`` of one run of suite ``name``, defaults filled in.
 
-    Raises ValueError when ``dim`` lies outside [1, 64], ``trials`` is
-    below 1, ``seed`` lies outside [0, 2**64) or ``tol`` is not positive
-    and finite: an infinite ``tol`` would pass every violation.
+    Raises ValueError when ``dim`` lies outside [1, 64], ``trials`` lies
+    outside [1, 10**6], ``seed`` lies outside [0, 2**64) or ``tol`` is not
+    positive and finite: an infinite ``tol`` would pass every violation.
     """
     row = SUITES[name]
     trials = row.trials if trials is None else trials
     tol = row.tol if tol is None else tol
     if not 1 <= dim <= _MAX_DIM:
         raise ValueError(f"dim must lie in [1, {_MAX_DIM}], got {dim}")
-    if trials < 1:
-        raise ValueError(f"trials must be at least 1, got {trials}")
+    if not 1 <= trials <= _MAX_TRIALS:
+        raise ValueError(f"trials must lie in [1, {_MAX_TRIALS}], got {trials}")
     if not 0 <= seed < 2**64:
         raise ValueError(f"seed must lie in [0, 2**64), got {seed}")
     if not 0.0 < tol < math.inf:
@@ -594,30 +486,59 @@ def suite_args(
     return trials, tol
 
 
+def chunk_trials(dim: int) -> int:
+    """Trials per chunk: as many segments of ``len(T_GRID) + 1`` mixtures as one block holds.
+
+    A block is ``_BLOCK_BYTES`` of complex entries: 11 trials at dim 6,
+    409 at dim 1, one from dim 15 on.
+    """
+    return max(1, _BLOCK_BYTES // (np.dtype(np.complex128).itemsize * dim * dim
+                                   * (len(T_GRID) + 1)))
+
+
+def _run_chunk(trial: Callable, seed: int, indices: range, *args, **options) -> tuple[list, list]:
+    """``trial`` on the generators of trials ``indices``, as one chunk.
+
+    Should the chunk raise, its trials run again one at a time, in order,
+    so that the first one that fails raises what it raises alone.
+    """
+    try:
+        return trial([trial_rng(seed, i) for i in indices], *args, **options)
+    except Exception:  # noqa: BLE001 - located below, trial by trial
+        if len(indices) == 1:
+            raise
+    alone = [trial([trial_rng(seed, i)], *args, **options) for i in indices]
+    return [r for records, _ in alone for r in records], [x for _, xs in alone for x in xs]
+
+
 def run_suite(
     name: str, dim: int, trials: int | None, seed: int, tol: float | None, **options
 ) -> SuiteReport:
-    """Run every trial of suite ``name``, kind by kind, in index order.
+    """Run every trial of suite ``name``, kind by kind, in index order, in chunks.
 
-    ``trials`` and ``tol`` of None take the row's defaults; ``options`` go
-    to every trial.  The suite passes when every valid violation is at
-    most ``tol`` and the row's extras pass.  A non-finite valid violation
-    fails the suite and makes ``max_violation`` NaN (Python's ``max``
-    would skip a NaN that does not come first).
+    Consecutive trials of a kind go to the row's function in chunks of
+    :func:`chunk_trials`.  ``trials`` and ``tol`` of None take the row's
+    defaults; ``options`` go to every chunk.  The suite passes when every
+    valid violation is at most ``tol`` and the row's extras pass.  A
+    non-finite valid violation fails the suite and makes ``max_violation``
+    NaN (Python's ``max`` would skip a NaN that does not come first).
     """
     trials, tol = suite_args(name, dim, trials, seed, tol)
     row = SUITES[name]
     options = {**row.options, **options}
+    chunk = chunk_trials(dim)
     records: list = []
     samples: list = []
     for kind in row.kinds:
         named = () if kind.name is None else (kind.name,)
-        for i in range(kind.count(trials)):
-            trial_records, trial_samples = row.trial(
-                trial_rng(seed, kind.first + i), dim, tol, *named, **options
+        count = kind.count(trials)
+        for first in range(0, count, chunk):
+            indices = range(kind.first + first, kind.first + min(first + chunk, count))
+            chunk_records, chunk_samples = _run_chunk(
+                row.trial, seed, indices, dim, tol, *named, **options
             )
-            records += trial_records
-            samples += trial_samples
+            records += chunk_records
+            samples += chunk_samples
     extras, extras_ok = row.extras(records, samples, tol)
     violations = [r.violation for r in records if r.valid]
     if all(math.isfinite(v) for v in violations):

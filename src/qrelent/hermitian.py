@@ -102,13 +102,6 @@ class HermitianMatrix:
         object.__setattr__(out, "entries", m)
         return out
 
-    @classmethod
-    def _symmetrized(cls, m: np.ndarray) -> "HermitianMatrix":
-        # For complex arrays the library builds self-adjoint up to rounding:
-        # stores (M + M*)/2 as the constructor does, without the
-        # anti-self-adjoint norm check, which costs about an eigh at small n.
-        return cls._exact((m + m.conj().T) / 2.0)
-
     def __add__(self, other: "HermitianMatrix") -> "HermitianMatrix":
         _check_dims(self, other)
         return HermitianMatrix._exact(self.entries + other.entries)
@@ -234,14 +227,15 @@ class SpectralDecomposition:
 
 @dataclasses.dataclass(frozen=True, eq=False)
 class PdStack:
-    """Positive-definite matrices along a leading axis, with the eigenvalues that prove them.
+    """Positive-definite matrices along leading axes, with the eigenvalues that prove them.
 
     The stacked PdMatrix, for evaluating many points with one call per
     kernel.  ``entries[k]`` has the ascending eigenvalues
     ``eigenvalues[k]`` and, when ``vectors`` is given, the eigenvectors
-    ``vectors[k]``.  Construction raises DomainError, as :func:`validate_pd`
-    does, unless every smallest eigenvalue exceeds ``PD_FLOOR``.  The
-    arrays are read-only.
+    ``vectors[k]``, for any index ``k`` over the leading axes.
+    Construction raises DomainError, as :func:`validate_pd` does, unless
+    every smallest eigenvalue exceeds ``PD_FLOOR``; the message names the
+    first one that does not, in row-major order.  The arrays are read-only.
     """
 
     entries: np.ndarray
@@ -249,7 +243,7 @@ class PdStack:
     vectors: np.ndarray | None = None
 
     def __post_init__(self):
-        smallest = self.eigenvalues[:, 0]
+        smallest = self.eigenvalues[..., 0]
         ok = smallest > PD_FLOOR
         if not ok.all():
             raise DomainError(
@@ -262,12 +256,15 @@ class PdStack:
     def __len__(self) -> int:
         return len(self.entries)
 
-    def __getitem__(self, rows: slice) -> "PdStack":
+    def __getitem__(self, rows) -> "PdStack":
         vectors = None if self.vectors is None else self.vectors[rows]
         return PdStack(self.entries[rows], self.eigenvalues[rows], vectors)
 
-    def point(self, k: int) -> PdMatrix:
-        """Matrix ``k`` as a PdMatrix carrying its spectrum."""
+    def _known_vectors(self) -> np.ndarray | None:
+        return self.vectors
+
+    def point(self, k) -> PdMatrix:
+        """Matrix ``k`` (an index over the leading axes) as a PdMatrix carrying its spectrum."""
         vectors = None if self.vectors is None else self.vectors[k]
         return PdMatrix(HermitianMatrix._exact(self.entries[k]), self.eigenvalues[k], vectors)
 
@@ -335,58 +332,68 @@ def _eigh(entries: np.ndarray, vectors: bool = True):
         ) from exc
 
 
-def pd_stack(points: Sequence[PdMatrix]) -> PdStack:
-    """The positive-definite ``points`` as one stack, with their carried spectra.
+def pd_stack(points: Sequence[PdMatrix | PdStack], axis: int = 0) -> PdStack:
+    """The positive-definite ``points`` as one stack along ``axis``, with their carried spectra.
 
-    The stack has eigenvectors when every point has them at hand.
+    The points are matrices, or stacks of one shape.  The stack has
+    eigenvectors when every point has them at hand.
     """
     vectors = [p._known_vectors() for p in points]
     return PdStack(
-        np.stack([p.entries for p in points]),
-        np.stack([p.eigenvalues for p in points]),
-        None if any(v is None for v in vectors) else np.stack(vectors),
+        np.stack([p.entries for p in points], axis),
+        np.stack([p.eigenvalues for p in points], axis),
+        None if any(v is None for v in vectors) else np.stack(vectors, axis),
     )
 
 
-def mixtures(a: MatrixLike, b: MatrixLike, ts: Sequence[float]) -> np.ndarray:
-    """The entries of ``t A + (1-t) B`` for every ``t`` in ``ts``, stacked.
+def validate_pd_stack(entries: np.ndarray, vectors: bool = True) -> PdStack:
+    """:func:`validate_pd` of every matrix of a stack, with one stacked ``eigh`` (or ``eigvalsh``)."""
+    return PdStack(entries, *_eigh(entries, vectors))
 
-    Each equals the entries of ``A * t + B * (1 - t)`` in HermitianMatrix
-    arithmetic bit for bit.
+
+def mixtures(a: np.ndarray, b: np.ndarray, ts: np.ndarray) -> np.ndarray:
+    """The entries of ``t A_s + (1-t) B_s`` for every ``t`` in row ``s`` of ``ts``.
+
+    ``a`` and ``b`` are stacks of S matrices and ``ts`` has shape (S, T);
+    the result has shape (S, T, n, n).  Each mixture equals the entries of
+    ``A * t + B * (1 - t)`` in HermitianMatrix arithmetic bit for bit.
     """
-    _check_dims(a, b)
-    t = np.asarray(ts, dtype=np.float64)[:, None, None]
-    out = np.empty(t.shape[:1] + a.entries.shape, dtype=np.complex128)
-    step = _block_rows(out)
-    for k in range(0, len(out), step):
-        block, tk = out[k:k + step], t[k:k + step]
-        np.multiply(a.entries, tk, out=block)
-        block += b.entries * (1.0 - tk)
+    if a.shape != b.shape:
+        raise DimMismatchError(f"dimension mismatch: {a.shape[-1]} vs {b.shape[-1]}")
+    t = np.asarray(ts, dtype=np.float64)[..., None, None]
+    out = np.empty(t.shape[:2] + a.shape[-2:], dtype=np.complex128)
+    # Blocks of whole segments, or of rows of one segment when a segment
+    # alone exceeds a block.
+    width = t.shape[1]
+    rows = min(_block_rows(out), width)
+    segments = max(1, _block_rows(out) // width)
+    for s in range(0, len(out), segments):
+        for k in range(0, width, rows):
+            block, tk = out[s:s + segments, k:k + rows], t[s:s + segments, k:k + rows]
+            np.multiply(a[s:s + segments, None], tk, out=block)
+            block += b[s:s + segments, None] * (1.0 - tk)
     return out
 
 
-def pd_mixtures(
-    a: PdMatrix, b: PdMatrix, ts: Sequence[float]
-) -> Callable[[slice], PdStack]:
-    """The mixtures ``t A + (1-t) B`` for every ``t`` in ``ts``, decomposed as one stack.
+def pd_mixtures(a: PdStack, b: PdStack, ts: np.ndarray) -> Callable[..., PdStack]:
+    """The mixtures ``t A_s + (1-t) B_s`` of :func:`mixtures`, decomposed as one stack.
 
     One ``eigh`` call decomposes all of them, which at small n costs about
-    half as much per matrix as separate calls.  When neither endpoint has
-    its eigenvectors at hand, the mixtures follow them: one ``eigvalsh``
-    call computes their eigenvalues only.  The returned ``rows(sl)``
-    builds the PdStack of the mixtures ``ts[sl]``; like :func:`validate_pd`
-    it raises DomainError when one of them has its smallest eigenvalue at
-    or below ``PD_FLOOR``.  A solver failure raises ConvergenceError.  Each
-    mixture equals ``validate_pd(a.base * t + b.base * (1 - t))`` bit for
-    bit, validated with ``vectors=False`` when the stack is eigenvalues
-    only.
+    half as much per matrix as separate calls.  When neither endpoint stack
+    has its eigenvectors at hand, the mixtures follow them: one ``eigvalsh``
+    call computes their eigenvalues only.  The returned ``rows(i)`` builds
+    the PdStack of the mixtures at index ``i`` of (segment, t); like
+    :func:`validate_pd` it raises DomainError when one of them has its
+    smallest eigenvalue at or below ``PD_FLOOR``.  A solver failure raises
+    ConvergenceError.  Each mixture equals ``validate_pd(a.base * t +
+    b.base * (1 - t))`` bit for bit, validated with ``vectors=False`` when
+    the stack is eigenvalues only.
     """
-    entries = mixtures(a, b, ts)
-    vectors = a._known_vectors() is not None or b._known_vectors() is not None
-    w, u = _eigh(entries, vectors)
+    entries = mixtures(a.entries, b.entries, ts)
+    w, u = _eigh(entries, a.vectors is not None or b.vectors is not None)
 
-    def rows(sl: slice) -> PdStack:
-        return PdStack(entries[sl], w[sl], None if u is None else u[sl])
+    def rows(i) -> PdStack:
+        return PdStack(entries[i], w[i], None if u is None else u[i])
 
     return rows
 
@@ -556,21 +563,61 @@ def _ginibre(rng: np.random.Generator, dim: int) -> np.ndarray:
     return g / math.sqrt(2.0)
 
 
-def sample_pd(
-    rng: np.random.Generator, dim: int, spread: float, vectors: bool = True
-) -> PdMatrix:
-    """Draw ``G G*/dim + spread I`` with standard complex normal ``G``.
+def _hermitian_part(m: np.ndarray) -> np.ndarray:
+    return (m + m.conj().swapaxes(-1, -2)) / 2.0
 
-    ``vectors`` is passed to :func:`validate_pd`: False when the caller
-    never reads the sample's ``log``.
+
+def _ginibre_draws(rngs: Sequence[np.random.Generator], dim: int, count: int,
+                   build: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
+    # build of count Ginibre matrices from each generator in turn, shape
+    # (len(rngs), count, dim, dim); build maps a stack matrix by matrix and
+    # runs on blocks, so that its temporaries reuse heap memory.
+    g = [_ginibre(rng, dim) for rng in rngs for _ in range(count)]
+    out = np.empty((len(g), dim, dim), dtype=np.complex128)
+    step = _block_rows(out)
+    for k in range(0, len(g), step):
+        out[k:k + step] = build(np.array(g[k:k + step]))
+    return out.reshape(len(rngs), count, dim, dim)
+
+
+def pd_draws(rngs: Sequence[np.random.Generator], dim: int, spread: float,
+             count: int = 1) -> np.ndarray:
+    """Entries of ``count`` draws of ``G G*/dim + spread I`` from each generator, in turn.
+
+    ``G`` has standard complex normal entries; the shape is (len(rngs),
+    count, dim, dim).  :func:`validate_pd_stack` validates them.
     """
     if dim < 1:
         raise DomainError(f"dimension must be at least 1, got {dim}")
     if spread <= 0.0:
         raise DomainError(f"spread must be positive, got {spread}")
-    g = _ginibre(rng, dim)
-    m = g @ g.conj().T / dim + spread * np.eye(dim)
-    return validate_pd(HermitianMatrix._symmetrized(m), vectors)
+    return _ginibre_draws(rngs, dim, count, lambda g: _hermitian_part(
+        g @ g.conj().swapaxes(-1, -2) / dim + spread * np.eye(dim)))
+
+
+def hermitian_draws(rngs: Sequence[np.random.Generator], dim: int, radius: float,
+                    count: int = 1) -> np.ndarray:
+    """Entries of ``count`` random self-adjoint matrices from each generator, in turn.
+
+    Each is rescaled to spectral radius at most ``radius``, all radii from
+    one stacked ``eigvalsh``; the shape is (len(rngs), count, dim, dim).
+    """
+    h = _ginibre_draws(rngs, dim, count, lambda g: _hermitian_part(_hermitian_part(g)))
+    rho = np.max(np.abs(_eigh(h, vectors=False)[0]), axis=-1)
+    for i in zip(*np.nonzero(rho > radius)):
+        h[i] *= radius / rho[i]
+    return h
+
+
+def sample_pd(
+    rng: np.random.Generator, dim: int, spread: float, vectors: bool = True
+) -> PdMatrix:
+    """Draw ``G G*/dim + spread I`` with standard complex normal ``G`` (:func:`pd_draws`).
+
+    ``vectors`` is passed to :func:`validate_pd`: False when the caller
+    never reads the sample's ``log``.
+    """
+    return validate_pd(HermitianMatrix._exact(pd_draws([rng], dim, spread)[0, 0]), vectors)
 
 
 def random_pd(dim: int, seed: int, spread: float) -> PdMatrix:
@@ -587,10 +634,5 @@ def random_pd(dim: int, seed: int, spread: float) -> PdMatrix:
 def sample_hermitian(
     rng: np.random.Generator, dim: int, radius: float = 3.0
 ) -> HermitianMatrix:
-    """Draw a random self-adjoint matrix, rescaled to spectral radius <= radius."""
-    g = _ginibre(rng, dim)
-    h = HermitianMatrix._symmetrized((g + g.conj().T) / 2.0)
-    rho = float(np.max(np.abs(eigvals(h))))
-    if rho > radius:
-        h = h * (radius / rho)
-    return h
+    """Draw a random self-adjoint matrix, rescaled to spectral radius <= radius (:func:`hermitian_draws`)."""
+    return HermitianMatrix._exact(hermitian_draws([rng], dim, radius)[0, 0])

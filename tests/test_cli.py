@@ -76,6 +76,14 @@ class TestVerify:
         assert captured.out == ""
         assert "tol" in captured.err
 
+    def test_more_than_a_million_trials_exits_two(self, capsys):
+        # klein's kinds start a million indices apart: trial 10**6 of
+        # nonneg would draw the generator of identity's trial 0
+        assert main(["verify", "--suite", "klein", "--trials", "1000001"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "trials" in captured.err
+
     def test_seed_outside_64_bits_exits_two(self, capsys):
         assert main(["verify", "--seed", "-1"]) == 2
         assert main(["verify", "--suite", "klein", "--seed", str(2**64)]) == 2

@@ -27,7 +27,7 @@ from qrelent import (
     trace_product,
     validate_pd,
 )
-from qrelent.convexity import record_to_json_dict
+from qrelent.convexity import chunk_trials, record_to_json_dict
 from qrelent.divergence import relative_entropies
 from qrelent.hermitian import pd_stack
 from qrelent.variational import trace_exp_logs
@@ -258,6 +258,10 @@ class TestSegmentTest:
         trials = segment_test(pointwise(skip_p2), p1, p2, [0.1, 0.5], "convex")
         assert [tr.valid for tr in trials] == [False, False]
 
+    def test_no_t_gives_no_records(self):
+        p1, p2 = PdMatrix.diagonal([1.0]), PdMatrix.diagonal([2.0])
+        assert segment_test(pointwise(lambda m: m.trace()), p1, p2, [], "convex") == []
+
     def test_heterogeneous_points_rejected(self):
         with pytest.raises(TypeError):
             segment_test(
@@ -307,16 +311,17 @@ class TestJointConvexitySuite:
         calls = []
 
         def nan_in_4th_call(*args):
-            # the 4th call evaluates the second trial's mixtures
+            # the 4th call evaluates the second chunk's mixtures (chunks of
+            # 11 trials at dim 6)
             calls.append(None)
             value, *summands = relative_entropies(*args)
             if len(calls) == 4:
                 value = value.copy()
-                value[3] = math.nan
+                value[1, 3] = math.nan
             return (value, *summands)
 
         monkeypatch.setattr(convexity, "relative_entropies", nan_in_4th_call)
-        report = joint_convexity_suite(3, 3, 42, 1e-9)
+        report = joint_convexity_suite(6, 25, 42, 1e-9)
         assert len(calls) > 4
         assert not report.passed
         assert math.isnan(report.extras["min_divergence_value"])
@@ -327,7 +332,8 @@ class TestJointConvexitySuite:
         from qrelent import convexity
 
         def constant(x_eigenvalues, x, y, log_y):
-            return (np.full(len(x), -1.0),) + (np.zeros(len(x)),) * 2 + (np.ones(len(x)),)
+            shape = x.shape[:-2]
+            return (np.full(shape, -1.0),) + (np.zeros(shape),) * 2 + (np.ones(shape),)
 
         monkeypatch.setattr(convexity, "relative_entropies", constant)
         report = joint_convexity_suite(3, 3, 42, 1e-9)
@@ -355,33 +361,149 @@ def test_rejects_bad_args(name):
         (4, 10, 1, math.inf), (4, 10, 1, math.nan),
         # -1 would otherwise draw the streams of 2**64 - 1
         (4, 10, -1, 1e-10), (4, 10, 2**64, 1e-10),
+        # klein's kinds start a million indices apart
+        (4, 1_000_001, 1, 1e-10),
     ]:
         with pytest.raises(ValueError):
             run_suite(name, dim, trials, seed, tol)
 
 
+def test_chunk_holds_one_block_of_mixtures():
+    # 16 bytes per complex entry, len(T_GRID) + 1 mixtures per trial
+    assert [chunk_trials(n) for n in (1, 6, 14, 15, 16, 64)] == [409, 11, 2, 1, 1, 1]
+
+
+@pytest.mark.parametrize("dim, trials", [
+    (3, 3),
+    # chunks of 409 and of 11: 25 trials end mid-chunk (11, 11 and 3 at dim 6)
+    (1, 25), (6, 25),
+])
 @pytest.mark.parametrize("name, options", [
     *((name, {}) for name in SUITES),
     # violations carry witnesses, which must replay too
     ("lieb-concavity", {"orientation": "convex"}),
 ])
-def test_each_trial_replays_alone(name, options):
+def test_each_trial_replays_alone(name, options, dim, trials):
+    # A run chunks its trials; each trial, run alone as a chunk of one,
+    # gives the same records byte for byte.
     from conftest import trial_rng
 
     row = SUITES[name]
-    report = run_suite(name, 3, 3, 42, None, **options)
+    report = run_suite(name, dim, trials, 42, None, **options)
     full = [json.dumps(record_to_json_dict(r)) for r in report.trials]
     start = 0
     for kind in row.kinds:
         named = () if kind.name is None else (kind.name,)
-        for i in range(kind.count(3)):
+        for i in range(kind.count(trials)):
             records, _ = row.trial(
-                trial_rng(42, kind.first + i), 3, row.tol, *named, **{**row.options, **options}
+                [trial_rng(42, kind.first + i)], dim, row.tol, *named,
+                **{**row.options, **options}
             )
             replayed = [json.dumps(record_to_json_dict(r)) for r in records]
             assert replayed == full[start:start + len(replayed)], (kind.name, i)
             start += len(replayed)
     assert start == len(full)
+
+
+def _lieb_chunk_liar(monkeypatch, k, kind):
+    """Make trial ``k`` of lieb-concavity (seed 42, dim 6) fail at a mixture, alone or chunked.
+
+    Trial ``k``'s ``A1`` keeps its spectrum, which its endpoint value reads,
+    but gets other entries, which its mixtures read: ``-A2`` makes the
+    mixture at t = 0.5 zero (``"floor"``), and ``diag(e^701, 1, ...)``
+    puts an eigenvalue of ``H + log A_t`` above the exp-overflow guard
+    (``"overflow"``).
+    """
+    from conftest import trial_rng
+    from qrelent import convexity
+    from qrelent.hermitian import PdStack, hermitian_draws, pd_draws
+
+    rng = trial_rng(42, k)
+    hermitian_draws([rng], 6, 3.0)
+    a1, a2 = pd_draws([rng], 6, 0.1, 2)[0]
+    liar = -a2 if kind == "floor" else np.diag([math.exp(701.0)] + [1.0] * 5).astype(complex)
+    validate = convexity.validate_pd_stack
+
+    def validate_with_liar(entries, vectors=True):
+        stack = validate(entries, vectors)
+        hit = np.all(stack.entries == a1, axis=(-2, -1))
+        if not hit.any():
+            return stack
+        swapped = stack.entries.copy()
+        swapped[hit] = liar
+        return PdStack(swapped, stack.eigenvalues, stack.vectors)
+
+    monkeypatch.setattr(convexity, "validate_pd_stack", validate_with_liar)
+
+
+class TestChunkFailures:
+    @pytest.mark.parametrize("k", [3, 14])
+    @pytest.mark.parametrize("kind, cause", [("floor", DomainError), ("overflow", OverflowError)])
+    def test_failing_trial_raises_in_a_chunk_what_it_raises_alone(self, monkeypatch, k, kind, cause):
+        # 25 trials at dim 6 run as chunks of 11, 11 and 3; trial 3 sits in
+        # the first chunk, trial 14 in the second.
+        from conftest import trial_rng
+        from qrelent import convexity
+
+        _lieb_chunk_liar(monkeypatch, k, kind)
+        with pytest.raises(SegmentEvaluationError) as alone:
+            convexity.lieb_concavity_trial([trial_rng(42, k)], 6, 1e-9, "concave")
+        first = k - k % 11
+        with pytest.raises(SegmentEvaluationError) as chunked:
+            convexity.lieb_concavity_trial(
+                [trial_rng(42, i) for i in range(first, first + 11)], 6, 1e-9, "concave")
+        with np.errstate(over="ignore"), pytest.raises(SegmentEvaluationError) as suite:
+            lieb_concavity_suite(6, 25, 42, 1e-9)
+        # a mixture fails, not an endpoint (t = 1.0 or 0.0)
+        assert isinstance(alone.value.__cause__, cause) and 0.0 < alone.value.t < 1.0
+        if kind == "floor":
+            assert alone.value.t == 0.5
+        for err in (chunked, suite):
+            assert (str(err.value), err.value.t) == (str(alone.value), alone.value.t)
+            assert type(err.value.__cause__) is cause
+            assert str(err.value.__cause__) == str(alone.value.__cause__)
+
+    def test_a_chunk_that_raises_runs_its_trials_alone(self, monkeypatch):
+        # A failure the chunk cannot place (here, in its sampling) reruns
+        # the chunk's trials one at a time: the first trial that fails
+        # alone raises, here the second of the chunk.
+        from qrelent import convexity
+
+        draws = convexity.pd_draws
+        chunks = []
+
+        def failing(rngs, dim, spread, count=1):
+            chunks.append(len(rngs))
+            if len(rngs) > 1 or len(chunks) == 3:
+                raise DomainError(f"injected in call {len(chunks)}")
+            return draws(rngs, dim, spread, count)
+
+        monkeypatch.setattr(convexity, "pd_draws", failing)
+        with pytest.raises(DomainError, match="injected in call 3"):
+            joint_convexity_suite(6, 25, 42, 1e-9)
+        assert chunks == [11, 1, 1]
+
+    def test_stack_of_segments_equals_each_segment_alone(self):
+        # segment_test on three segments, each with its own t, against each
+        # segment as a stack of one; a failure in the third is raised with
+        # the t it has alone.
+        from conftest import sample_pd, trial_rng
+
+        rng = trial_rng(44, 0)
+        h = HermitianMatrix.diagonal([0.5, -0.5])
+        a1s = [sample_pd(rng, 2, 0.1) for _ in range(3)]
+        a2s = [sample_pd(rng, 2, 0.1) for _ in range(3)]
+        ts = [[0.2, 0.6], [0.3, 0.9], [0.25, 0.75]]
+        stacked = segment_test(_lieb(h), pd_stack(a1s), pd_stack(a2s), ts, "concave")
+        alone = [tr for a1, a2, t in zip(a1s, a2s, ts)
+                 for tr in segment_test(_lieb(h), a1, a2, t, "concave")]
+        assert stacked == alone
+        truth = PdMatrix.identity(2).spectrum
+        liar = PdMatrix(HermitianMatrix.diagonal([-1.0, 1.0]), truth.eigenvalues, truth.vectors)
+        with pytest.raises(SegmentEvaluationError) as err:
+            segment_test(_lieb(h), pd_stack(a1s[:2] + [liar]),
+                         pd_stack(a2s[:2] + [PdMatrix.identity(2)]), ts, "concave")
+        assert err.value.t == 0.75
 
 
 class TestLiebConcavitySuite:
@@ -411,15 +533,16 @@ class TestLiebConcavitySuite:
         calls = []
 
         def nan_in_4th_call(h, log_a):
-            # the 4th call evaluates the second trial's mixtures
+            # the 4th call evaluates the second chunk's mixtures (chunks of
+            # 11 trials at dim 6)
             calls.append(None)
             values = trace_exp_logs(h, log_a)
             if len(calls) == 4:
-                values[3] = math.nan
+                values[1, 3] = math.nan
             return values
 
         monkeypatch.setattr(convexity, "trace_exp_logs", nan_in_4th_call)
-        report = lieb_concavity_suite(4, 3, 42, 1e-9)
+        report = lieb_concavity_suite(6, 25, 42, 1e-9)
         assert len(calls) > 4
         assert not report.passed
         assert math.isnan(report.max_violation)
@@ -506,7 +629,7 @@ class TestWitnesses:
 
         rng = trial_rng(7, 0)
         p1, p2 = self._joint_point(rng), self._joint_point(rng)
-        records = _segment(pointwise(rises_off_the_endpoints), p1, p2, rng, "convex", 1e-9)
+        records = _segment(pointwise(rises_off_the_endpoints), p1, p2, [rng], "convex", 1e-9)
         assert len(records) == len(T_GRID) + 1
         assert all(r.witness is not None and r.witness["t"] == r.t for r in records)
         assert ["p1" in r.witness for r in records] == [True] + [False] * len(T_GRID)
@@ -522,7 +645,7 @@ class TestWitnesses:
 
         rng = trial_rng(7, 0)
         p1, p2 = self._joint_point(rng), self._joint_point(rng)
-        records = _segment(pointwise(lambda x, y: 1.0), p1, p2, rng, "convex", 1e-9)
+        records = _segment(pointwise(lambda x, y: 1.0), p1, p2, [rng], "convex", 1e-9)
         assert all(r.witness is None for r in records)
 
     def test_failing_report_is_at_most_a_quarter_of_the_old_size(self):
@@ -637,11 +760,10 @@ def _partial_max_instance(seed):
     """``(h, a1, a2, x1, x2)`` of partial-max trial ``(seed, 0)`` at dim 4: X* the endpoint maximizers."""
     from conftest import trial_rng
     from qrelent import maximize_lieb
-    from qrelent.convexity import _centered_pd, sample_lieb_instance
+    from qrelent.convexity import _lieb_instances
 
-    rng = trial_rng(seed, 0)
-    h, a1 = sample_lieb_instance(rng, 4)
-    a2 = _centered_pd(rng, 4, 0.3)
+    h, a = _lieb_instances([trial_rng(seed, 0)], 4, 2)
+    h, a1, a2 = HermitianMatrix._exact(h[0]), a.point((0, 0)), a.point((0, 1))
     return h, a1, a2, maximize_lieb(h, a1).maximizer, maximize_lieb(h, a2).maximizer
 
 
@@ -705,8 +827,25 @@ class TestPartialMaxWarmStart:
 
         monkeypatch.setattr(convexity, "maximize_lieb", failing)
         with pytest.raises(SegmentEvaluationError) as err:
-            convexity.partial_max_trial(trial_rng(23, 0), 4, 1e-8)
+            convexity.partial_max_trial([trial_rng(23, 0)], 4, 1e-8)
         assert err.value.t == 0.3
+
+    def test_endpoints_take_their_values_from_the_cold_ascents(self, monkeypatch):
+        # One cold ascent per endpoint and one warm ascent per mixture; the
+        # endpoints are not maximized a second time.
+        from conftest import trial_rng
+        from qrelent import convexity
+
+        solver, starts = convexity.maximize_lieb, []
+
+        def recorded(h, a, init=None):
+            starts.append(init is None)
+            return solver(h, a, init)
+
+        monkeypatch.setattr(convexity, "maximize_lieb", recorded)
+        records, _ = convexity.partial_max_trial([trial_rng(23, i) for i in range(3)], 4, 1e-8)
+        assert len(records) == 3 * len(T_GRID + (0.5,))
+        assert starts == [True, True] * 3 + [False] * len(records)
 
     def test_nan_start_objective_fails_the_suite(self, monkeypatch):
         # a NaN start objective makes both links NaN, which min() could skip

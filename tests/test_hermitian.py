@@ -424,27 +424,45 @@ class TestDecompositionCounts:
         assert len(trials) == 4
         assert decompositions == {"eigh": pd_components, "eigvalsh": 0}
 
+    @pytest.mark.parametrize("chunk", [1, 11])
     @pytest.mark.parametrize("grid", [(0.5,), (0.1, 0.3, 0.5, 0.9), convexity.T_GRID])
     @pytest.mark.parametrize("trial, counts", [
-        # sampling: X1, X2 eigvalsh, Y1, Y2 eigh; segment: one stack each side
-        (convexity.joint_convexity_trial, {"eigh": 3, "eigvalsh": 3}),
+        # sampling: X1, X2 one eigvalsh, Y1, Y2 one eigh; segment: one
+        # stack of mixtures each side
+        (convexity.joint_convexity_trial, {"eigh": 2, "eigvalsh": 2}),
         # sampling: H eigvalsh, A1, A2 eigh; segment: the A stack, then one
         # eigvalsh of H + log A for the endpoints and one for the mixtures
         (functools.partial(convexity.lieb_concavity_trial, orientation="concave"),
-         {"eigh": 3, "eigvalsh": 3}),
+         {"eigh": 2, "eigvalsh": 3}),
         # sampling: A eigh, H1, H2 eigvalsh; segment: as lieb, no stack to decompose
-        (convexity.fenchel_trial, {"eigh": 1, "eigvalsh": 4}),
+        (convexity.fenchel_trial, {"eigh": 1, "eigvalsh": 3}),
     ])
-    def test_segment_trial_decomposes_in_stacks_whatever_the_grid(
-        self, decompositions, monkeypatch, trial, counts, grid
+    def test_segment_chunk_decomposes_in_stacks_whatever_the_grid(
+        self, decompositions, monkeypatch, trial, counts, grid, chunk
     ):
-        # One trial of each closed-form claim, on grids of 1, 4 and 9 points
-        # plus the drawn t: the counts stay the same, so no evaluation falls
-        # back to one decomposition per point.
+        # A chunk of each closed-form claim at dim 6, one trial or a full
+        # chunk of 11, on grids of 1, 4 and 9 points plus the drawn t: the
+        # counts stay the same, so every kind of sample and every kernel
+        # takes one stacked call for the whole chunk, and no evaluation
+        # falls back to one decomposition per point.
         monkeypatch.setattr(convexity, "T_GRID", grid)
         decompositions.update(eigh=0, eigvalsh=0)
-        records, _ = trial(trial_rng(41, 0), 6, 1e-9)
-        assert len(records) == len(grid) + 1
+        records, _ = trial([trial_rng(41, i) for i in range(chunk)], 6, 1e-9)
+        assert len(records) == chunk * (len(grid) + 1)
+        assert decompositions == counts
+
+    @pytest.mark.parametrize("chunk", [1, 11])
+    @pytest.mark.parametrize("kind, counts", [
+        ("nonneg", {"eigh": 1, "eigvalsh": 1}),
+        ("identity", {"eigh": 1, "eigvalsh": 0}),
+        ("separated", {"eigh": 1, "eigvalsh": 1}),
+    ])
+    def test_klein_chunk_decomposes_each_kind_of_sample_once(
+        self, decompositions, kind, counts, chunk
+    ):
+        decompositions.update(eigh=0, eigvalsh=0)
+        records, _ = convexity.klein_trial([trial_rng(42, i) for i in range(chunk)], 6, 1e-9, kind)
+        assert len(records) == chunk
         assert decompositions == counts
 
     def test_maximize_lieb_decomposes_each_trial_point_once(self, monkeypatch):
