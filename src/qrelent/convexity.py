@@ -36,13 +36,8 @@ from .hermitian import (
     validate_pd_stack,
 )
 from .matrixio import matrix_to_dict
-from .segments import SegmentTrial, Stack, _as_point, _as_stack, _entries, pointwise, segment_test
-from .variational import (
-    maximize_lieb,
-    maximize_variational,
-    trace_exp_log,
-    trace_exp_logs,
-)
+from .segments import SegmentTrial, Stack, _as_point, _as_stack, _entries, segment_test
+from .variational import maximize_liebs, trace_exp_logs
 
 # Deterministic interior grid; endpoint t-values are trivially tight and
 # deliberately omitted.  Each trial appends one uniform random t.
@@ -291,7 +286,8 @@ def partial_max_trial(rngs: Rngs, dim: int, tol: float) -> tuple[list, list]:
         g(A_t) >= phi(X_t, A_t) >= t g(A1) + (1-t) g(A2).
 
     The cold ascents give the endpoint values.  Each point of the segment
-    is ``(A, X*)``, so the ascent at ``A_t`` starts from ``X_t``.  The
+    is ``(A, X*)``, so the ascent at ``A_t`` starts from ``X_t``; a
+    chunk's cold ascents are one stack, its mixtures' another.  The
     samples are, per converged evaluation, the gap to the direct value
     ``tr exp(H + log A)``, and per valid comparison the two links: the
     joint-concavity margin ``phi(X_t, A_t) - rhs`` and the ascent gain
@@ -303,35 +299,27 @@ def partial_max_trial(rngs: Rngs, dim: int, tol: float) -> tuple[list, list]:
     """
     h, a = _lieb_instances(rngs, dim, 2)
     gaps: list[float] = []
-    # The objective at each evaluation's start point, by the value found:
-    # a record's lhs is that value.
-    starts: dict[float, float] = {}
+    # The start objective of each converged mixture, in valid-record order.
+    starts: list[float] = []
 
-    def value(res, h: HermitianMatrix, a: PdMatrix) -> float | None:
-        if not res.converged:
-            return None
-        direct = trace_exp_log(h, a)
-        gaps.append(abs(res.value - direct) / (1.0 + abs(direct)))
-        return res.value
+    def g(h: np.ndarray, a: PdStack, x: PdStack | None) -> tuple[list, list]:
+        # The ascents at each A from its X, and their values (None if not converged).
+        runs = maximize_liebs(h, a, x)
+        direct = trace_exp_logs(h, a.log).ravel().tolist()
+        done = [(res, d) for res, d in zip(runs, direct) if res.converged]
+        gaps.extend(abs(res.value - d) / (1.0 + abs(d)) for res, d in done)
+        if x is not None:
+            starts.extend(res.objective_history[0] for res, _ in done)
+        return runs, [res.value if res.converged else None for res in runs]
 
-    def g(h: HermitianMatrix, a: PdMatrix, x: PdMatrix) -> float | None:
-        res = maximize_lieb(h, a, x)
-        if res.converged:
-            starts[res.value] = res.objective_history[0]
-        return value(res, h, a)
-
-    ends, maximizers = [], []
-    for s in range(len(rngs)):
-        hs, pair = HermitianMatrix._exact(h[s]), (a.point((s, 0)), a.point((s, 1)))
-        runs = [maximize_lieb(hs, ai) for ai in pair]
-        ends.append([value(res, hs, ai) for res, ai in zip(runs, pair)])
-        maximizers += [res.maximizer for res in runs]
-    x = pd_stack(maximizers)
-    records = _segment(pointwise(g), (a[:, 0], x[0::2]), (a[:, 1], x[1::2]), rngs, "concave",
-                       tol, fixed=h, ends=ends)
+    runs, values = g(h[:, None], a, None)
+    x = pd_stack([res.maximizer for res in runs])
+    ends = [values[i:i + 2] for i in range(0, len(values), 2)]
+    records = _segment(lambda *p: g(*p)[1], (a[:, 0], x[0::2]), (a[:, 1], x[1::2]), rngs,
+                       "concave", tol, fixed=h, ends=ends)
     valid = [r for r in records if r.valid]
-    margins = [(starts[r.lhs] - r.rhs) / r.scale for r in valid]
-    gains = [(r.lhs - starts[r.lhs]) / r.scale for r in valid]
+    margins = [(start - r.rhs) / r.scale for start, r in zip(starts, valid)]
+    gains = [(r.lhs - start) / r.scale for start, r in zip(starts, valid)]
     return records, [(gaps, margins, gains)]
 
 
@@ -384,23 +372,28 @@ def variational_trial(rngs: Rngs, dim: int, tol: float) -> tuple[list, list]:
     Maximizes the trace variational objective on a random ``Y`` (argmax
     must be ``Y`` with value ``tr Y``) and the trace-exponential objective
     on a conditioned ``(H, A)`` pair (argmax ``exp(H + log A)`` with value
-    ``tr exp(H + log A)``).  Recorded violations are normalized gaps minus
-    their budgets (1e-6 for values, 1e-4 for maximizers).
+    ``tr exp(H + log A)``), all in one stack.  Recorded violations are
+    normalized gaps minus their budgets (1e-6 for values, 1e-4 for
+    maximizers).
     """
-    ys = validate_pd_stack(pd_draws(rngs, dim, 0.1)[:, 0])
-    hs, a_stack = _lieb_instances(rngs, dim, 1)
+    y = validate_pd_stack(pd_draws(rngs, dim, 0.1)[:, 0])
+    h, a = _lieb_instances(rngs, dim, 1)
+    # Row (s, 0) is Y as H = 0, A = Y.  The samples live on here only.
+    h, a = np.stack((np.zeros_like(h), h), axis=1), pd_stack((y, a[:, 0]), axis=1)
+    del y
+    runs = iter(maximize_liebs(h, a))
     records = []
     for s in range(len(rngs)):
-        y = ys.point(s)
-        records += _agreement("variational", maximize_variational(y), lambda: (y.trace(), y))
-        h, a = HermitianMatrix._exact(hs[s]), a_stack.point((s, 0))
+        y = a.point((s, 0))
+        records += _agreement("variational", next(runs), lambda: (y.trace(), y))
+        h_s, a_s = HermitianMatrix._exact(h[s, 1]), a.point((s, 1))
 
         def lieb_closed_form() -> tuple[float, PdMatrix]:
             # One decomposition of H + log A gives the argmax and its trace.
-            x_star = mat_exp(h + mat_log(a))
+            x_star = mat_exp(h_s + mat_log(a_s))
             return float(x_star.eigenvalues.sum()), x_star
 
-        records += _agreement("lieb", maximize_lieb(h, a), lieb_closed_form)
+        records += _agreement("lieb", next(runs), lieb_closed_form)
     return records, []
 
 
@@ -434,7 +427,8 @@ class Suite(NamedTuple):
     records in trial order; a chunk of one runs one trial alone.
     ``options`` holds the default of each option the config echo records.
     ``extras(records, samples, tol)`` reduces the samples of a whole run to
-    the report's extras and whether they pass.
+    the report's extras and whether they pass.  ``width`` is the number of
+    matrices one trial stacks.
     """
 
     trial: Callable[..., tuple[list, list]]
@@ -443,6 +437,7 @@ class Suite(NamedTuple):
     kinds: tuple = (Kind(None, 0, lambda trials: trials),)
     options: dict = {}
     extras: Callable[..., tuple[dict, bool]] = lambda records, samples, tol: ({}, True)
+    width: int = len(T_GRID) + 1
 
 
 # Every suite, in the order ``verify --suite all`` runs them.  partial-max
@@ -459,7 +454,7 @@ SUITES = {
     "lieb-concavity": Suite(lieb_concavity_trial, options={"orientation": "concave"}),
     "partial-max": Suite(partial_max_trial, trials=50, tol=1e-8, extras=_partial_max_extras),
     "fenchel": Suite(fenchel_trial),
-    "variational": Suite(variational_trial, extras=_variational_extras),
+    "variational": Suite(variational_trial, extras=_variational_extras, width=2),
 }
 
 
@@ -486,14 +481,13 @@ def suite_args(
     return trials, tol
 
 
-def chunk_trials(dim: int) -> int:
-    """Trials per chunk: as many segments of ``len(T_GRID) + 1`` mixtures as one block holds.
+def chunk_trials(dim: int, width: int) -> int:
+    """Trials per chunk: as many trials of ``width`` matrices as one block holds.
 
     A block is ``_BLOCK_BYTES`` of complex entries: 11 trials at dim 6,
-    409 at dim 1, one from dim 15 on.
+    409 at dim 1, one from dim 15 on for the mixtures of a segment.
     """
-    return max(1, _BLOCK_BYTES // (np.dtype(np.complex128).itemsize * dim * dim
-                                   * (len(T_GRID) + 1)))
+    return max(1, _BLOCK_BYTES // (np.dtype(np.complex128).itemsize * dim * dim * width))
 
 
 def _run_chunk(trial: Callable, seed: int, indices: range, *args, **options) -> tuple[list, list]:
@@ -526,7 +520,7 @@ def run_suite(
     trials, tol = suite_args(name, dim, trials, seed, tol)
     row = SUITES[name]
     options = {**row.options, **options}
-    chunk = chunk_trials(dim)
+    chunk = chunk_trials(dim, row.width)
     records: list = []
     samples: list = []
     for kind in row.kinds:

@@ -557,26 +557,24 @@ def trial_rng(seed: int, index: int) -> np.random.Generator:
     return np.random.default_rng([int(seed) & _SEED_MASK, int(index)])
 
 
-def _ginibre(rng: np.random.Generator, dim: int) -> np.ndarray:
-    # Independent standard complex normal entries: E|g|^2 = 1.
-    g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-    return g / math.sqrt(2.0)
-
-
 def _hermitian_part(m: np.ndarray) -> np.ndarray:
     return (m + m.conj().swapaxes(-1, -2)) / 2.0
 
 
 def _ginibre_draws(rngs: Sequence[np.random.Generator], dim: int, count: int,
                    build: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
-    # build of count Ginibre matrices from each generator in turn, shape
-    # (len(rngs), count, dim, dim); build maps a stack matrix by matrix and
-    # runs on blocks, so that its temporaries reuse heap memory.
-    g = [_ginibre(rng, dim) for rng in rngs for _ in range(count)]
-    out = np.empty((len(g), dim, dim), dtype=np.complex128)
+    # build of count Ginibre matrices G (E|g|^2 = 1) from each generator in
+    # turn, on blocks so that build's temporaries reuse heap memory.  One
+    # call a generator draws, into out, the real then imaginary part of each G.
+    out = np.empty((len(rngs), count, dim, dim), dtype=np.complex128)
+    x = out.view(np.float64).reshape(len(rngs), count, 2, dim, dim)
+    for rng, xs in zip(rngs, x):
+        rng.standard_normal(out=xs)
+    out, x = out.reshape(-1, dim, dim), x.reshape(-1, 2, dim, dim)
     step = _block_rows(out)
-    for k in range(0, len(g), step):
-        out[k:k + step] = build(np.array(g[k:k + step]))
+    for k in range(0, len(out), step):
+        g = x[k:k + step]
+        out[k:k + step] = build((g[:, 0] + 1j * g[:, 1]) / math.sqrt(2.0))
     return out.reshape(len(rngs), count, dim, dim)
 
 

@@ -25,18 +25,22 @@ import dataclasses
 
 import numpy as np
 
-from .divergence import entropies, entropy, relative_entropy
-from .errors import DomainError, NotHermitianError
+from .divergence import entropies, entropy, relative_entropies, relative_entropy
+from .errors import DimMismatchError, NotHermitianError
 from .hermitian import (
+    PD_FLOOR,
     HermitianMatrix,
     PdMatrix,
+    PdStack,
     _check_dims,
     _eigh,
-    _rebuild,
+    _reconstruct,
     exp_eigenvalues,
     mat_log,
+    pd_stack,
     trace_product,
-    validate_pd,
+    trace_products,
+    traces,
 )
 
 # Iteration cap of one ascent.
@@ -129,97 +133,136 @@ def _logarithmic_mean(w: np.ndarray) -> np.ndarray:
     ``X = U diag(w) U*`` is ``Dlog(X)[E] = U ((U* E U) / Phi) U*``.  Written
     as ``lo * d / log1p(d)`` with ``d = (hi - lo) / lo``, the mean keeps full
     relative accuracy for near-equal and for widely separated pairs alike.
+    ``w`` is one spectrum or a stack of them along its last axis.
     """
-    lo = np.minimum.outer(w, w)
-    hi = np.maximum.outer(w, w)
-    d = (hi - lo) / lo
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = np.where(d > 0.0, d / np.log1p(d), 1.0)
-    return lo * ratio
+    lo = np.minimum(w[..., :, None], w[..., None, :])
+    d = np.maximum(w[..., :, None], w[..., None, :])
+    d -= lo
+    d /= lo
+    lo *= np.divide(d, np.log1p(d), out=np.ones_like(d), where=d > 0.0)
+    return lo
 
 
-def _objective(k: np.ndarray, x: np.ndarray, w: np.ndarray) -> float:
-    # f(X) = tr(XK) - tr(X log X) + tr X, with w the eigenvalues of X; K and
-    # X may be written in any one orthonormal basis.
-    return float(np.vdot(k, x).real) - float(entropies(w)) + float(np.sum(w))
+def _diag(w: np.ndarray) -> np.ndarray:
+    # np.diag of every row of w, shape (S, n) -> (S, n, n).
+    n = w.shape[-1]
+    d = np.zeros(w.shape + (n,))
+    d.reshape(len(w), n * n)[:, :: n + 1] = w
+    return d
+
+
+def _objectives(k: np.ndarray, x: np.ndarray, w: np.ndarray) -> np.ndarray:
+    # f(X) = tr(XK) - tr(X log X) + tr X per row, w the eigenvalues of X; K
+    # and X in any one orthonormal basis.  A vdot per row sums as the row alone.
+    return np.array([np.vdot(a, b).real for a, b in zip(k, x)]) - entropies(w) + w.sum(axis=-1)
 
 
 def _newton_step(k: np.ndarray, w: np.ndarray, u: np.ndarray):
-    """``K`` in X's eigenbasis, gradient norm, Newton direction and slope at ``X = U diag(w) U*``.
+    """``K`` in X's eigenbasis, gradient norm, Newton direction and slope at each ``U diag(w) U*``.
 
-    Returns ``(K~, ||G||_F, D~, <G, D~>)`` with ``K~ = U* K U``, made
-    exactly self-adjoint.  The gradient ``K - log X`` reads
-    ``G = K~ - diag(log w)`` in X's eigenbasis.  The Hessian is
-    ``-Dlog(X)``, so the Newton direction ``D = U D~ U*`` with
-    ``D~ = G o Phi`` solves ``Dlog(X)[D] = G`` (see
-    :func:`_logarithmic_mean`).  The slope is positive whenever ``G`` is
-    nonzero.
+    Takes stacks ``k``, ``u`` (S, n, n) and ``w`` (S, n), and returns
+    ``(K~, ||G||_F, D~, <G, D~>)``, the norms and slopes of shape (S,),
+    with ``K~ = U* K U`` made exactly self-adjoint.  The gradient ``K -
+    log X`` reads ``G = K~ - diag(log w)`` in X's eigenbasis.  The Hessian
+    is ``-Dlog(X)``, so the Newton direction ``D = U D~ U*`` with ``D~ = G
+    o Phi`` solves ``Dlog(X)[D] = G`` (see :func:`_logarithmic_mean`).  The
+    slope is positive whenever ``G`` is nonzero.
     """
-    kt = u.conj().T @ k @ u
-    kt = (kt + kt.conj().T) / 2.0
-    g = kt - np.diag(np.log(w))
+    kt = u.conj().swapaxes(-1, -2) @ k @ u
+    kt = kt + kt.conj().swapaxes(-1, -2)
+    kt /= 2.0
+    g = kt - _diag(np.log(w))
     dt = g * _logarithmic_mean(w)
-    return kt, float(np.linalg.norm(g)), dt, float(np.vdot(g, dt).real)
+    # np.linalg.norm of each G, its own sum without its per-call checks.
+    norms = np.sqrt([r.real.dot(r.real) + r.imag.dot(r.imag) for r in g.reshape(len(g), -1)])
+    return kt, norms, dt, np.array([np.vdot(a, b).real for a, b in zip(g, dt)])
 
 
-def _ascend(k: np.ndarray, init: PdMatrix, grad_tol: float):
-    """Damped Newton ascent for ``f(X) = tr(XK) - tr(X log X) + tr X``, in X's eigenbasis.
+def _line_search(kt, w, dt, f, slope):
+    """Per row, whether a trial point of :func:`_ascend` was accepted, with its ``(w', V, f')``.
 
-    Starts from ``init`` and its carried spectrum and carries the iterate
-    as ``(w, U)``, ``X = U diag(w) U*``.  Each iteration takes the
-    direction ``D~`` of :func:`_newton_step` and tries
-    ``M = diag(w) + t D~``, the point ``X + tD`` written in X's eigenbasis,
-    with ``t = 1, 1/2, 1/4, ...`` (``_BACKTRACK_FACTOR``) until the trial
-    point's smallest eigenvalue exceeds ``_EIG_FLOOR`` and the Armijo
-    condition ``f(X + tD) >= f(X) + c t <G, D>`` with ``c = _ARMIJO_C``
-    holds.  A trial point below the floor is rejected, never clipped.  The
-    decomposition ``M = V diag(w') V*`` of an accepted point gives the
-    next iterate ``(w', U V)``.  The ascent stops when
-    ``||G||_F <= grad_tol``, after ``_MAX_ITERS`` iterations, or when no
-    trial step ``t >= _MIN_STEP`` is accepted.  Returns the last iterate's
-    ``(w, U)``, the iteration count, the final gradient norm and the
-    objective at the start and after every accepted step.
+    The rows still searching share ``t``, and their trial points are
+    decomposed with one stacked ``eigh``: the whole stack at ``t = 1``, the
+    rows that backtrack after that.
     """
-    w, u = init.spectrum.eigenvalues, init.spectrum.vectors
-    kt, grad_norm, dt, slope = _newton_step(k, w, u)
-    f = _objective(kt, np.diag(w), w)
-    history = [f]
-
-    iters = 0
-    while grad_norm > grad_tol and iters < _MAX_ITERS:
-        t = 1.0
-        while t >= _MIN_STEP:
-            m = np.diag(w) + t * dt
-            wc, v = np.linalg.eigh(m)
-            if wc[0] > _EIG_FLOOR:
-                fc = _objective(kt, m, wc)
-                if fc >= f + _ARMIJO_C * t * slope - _ACCEPT_SLACK:
-                    break
-            t *= _BACKTRACK_FACTOR
+    d, s, t = _diag(w), None, 1.0
+    while t >= _MIN_STEP:
+        at = (lambda x: x) if s is None else (lambda x: x[s])
+        m = t * at(dt)
+        m += at(d)
+        wt, vt = _eigh(m)
+        ok = wt[:, 0] > _EIG_FLOOR
+        # np.maximum changes no eigenvalue of an ok row and keeps log off the others'.
+        ft = _objectives(at(kt), m, np.maximum(wt, _EIG_FLOOR))
+        hit = ok & (ft >= at(f) + _ARMIJO_C * t * at(slope) - _ACCEPT_SLACK)
+        if s is None:
+            if hit.all():
+                return hit, wt, vt, ft
+            # The first trial's arrays take the later accepted points.
+            found, wc, v, fc, s = hit, wt, vt, ft, np.flatnonzero(~hit)
         else:
-            break
+            j = s[hit]
+            found[j], wc[j], v[j], fc[j] = True, wt[hit], vt[hit], ft[hit]
+            s = s[~hit]
+            if not len(s):
+                break
+        t *= _BACKTRACK_FACTOR
+    return found, wc, v, fc
 
-        w, u, f = wc, u @ v, fc
-        kt, grad_norm, dt, slope = _newton_step(k, w, u)
-        history.append(f)
-        iters += 1
 
-    return w, u, iters, grad_norm, tuple(history)
+def _ascend(k: np.ndarray, w: np.ndarray, u: np.ndarray, grad_tol: np.ndarray):
+    """Damped Newton ascent for ``f(X) = tr(XK) - tr(X log X) + tr X``, on a stack, in lockstep.
 
-
-def _maximizer(w: np.ndarray, u: np.ndarray) -> PdMatrix:
-    """``X = U diag(w) U*`` for the last iterate ``(w, U)`` of an ascent, decomposed afresh.
-
-    The product of the steps' eigenvector matrices drifts from unitary by
-    rounding, so X carries its own decomposition; only when forming X has
-    taken an eigenvalue near ``_EIG_FLOOR`` to ``PD_FLOOR`` or under (its
-    error is about ``eps ||X||``) does it carry ``(w, U)`` instead.
+    Row ``r`` ascends from ``X = U diag(w) U*``, ``(w, U) = (w[r], u[r])``,
+    for ``K = k[r]``, in X's eigenbasis.  Each iteration tries ``M =
+    diag(w) + t D~`` (``X + tD`` in X's eigenbasis, ``D~`` from
+    :func:`_newton_step`) with ``t = 1, 1/2, ...`` (``_BACKTRACK_FACTOR``)
+    until M's smallest eigenvalue exceeds ``_EIG_FLOOR`` (M is rejected
+    below it, never clipped) and ``f(X + tD) >= f(X) + c t <G, D>``
+    (Armijo, ``c = _ARMIJO_C``) holds; ``M = V diag(w') V*`` gives the next
+    iterate ``(w', U V)``.  Each row stops on its own: when ``||G||_F <=
+    grad_tol[r]``, after ``_MAX_ITERS`` iterations, or when no step ``t >=
+    _MIN_STEP`` is accepted.  Scalar reductions run row by row, so each
+    row's iterates are those of its problem alone, bit for bit.  Returns
+    per row the last ``(w, U)``, the iteration count, the final gradient
+    norm and the objective at the start and after every accepted step.
     """
-    x = _rebuild(u, w)
-    try:
-        return validate_pd(x)
-    except DomainError:
-        return PdMatrix(x, w, u)
+    kt, grad_norm, dt, slope = _newton_step(k, w, u)
+    f = _objectives(kt, _diag(w), w)
+    history = [[x] for x in f.tolist()]
+    w_end, u_end, norm_end = np.empty_like(w), np.empty_like(u), np.empty_like(grad_norm)
+    iters = np.zeros(len(k), dtype=int)
+    rows = np.arange(len(k))
+    it = 0
+
+    def leave(out: np.ndarray) -> None:
+        # The rows of mask ``out`` stop at their current iterate.
+        r = rows[out]
+        w_end[r], u_end[r], norm_end[r], iters[r] = w[out], u[out], grad_norm[out], it
+
+    while True:
+        go = grad_norm > grad_tol
+        if it == _MAX_ITERS or not go.all():
+            go &= it < _MAX_ITERS
+            leave(~go)
+            if not go.any():
+                break
+            rows, k, w, u, kt, dt, slope, f, grad_norm, grad_tol = (
+                x[go] for x in (rows, k, w, u, kt, dt, slope, f, grad_norm, grad_tol))
+        found, wc, v, fc = _line_search(kt, w, dt, f, slope)
+        if not found.all():
+            leave(~found)
+            if not found.any():
+                break
+            rows, k, w, u, grad_norm, grad_tol, wc, v, fc = (
+                x[found] for x in (rows, k, w, u, grad_norm, grad_tol, wc, v, fc))
+        it += 1
+        w, u, f = wc, u @ v, fc
+        del v  # not held through the next line search
+        kt, grad_norm, dt, slope = _newton_step(k, w, u)
+        for r, x in zip(rows.tolist(), f.tolist()):
+            history[r].append(x)
+    return w_end, u_end, iters, norm_end, [tuple(h) for h in history]
 
 
 def maximize_variational(y: PdMatrix, init: PdMatrix | None = None) -> OptimizeResult:
@@ -233,31 +276,58 @@ def maximize_variational(y: PdMatrix, init: PdMatrix | None = None) -> OptimizeR
     return maximize_lieb(HermitianMatrix.zeros(y.dim), y, init)
 
 
-def maximize_lieb(
-    h: HermitianMatrix, a: PdMatrix, init: PdMatrix | None = None
-) -> OptimizeResult:
-    """Maximize ``tr(XH) - (D(X;A) - tr A)`` over the PD cone.
+def maximize_lieb(h: HermitianMatrix, a: PdMatrix, init: PdMatrix | None = None) -> OptimizeResult:
+    """:func:`maximize_liebs` of one ``A``; a run that takes no step returns ``init`` itself."""
+    _check_dims(h, a)
+    stack = pd_stack((a,))
+    stack.__dict__["log"] = mat_log(a).entries[None]  # a's cached log, as the stack's
+    (res,) = maximize_liebs(h.entries, stack, None if init is None else pd_stack((init,)))
+    return res if res.iters or init is None else dataclasses.replace(res, maximizer=init)
 
-    The ascent starts from ``init`` and its spectrum, or from the identity
-    and its exact spectrum ``(1, I)`` when it is None, and has converged
-    once the gradient norm is at most ``1e-8 (1 + ||H||_F + ||A||_F)``.  On
-    convergence the value approximates ``tr exp(H + log A)`` and the
-    maximizer approximates ``exp(H + log A)``.  A run that takes no step
-    returns its start as the maximizer.
+
+def maximize_liebs(h: np.ndarray, a: PdStack, init: PdStack | None = None) -> list[OptimizeResult]:
+    """Maximize ``tr(XH) - (D(X;A) - tr A)`` over the PD cone, for each ``A`` of a stack at once.
+
+    ``h`` holds self-adjoint entries that broadcast against ``a``; ``init``
+    has the shape of ``a``, or is None for the identity and its exact
+    spectrum ``(1, I)``.  A run has converged once its gradient norm is at
+    most ``1e-8 (1 + ||H||_F + ||A||_F)``, with a value near ``tr exp(H +
+    log A)`` and a maximizer near ``exp(H + log A)``; one that takes no
+    step returns its start.  Results come in row-major order, each equal to
+    its row's alone.
     """
-    k = h + mat_log(a)
+    k = h + a.log
+    n = k.shape[-1]
+    if init is not None and init.entries.shape != k.shape:
+        raise DimMismatchError(f"dimension mismatch: {init.entries.shape} vs {k.shape}")
     if init is None:
-        eye = np.eye(a.dim, dtype=np.complex128)
-        init = PdMatrix(HermitianMatrix._exact(eye), np.ones(a.dim), eye)
-    _check_dims(init, a)
-    grad_tol = 1e-8 * (1.0 + (h.frobenius_norm() + a.frobenius_norm()))
-    w, u, iters, grad_norm, history = _ascend(k.entries, init, grad_tol)
-    maximizer = init if iters == 0 else _maximizer(w, u)
-    return OptimizeResult(
-        maximizer=maximizer,
-        value=lieb_objective(maximizer, h, a),
-        iters=iters,
-        grad_norm_final=grad_norm,
-        converged=grad_norm <= grad_tol,
-        objective_history=history,
-    )
+        eye = np.broadcast_to(np.eye(n, dtype=np.complex128), k.shape)
+        init = PdStack(eye, np.ones(k.shape[:-1]), eye)
+
+    def rows(m: np.ndarray) -> np.ndarray:
+        return (m if m.shape == k.shape else np.broadcast_to(m, k.shape)).reshape(-1, n, n)
+
+    vectors = _eigh(init.entries)[1] if init.vectors is None else init.vectors
+    init = PdStack(rows(init.entries), init.eigenvalues.reshape(-1, n), rows(vectors))
+    k, h, a_entries, log_a = rows(k), rows(h), rows(a.entries), rows(a.log)
+    grad_tol = 1e-8 * (1.0 + np.array([np.linalg.norm(p) + np.linalg.norm(q)
+                                       for p, q in zip(h, a_entries)]))
+    w, u, iters, grad_norm, history = _ascend(k, init.eigenvalues, init.vectors, grad_tol)
+
+    # U drifts from unitary by rounding, so each X = U diag(w) U* that moved
+    # carries its own decomposition, one stack for all; only when forming X
+    # took an eigenvalue near _EIG_FLOOR to PD_FLOOR or under (its error is
+    # about eps ||X||) does it carry (w, U) instead.
+    moved = np.flatnonzero(iters)
+    x = _reconstruct(u[moved], w[moved])
+    xw, xu = _eigh(x)
+    maximizers = [None if i else init.point(r) for r, i in enumerate(iters)]
+    for j, r in enumerate(moved):
+        ok = xw[j, 0] > PD_FLOOR
+        maximizers[r] = PdMatrix(HermitianMatrix._exact(x[j]), xw[j] if ok else w[r],
+                                 xu[j] if ok else u[r])
+    x, xw = np.stack([m.entries for m in maximizers]), np.stack([m.eigenvalues for m in maximizers])
+    # lieb_objective of every row.
+    values = trace_products(x, h) - relative_entropies(xw, x, a_entries, log_a)[0] + traces(a_entries)
+    return [OptimizeResult(m, float(v), int(i), float(g), bool(g <= tol), hist) for m, v, i, g, tol,
+            hist in zip(maximizers, values, iters, grad_norm, grad_tol, history)]

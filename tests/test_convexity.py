@@ -370,13 +370,38 @@ def test_rejects_bad_args(name):
 
 def test_chunk_holds_one_block_of_mixtures():
     # 16 bytes per complex entry, len(T_GRID) + 1 mixtures per trial
-    assert [chunk_trials(n) for n in (1, 6, 14, 15, 16, 64)] == [409, 11, 2, 1, 1, 1]
+    width = len(T_GRID) + 1
+    assert [chunk_trials(n, width) for n in (1, 6, 14, 15, 16, 64)] == [409, 11, 2, 1, 1, 1]
+    # variational stacks two problems per trial; every other row the mixtures
+    assert {name: row.width for name, row in SUITES.items()} == {
+        **{name: width for name in SUITES}, "variational": 2}
+    assert [chunk_trials(n, 2) for n in (6, 16, 64)] == [56, 8, 1]
+
+
+def test_variational_stacks_each_chunk_of_its_width(monkeypatch):
+    # 13 trials at dim 16 run as chunks of 8 and 5, two problems a trial,
+    # each chunk one stacked ascent.
+    from qrelent import convexity
+
+    solver, rows = convexity.maximize_liebs, []
+
+    def recorded(h, a, init=None):
+        rows.append(len(a.entries.reshape(-1, 16, 16)))
+        return solver(h, a, init)
+
+    monkeypatch.setattr(convexity, "maximize_liebs", recorded)
+    run_suite("variational", 16, 13, 42, None)
+    assert rows == [16, 10]
 
 
 @pytest.mark.parametrize("dim, trials", [
     (3, 3),
     # chunks of 409 and of 11: 25 trials end mid-chunk (11, 11 and 3 at dim 6)
     (1, 25), (6, 25),
+    # variational runs chunks of 8 at dim 16 and of 56 at dim 6: 13 = 8 + 5
+    # and 61 = 56 + 5 end mid-chunk (the other suites: 13 chunks of one,
+    # and 5 chunks of 11 and one of 6)
+    (16, 13), (6, 61),
 ])
 @pytest.mark.parametrize("name, options", [
     *((name, {}) for name in SUITES),
@@ -712,7 +737,8 @@ class TestPartialMaxSuite:
         # max(0.0, nan) is 0.0: a NaN gap must not read as agreement
         from qrelent import convexity
 
-        monkeypatch.setattr(convexity, "trace_exp_log", lambda h, a: math.nan)
+        monkeypatch.setattr(convexity, "trace_exp_logs", lambda h, log_a: np.full(
+            np.broadcast_shapes(h.shape, log_a.shape)[:-2], math.nan))
         report = partial_max_concavity_suite(3, 2, 23, 1e-8)
         assert report.invalid_trials == 0 and report.max_violation <= 1e-8
         assert math.isnan(report.extras["max_value_gap"])
@@ -814,18 +840,19 @@ class TestPartialMaxWarmStart:
 
         h, a1, a2, x1, x2 = _partial_max_instance(23)
         bad = validate_pd(a1.base * 0.3 + a2.base * 0.7).entries
-        solver = convexity.maximize_lieb
+        solver = convexity.maximize_liebs
 
         def failing(h_, a, init=None):
             if init is not None:
-                t = next(t for t in (1.0, 0.0, *T_GRID)
-                         if np.array_equal(a.entries, (a1.base * t + a2.base * (1.0 - t)).entries))
-                assert np.array_equal(init.entries, (x1.base * t + x2.base * (1.0 - t)).entries)
-                if np.array_equal(a.entries, bad):
-                    raise DomainError("injected")
+                for a_k, x_k in zip(a.entries.reshape(-1, 4, 4), init.entries.reshape(-1, 4, 4)):
+                    t = next(t for t in (1.0, 0.0, *T_GRID)
+                             if np.array_equal(a_k, (a1.base * t + a2.base * (1.0 - t)).entries))
+                    assert np.array_equal(x_k, (x1.base * t + x2.base * (1.0 - t)).entries)
+                    if np.array_equal(a_k, bad):
+                        raise DomainError("injected")
             return solver(h_, a, init)
 
-        monkeypatch.setattr(convexity, "maximize_lieb", failing)
+        monkeypatch.setattr(convexity, "maximize_liebs", failing)
         with pytest.raises(SegmentEvaluationError) as err:
             convexity.partial_max_trial([trial_rng(23, 0)], 4, 1e-8)
         assert err.value.t == 0.3
@@ -836,28 +863,32 @@ class TestPartialMaxWarmStart:
         from conftest import trial_rng
         from qrelent import convexity
 
-        solver, starts = convexity.maximize_lieb, []
+        solver, starts, calls = convexity.maximize_liebs, [], []
 
         def recorded(h, a, init=None):
-            starts.append(init is None)
-            return solver(h, a, init)
+            runs = solver(h, a, init)
+            starts.extend([init is None] * len(runs))
+            calls.append(len(runs))
+            return runs
 
-        monkeypatch.setattr(convexity, "maximize_lieb", recorded)
+        monkeypatch.setattr(convexity, "maximize_liebs", recorded)
         records, _ = convexity.partial_max_trial([trial_rng(23, i) for i in range(3)], 4, 1e-8)
         assert len(records) == 3 * len(T_GRID + (0.5,))
         assert starts == [True, True] * 3 + [False] * len(records)
+        # one stack of the chunk's endpoints, one of its mixtures
+        assert calls == [6, len(records)]
 
     def test_nan_start_objective_fails_the_suite(self, monkeypatch):
         # a NaN start objective makes both links NaN, which min() could skip
-        from qrelent import convexity, maximize_lieb
+        from qrelent import convexity
+        from qrelent.variational import maximize_liebs
 
         def nan_start(h, a, init=None):
-            res = maximize_lieb(h, a, init)
-            if init is not None and res.iters > 0:
-                res = dataclasses.replace(res, objective_history=(math.nan,))
-            return res
+            runs = maximize_liebs(h, a, init)
+            return [dataclasses.replace(res, objective_history=(math.nan,))
+                    if init is not None and res.iters > 0 else res for res in runs]
 
-        monkeypatch.setattr(convexity, "maximize_lieb", nan_start)
+        monkeypatch.setattr(convexity, "maximize_liebs", nan_start)
         report = partial_max_concavity_suite(3, 2, 23, 1e-8)
         assert report.invalid_trials == 0 and report.max_violation <= 1e-8
         assert report.extras["max_value_gap"] <= 1e-6
@@ -872,21 +903,52 @@ class TestPartialMaxWarmStart:
     def test_either_link_below_tol_fails_the_suite(self, monkeypatch, shift, broken, held):
         # shifting every mixture's start objective breaks one link, the
         # Jensen comparison and the value gaps staying as they are
-        from qrelent import convexity, maximize_lieb
+        from qrelent import convexity
+        from qrelent.variational import maximize_liebs
 
         def shifted_start(h, a, init=None):
-            res = maximize_lieb(h, a, init)
-            if init is not None and res.iters > 0:
-                history = (res.objective_history[0] + shift,) + res.objective_history[1:]
-                res = dataclasses.replace(res, objective_history=history)
-            return res
+            runs = maximize_liebs(h, a, init)
+            return [dataclasses.replace(res, objective_history=(
+                        (res.objective_history[0] + shift,) + res.objective_history[1:]))
+                    if init is not None and res.iters > 0 else res for res in runs]
 
-        monkeypatch.setattr(convexity, "maximize_lieb", shifted_start)
+        monkeypatch.setattr(convexity, "maximize_liebs", shifted_start)
         report = partial_max_concavity_suite(3, 2, 23, 1e-8)
         assert report.max_violation <= 1e-8 and report.extras["max_value_gap"] <= 1e-6
         assert report.extras[held] > 0.0
         assert report.extras[broken] < -1e-8
         assert not report.passed
+
+
+    def test_points_with_equal_values_keep_their_own_start(self, monkeypatch):
+        # Every mixture of a chunk returns the same value, each from its own
+        # start objective: each comparison's links read the start of its
+        # own point, by position, not by the value it found.
+        from conftest import trial_rng
+        from qrelent import convexity
+        from qrelent.variational import maximize_liebs
+
+        given = []
+
+        def equal_values(h, a, init=None):
+            runs = maximize_liebs(h, a, init)
+            if init is None:
+                return runs
+            value = runs[0].value
+            runs = [dataclasses.replace(res, value=value, objective_history=(
+                        (value - 1e-3 * (j + 1),) + res.objective_history[1:]))
+                    for j, res in enumerate(runs)]
+            given.extend(res.objective_history[0] for res in runs)
+            return runs
+
+        monkeypatch.setattr(convexity, "maximize_liebs", equal_values)
+        records, [(_, margins, gains)] = convexity.partial_max_trial(
+            [trial_rng(23, i) for i in range(2)], 4, 1e-8)
+        assert len(records) == len(given) == 2 * len(T_GRID + (0.5,))
+        assert all(r.valid for r in records) and len({r.lhs for r in records}) == 1
+        assert len(set(given)) == len(given)
+        assert margins == [(start - r.rhs) / r.scale for start, r in zip(given, records)]
+        assert gains == [(r.lhs - start) / r.scale for start, r in zip(given, records)]
 
 
 class TestSuiteReportShape:

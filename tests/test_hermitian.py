@@ -33,9 +33,10 @@ from qrelent import (
     validate_pd,
 )
 from qrelent import convexity, hermitian
-from qrelent.hermitian import _ginibre
+from qrelent.hermitian import hermitian_draws, pd_draws
 from qrelent.convexity import sample_lieb_instance
-from qrelent.variational import _ascend
+from qrelent.hermitian import pd_stack
+from qrelent.variational import _ascend, maximize_liebs
 from conftest import random_unitary, sample_hermitian, sample_pd, trial_rng
 
 
@@ -79,6 +80,29 @@ class TestSymmetrize:
         m = symmetrize(np.eye(2))
         with pytest.raises(ValueError):
             m.entries[0, 0] = 5.0
+
+
+def _ginibre(rng, dim):
+    """One Ginibre matrix, its real part drawn before its imaginary part: E|g|^2 = 1."""
+    return (rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))) / math.sqrt(2.0)
+
+
+@pytest.mark.parametrize("dim", [1, 6, 16, 64])
+def test_draws_follow_each_generator_matrix_by_matrix(dim):
+    # A chunk draws each generator's matrices in one call; the stream is
+    # that of drawing them one at a time, whatever the blocks of the build.
+    rngs = [trial_rng(12, i) for i in range(3)]
+    twins = [trial_rng(12, i) for i in range(3)]
+    pd, herm = pd_draws(rngs, dim, 0.1, 4), hermitian_draws(rngs, dim, 1e300, 2)
+    for twin, pd_s, herm_s in zip(twins, pd, herm):
+        for m in pd_s:
+            g = _ginibre(twin, dim)
+            expected = g @ g.conj().T / dim + 0.1 * np.eye(dim)
+            assert m.tobytes() == ((expected + expected.conj().T) / 2.0).tobytes()
+        for m in herm_s:
+            g = _ginibre(twin, dim)
+            g = (g + g.conj().T) / 2.0
+            assert m.tobytes() == ((g + g.conj().T) / 2.0).tobytes()
 
 
 class TestExactArithmetic:
@@ -142,8 +166,10 @@ class TestExactArithmetic:
 
         # The maximizer, against the last iterate (w, U) of the ascent it comes from.
         grad_tol = 1e-8 * (1.0 + (h.frobenius_norm() + a.frobenius_norm()))
-        w, u = _ascend((h + mat_log(a)).entries, PdMatrix.identity(dim), grad_tol)[:2]
-        pairs.append((maximize_lieb(h, a).maximizer, (u * w) @ u.conj().T))
+        start = PdMatrix.identity(dim).spectrum
+        w, u = _ascend((h + mat_log(a)).entries[None], start.eigenvalues[None],
+                       start.vectors[None], np.array([grad_tol]))[:2]
+        pairs.append((maximize_lieb(h, a).maximizer, (u[0] * w[0]) @ u[0].conj().T))
 
         for result, raw in pairs:
             assert result.entries.tobytes() == symmetrize(raw).entries.tobytes()
@@ -473,7 +499,8 @@ class TestDecompositionCounts:
         solver = np.linalg.eigh
 
         def recorded(m, *args, **kwargs):
-            points.append(np.array(m))
+            # each matrix of a stacked call, one by one
+            points.extend(np.array(m).reshape(-1, *np.shape(m)[-2:]))
             return solver(m, *args, **kwargs)
 
         h = sample_hermitian(trial_rng(31, 0), 4, 1.7)
@@ -588,12 +615,14 @@ def test_sample_hermitian_spectral_radius_capped():
         assert np.max(np.abs(np.linalg.eigvalsh(h.entries))) <= 3.0 + 1e-12
 
 
-@pytest.mark.parametrize(
-    "name", ["eig", "eigvals", "validate_pd_eigenvalues_only", "sample_hermitian", "trace_exp_log"]
-)
+@pytest.mark.parametrize("name", [
+    "eig", "eigvals", "validate_pd_eigenvalues_only", "sample_hermitian", "trace_exp_log",
+    "maximize_lieb", "maximize_liebs",
+])
 def test_solver_failure_raises_convergence_error(monkeypatch, name):
     # numpy's solvers essentially never fail on finite self-adjoint input;
     # a failure is injected to check that it is reported as ConvergenceError.
+    # The ascents from the identity to exp(I) decompose a trial point first.
     m, a = HermitianMatrix.identity(3), PdMatrix.identity(3)
     calls = {
         "eig": lambda: eig(m),
@@ -601,6 +630,8 @@ def test_solver_failure_raises_convergence_error(monkeypatch, name):
         "validate_pd_eigenvalues_only": lambda: validate_pd(m, vectors=False),
         "sample_hermitian": lambda: sample_hermitian(trial_rng(10, 0), 3, 3.0),
         "trace_exp_log": lambda: trace_exp_log(m, a),
+        "maximize_lieb": lambda: maximize_lieb(m, a),
+        "maximize_liebs": lambda: maximize_liebs(np.stack([m.entries] * 2), pd_stack((a, a))),
     }
 
     def fail(*args, **kwargs):

@@ -8,6 +8,7 @@ import pytest
 
 from qrelent import (
     DimMismatchError,
+    DomainError,
     HermitianMatrix,
     PdMatrix,
     entropy,
@@ -26,7 +27,8 @@ from qrelent import (
 )
 from qrelent.convexity import sample_lieb_instance
 from qrelent import variational
-from qrelent.variational import _logarithmic_mean, _newton_step
+from qrelent.hermitian import pd_stack
+from qrelent.variational import _ascend, _logarithmic_mean, _newton_step, maximize_liebs
 from conftest import (
     as_pd,
     central_difference,
@@ -352,7 +354,8 @@ def test_line_search_tries_steps_down_to_1e_12_for_any_factor(monkeypatch, facto
     solver = np.linalg.eigh
 
     def recorded(m, *args, **kwargs):
-        points.append(np.array(m))
+        # each matrix of a stacked call, one by one
+        points.extend(np.array(m).reshape(-1, *np.shape(m)[-2:]))
         return solver(m, *args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "eigh", recorded)
@@ -425,7 +428,9 @@ class TestNewtonStep:
         x = sample_pd(rng, 5, 0.1)
         k = (h + mat_log(a)).entries
         u = x.spectrum.vectors
-        kt, grad_norm, dt, slope = _newton_step(k, x.spectrum.eigenvalues, u)
+        # a stack of one
+        kt, grad_norm, dt, slope = (
+            r[0] for r in _newton_step(k[None], x.spectrum.eigenvalues[None], u[None]))
         # K~ = U* K U, exactly self-adjoint; D = U D~ U* back in the standard basis.
         assert np.array_equal(kt, kt.conj().T)
         assert np.linalg.norm(kt - u.conj().T @ k @ u) <= 1e-14 * np.linalg.norm(k)
@@ -438,6 +443,22 @@ class TestNewtonStep:
         step = 1e-5 / np.linalg.norm(d)
         fd = _central_matrix_difference(_log_at, x, HermitianMatrix(d), step)
         assert np.linalg.norm(fd - g.entries) <= 1e-6 * (1.0 + g.frobenius_norm())
+
+    def test_stacked_reductions_equal_the_one_matrix_formulas(self):
+        # Each row's objective, gradient norm and slope is what np.vdot,
+        # np.linalg.norm and np.diag give for its matrices alone, bit for bit.
+        rng = trial_rng(114, 0)
+        x = [sample_pd(rng, 5, 0.1) for _ in range(3)]
+        k = np.stack([sample_hermitian(rng, 5, 3.0).entries for _ in range(3)])
+        w, u = np.stack([m.eigenvalues for m in x]), np.stack([m.spectrum.vectors for m in x])
+        kt, norms, dt, slopes = _newton_step(k, w, u)
+        # the objective's formula, at X = D~ with the eigenvalues w
+        objectives = variational._objectives(kt, dt, w)
+        for r in range(3):
+            g = kt[r] - np.diag(np.log(w[r]))
+            assert norms[r] == np.linalg.norm(g) and slopes[r] == np.vdot(g, dt[r]).real
+            assert objectives[r] == (float(np.vdot(kt[r], dt[r]).real) - float(entropy(x[r]))
+                                     + float(np.sum(w[r])))
 
     @pytest.mark.parametrize("i", range(5))
     def test_gradients_have_the_frechet_derivative_as_directional_derivative(self, i):
@@ -492,3 +513,60 @@ class TestNewtonConvergence:
         assert res.value == pytest.approx(direct, rel=1e-6)
         gap = (res.maximizer.base - x_star.base).frobenius_norm()
         assert gap <= 1e-4 * (1.0 + x_star.frobenius_norm())
+
+
+def _mixed_stack():
+    """``(h, a, init)``: four problems at dim 4 whose ascents end in four ways.
+
+    Row 0 starts at its maximizer ``Y`` (no iteration).  Rows 1 and 2 have
+    an eigenvalue of ``exp(H)`` far below the eigenvalue floor, so they
+    stall, after 35 and 26 iterations.  Row 3 is the large-norm instance
+    whose maximizer carries the iterate's spectrum (22 iterations).
+    """
+    from conftest import trial_rng
+
+    u = random_unitary(trial_rng(7, 7), 4)
+    h = np.stack([
+        np.zeros((4, 4), dtype=complex),
+        HermitianMatrix.diagonal([-28.0, 0.5, 0.2, -0.3]).entries,
+        HermitianMatrix.diagonal([-35.0, 0.5, 0.2, -0.3]).entries,
+        HermitianMatrix((u * np.array([-22.5, -1.0, 2.0, 16.0])) @ u.conj().T).entries,
+    ])
+    y = random_pd(4, 87, 0.1)
+    eye = PdMatrix.identity(4)
+    return h, pd_stack((y, eye, eye, eye)), pd_stack((y, eye, eye, eye))
+
+
+class TestStackedAscent:
+    def test_each_row_equals_its_problem_alone(self, monkeypatch):
+        # With a cap of 27 iterations, row 1 is stopped by the cap, row 2
+        # stalls at the smallest step first, and rows 0 and 3 converge.
+        monkeypatch.setattr(variational, "_MAX_ITERS", 27)
+        h, a, init = _mixed_stack()
+        k = h + a.log
+        tol = np.full(4, 1e-8)
+        stacked = _ascend(k, init.eigenvalues, init.vectors, tol)
+        alone = [_ascend(k[r:r + 1], init.eigenvalues[r:r + 1], init.vectors[r:r + 1], tol[:1])
+                 for r in range(4)]
+        for r, one in enumerate(alone):
+            assert stacked[0][r].tobytes() == one[0][0].tobytes()
+            assert stacked[1][r].tobytes() == one[1][0].tobytes()
+            assert (stacked[2][r], stacked[3][r], stacked[4][r]) == (one[2][0], one[3][0], one[4][0])
+
+        runs = maximize_liebs(h, a, init)
+        assert [res.iters for res in runs] == [0, 27, 26, 22]
+        assert [res.converged for res in runs] == [True, False, False, True]
+        for r, res in enumerate(runs):
+            one = maximize_lieb(HermitianMatrix._exact(h[r]), a.point(r), init.point(r))
+            assert res.maximizer.entries.tobytes() == one.maximizer.entries.tobytes()
+            assert res.maximizer.eigenvalues.tobytes() == one.maximizer.eigenvalues.tobytes()
+            assert (res.value, res.iters, res.grad_norm_final, res.converged,
+                    res.objective_history) == (one.value, one.iters, one.grad_norm_final,
+                                               one.converged, one.objective_history)
+        # Row 3's maximizer carries the last iterate's spectrum: forming it
+        # took an eigenvalue to PD_FLOOR or under.
+        grad_tol = 1e-8 * (1.0 + (np.linalg.norm(h[3]) + 2.0))
+        w, u = _ascend(k[3:], init.eigenvalues[3:], init.vectors[3:], np.array([grad_tol]))[:2]
+        assert runs[3].maximizer.eigenvalues.tobytes() == w[0].tobytes()
+        with pytest.raises(DomainError):
+            validate_pd(runs[3].maximizer.base)
