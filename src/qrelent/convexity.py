@@ -23,13 +23,14 @@ import numpy as np
 # relative_entropy stays importable from qrelent.convexity.
 from .divergence import relative_entropies, relative_entropy  # noqa: F401
 from .hermitian import (
-    _BLOCK_BYTES,
     HermitianMatrix,
     PdMatrix,
     PdStack,
+    _block_rows,
+    _eigh,
+    _reconstruct,
+    exp_eigenvalues,
     hermitian_draws,
-    mat_exp,
-    mat_log,
     pd_draws,
     pd_stack,
     trial_rng,
@@ -78,18 +79,10 @@ class BoundTrial:
     valid: bool = True
 
 
-@functools.cache
-def _field_defaults(cls: type) -> dict:
-    # Computed once per record type: calling dataclasses.fields for every
-    # record raised the peak memory of the segment suites at n = 6 by
-    # about 0.3 MB.
-    return {f.name: f.default for f in dataclasses.fields(cls) if f.default is not dataclasses.MISSING}
-
-
 def record_to_json_dict(record: SegmentTrial | BoundTrial) -> dict:
-    """Every field of a trial record, except one equal to its default."""
-    defaults = _field_defaults(type(record))
-    return {k: v for k, v in vars(record).items() if k not in defaults or v != defaults[k]}
+    """Every field of a trial record, except one at its default (``valid=True``, ``witness=None``)."""
+    return {k: v for k, v in vars(record).items()
+            if not (k == "valid" and v is True or k == "witness" and v is None)}
 
 
 @dataclasses.dataclass(frozen=True)
@@ -157,7 +150,7 @@ def _segment(f, p1, p2, rngs: Rngs, orientation: str, tol: float, fixed=None,
                     if fixed is not None:
                         witness["fixed"] = matrix(_as_stack(fixed), s)
                     first = False
-                tr = dataclasses.replace(tr, witness=witness)
+                tr = SegmentTrial(tr.t, tr.lhs, tr.rhs, tr.violation, tr.scale, witness=witness)
             records.append(tr)
     return records
 
@@ -381,19 +374,21 @@ def variational_trial(rngs: Rngs, dim: int, tol: float) -> tuple[list, list]:
     # Row (s, 0) is Y as H = 0, A = Y.  The samples live on here only.
     h, a = np.stack((np.zeros_like(h), h), axis=1), pd_stack((y, a[:, 0]), axis=1)
     del y
-    runs = iter(maximize_liebs(h, a))
+    runs = maximize_liebs(h, a)
+    # One stacked decomposition of H + log A, for the converged lieb runs,
+    # gives each argmax exp(H + log A) and its trace, in trial order.
+    done = [s for s in range(len(rngs)) if runs[2 * s + 1].converged]
+    closed_forms = iter(())
+    if done:
+        w, u = _eigh(h[done, 1] + a.log[done, 1])
+        w = exp_eigenvalues(w)
+        x_star = PdStack(_reconstruct(u, w), w, u)
+        closed_forms = ((float(w[j].sum()), x_star.point(j)) for j in range(len(done)))
     records = []
     for s in range(len(rngs)):
         y = a.point((s, 0))
-        records += _agreement("variational", next(runs), lambda: (y.trace(), y))
-        h_s, a_s = HermitianMatrix._exact(h[s, 1]), a.point((s, 1))
-
-        def lieb_closed_form() -> tuple[float, PdMatrix]:
-            # One decomposition of H + log A gives the argmax and its trace.
-            x_star = mat_exp(h_s + mat_log(a_s))
-            return float(x_star.eigenvalues.sum()), x_star
-
-        records += _agreement("lieb", next(runs), lieb_closed_form)
+        records += _agreement("variational", runs[2 * s], lambda: (y.trace(), y))
+        records += _agreement("lieb", runs[2 * s + 1], lambda: next(closed_forms))
     return records, []
 
 
@@ -487,7 +482,7 @@ def chunk_trials(dim: int, width: int) -> int:
     A block is ``_BLOCK_BYTES`` of complex entries: 11 trials at dim 6,
     409 at dim 1, one from dim 15 on for the mixtures of a segment.
     """
-    return max(1, _BLOCK_BYTES // (np.dtype(np.complex128).itemsize * dim * dim * width))
+    return max(1, _block_rows(dim) // width)
 
 
 def _run_chunk(trial: Callable, seed: int, indices: range, *args, **options) -> tuple[list, list]:

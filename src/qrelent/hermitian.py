@@ -357,45 +357,32 @@ def mixtures(a: np.ndarray, b: np.ndarray, ts: np.ndarray) -> np.ndarray:
     ``a`` and ``b`` are stacks of S matrices and ``ts`` has shape (S, T);
     the result has shape (S, T, n, n).  Each mixture equals the entries of
     ``A * t + B * (1 - t)`` in HermitianMatrix arithmetic bit for bit.
+    Callers keep the result within one ``_BLOCK_BYTES`` block, so that
+    its temporaries reuse heap memory.
     """
     if a.shape != b.shape:
         raise DimMismatchError(f"dimension mismatch: {a.shape[-1]} vs {b.shape[-1]}")
     t = np.asarray(ts, dtype=np.float64)[..., None, None]
-    out = np.empty(t.shape[:2] + a.shape[-2:], dtype=np.complex128)
-    # Blocks of whole segments, or of rows of one segment when a segment
-    # alone exceeds a block.
-    width = t.shape[1]
-    rows = min(_block_rows(out), width)
-    segments = max(1, _block_rows(out) // width)
-    for s in range(0, len(out), segments):
-        for k in range(0, width, rows):
-            block, tk = out[s:s + segments, k:k + rows], t[s:s + segments, k:k + rows]
-            np.multiply(a[s:s + segments, None], tk, out=block)
-            block += b[s:s + segments, None] * (1.0 - tk)
+    out = a[:, None] * t
+    out += b[:, None] * (1.0 - t)
     return out
 
 
-def pd_mixtures(a: PdStack, b: PdStack, ts: np.ndarray) -> Callable[..., PdStack]:
+def pd_mixtures(a: PdStack, b: PdStack, ts: np.ndarray) -> PdStack:
     """The mixtures ``t A_s + (1-t) B_s`` of :func:`mixtures`, decomposed as one stack.
 
     One ``eigh`` call decomposes all of them, which at small n costs about
     half as much per matrix as separate calls.  When neither endpoint stack
     has its eigenvectors at hand, the mixtures follow them: one ``eigvalsh``
-    call computes their eigenvalues only.  The returned ``rows(i)`` builds
-    the PdStack of the mixtures at index ``i`` of (segment, t); like
-    :func:`validate_pd` it raises DomainError when one of them has its
-    smallest eigenvalue at or below ``PD_FLOOR``.  A solver failure raises
-    ConvergenceError.  Each mixture equals ``validate_pd(a.base * t +
-    b.base * (1 - t))`` bit for bit, validated with ``vectors=False`` when
-    the stack is eigenvalues only.
+    call computes their eigenvalues only.  Like :func:`validate_pd` it
+    raises DomainError when a mixture has its smallest eigenvalue at or
+    below ``PD_FLOOR``, and a solver failure raises ConvergenceError.  Each
+    mixture equals ``validate_pd(a.base * t + b.base * (1 - t))`` bit for
+    bit, validated with ``vectors=False`` when the stack is eigenvalues
+    only.
     """
     entries = mixtures(a.entries, b.entries, ts)
-    w, u = _eigh(entries, a.vectors is not None or b.vectors is not None)
-
-    def rows(i) -> PdStack:
-        return PdStack(entries[i], w[i], None if u is None else u[i])
-
-    return rows
+    return PdStack(entries, *_eigh(entries, a.vectors is not None or b.vectors is not None))
 
 
 def _reconstruct(u: np.ndarray, vals: np.ndarray) -> np.ndarray:
@@ -409,7 +396,7 @@ def _reconstruct(u: np.ndarray, vals: np.ndarray) -> np.ndarray:
     n = u.shape[-1]
     out = np.empty(u.shape, dtype=np.complex128)
     us, ms, vs = u.reshape(-1, n, n), out.reshape(-1, n, n), vals.reshape(-1, 1, n)
-    step = _block_rows(us)
+    step = _block_rows(n)
     for k in range(0, len(us), step):
         ub, m = us[k:k + step], ms[k:k + step]
         conj = ub.conj()
@@ -421,9 +408,9 @@ def _reconstruct(u: np.ndarray, vals: np.ndarray) -> np.ndarray:
     return out
 
 
-def _block_rows(stack: np.ndarray) -> int:
-    # Matrices of a stack in one block of at most _BLOCK_BYTES, at least one.
-    return max(1, _BLOCK_BYTES // (stack.itemsize * stack.shape[-1] ** 2))
+def _block_rows(n: int) -> int:
+    # n x n complex matrices in one block of at most _BLOCK_BYTES, at least one.
+    return max(1, _BLOCK_BYTES // (16 * n * n))
 
 
 def _rebuild(u: np.ndarray, vals: np.ndarray) -> HermitianMatrix:
@@ -571,7 +558,7 @@ def _ginibre_draws(rngs: Sequence[np.random.Generator], dim: int, count: int,
     for rng, xs in zip(rngs, x):
         rng.standard_normal(out=xs)
     out, x = out.reshape(-1, dim, dim), x.reshape(-1, 2, dim, dim)
-    step = _block_rows(out)
+    step = _block_rows(dim)
     for k in range(0, len(out), step):
         g = x[k:k + step]
         out[k:k + step] = build((g[:, 0] + 1j * g[:, 1]) / math.sqrt(2.0))

@@ -22,9 +22,9 @@ from .hermitian import HermitianMatrix, PdMatrix, symmetrize
 def matrix_to_dict(m: HermitianMatrix | PdMatrix) -> dict:
     """Matrix file representation; the imaginary block is kept only if nonzero."""
     e = m.entries
-    out = {"dim": int(e.shape[0]), "re": [float(v) for v in e.real.ravel()]}
+    out = {"dim": int(e.shape[0]), "re": e.real.ravel().tolist()}
     if np.any(e.imag != 0.0):
-        out["im"] = [float(v) for v in e.imag.ravel()]
+        out["im"] = e.imag.ravel().tolist()
     return out
 
 
@@ -75,7 +75,8 @@ def read_matrix(path: str) -> HermitianMatrix:
 
 
 def _write_canonical(obj, path: str) -> None:
-    text = json.dumps(obj, sort_keys=True) + "\n"
+    # The documents written are trees, so the circular-reference check is skipped.
+    text = json.dumps(obj, sort_keys=True, check_circular=False) + "\n"
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".qrelent-", suffix=".tmp")
     try:

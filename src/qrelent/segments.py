@@ -2,9 +2,9 @@
 
 A segment runs from ``p2`` to ``p1`` through the mixtures ``t p1 +
 (1-t) p2``; :func:`segment_test` compares a function at each mixture
-with the mixture of its endpoint values, for many segments at once: one
-stacked call per kernel evaluates every endpoint, and another every
-mixture.
+with the mixture of its endpoint values, for many segments at once: the
+endpoints, then the mixtures, are evaluated as stacks, each call taking
+as many points as one ``_BLOCK_BYTES`` block of their entries holds.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from typing import Callable, Sequence, Union
 import numpy as np
 
 from .errors import SegmentEvaluationError
-from .hermitian import HermitianMatrix, PdMatrix, PdStack, mixtures, pd_mixtures, pd_stack
+from .hermitian import HermitianMatrix, PdMatrix, PdStack, _block_rows, mixtures, pd_mixtures, pd_stack
 
 _ORIENTATIONS = {"convex": 1.0, "concave": -1.0}
 
@@ -59,18 +59,28 @@ def _entries(c: Stack) -> np.ndarray:
     return c.entries if isinstance(c, PdStack) else c
 
 
-def _rows(a: Stack, b: Stack, ts: np.ndarray | None = None) -> Callable[..., Stack]:
-    """One component of the segments' points, as a function of an index over (segment, point).
+def _take(c: Stack, s: slice) -> Stack:
+    # Segments s of a stack; all of them as it is, so that it keeps what it caches.
+    return c if s == slice(0, len(c)) else c[s]
+
+
+def _rows(a: Stack, b: Stack, ts: np.ndarray | None = None) -> Callable[[slice, slice], Stack]:
+    """One component of the segments' points, a function of a piece ``(s, k)`` of (segment, point).
 
     The points of segment ``s`` are its endpoints ``(a[s], b[s])`` when
     ``ts`` is None, else the mixtures ``t a[s] + (1-t) b[s]`` for ``t`` in
-    ``ts[s]``.  Positive-definite components give PdStacks (mixtures
-    validated when taken), self-adjoint ones arrays of entries.
+    ``ts[s]``.  A call builds the points ``k`` of the segments ``s`` only.
+    Positive-definite components give PdStacks (mixtures decomposed and
+    validated when built), self-adjoint ones arrays of entries.
     """
     if isinstance(a, PdStack) and isinstance(b, PdStack):
-        return pd_stack((a, b), axis=1).__getitem__ if ts is None else pd_mixtures(a, b, ts)
+        if ts is None:
+            return lambda s, k: pd_stack((_take(a, s), _take(b, s))[k], axis=1)
+        return lambda s, k: pd_mixtures(_take(a, s), _take(b, s), ts[s, k])
     if isinstance(a, np.ndarray) and isinstance(b, np.ndarray):
-        return (np.stack((a, b), axis=1) if ts is None else mixtures(a, b, ts)).__getitem__
+        if ts is None:
+            return lambda s, k: np.stack((a[s], b[s])[k], axis=1)
+        return lambda s, k: mixtures(a[s], b[s], ts[s, k])
     raise TypeError(f"cannot mix {type(a).__name__} with {type(b).__name__}")
 
 
@@ -79,30 +89,48 @@ def _values(v) -> list:
     return [None if x is None else float(x) for x in np.asarray(v, dtype=object).ravel()]
 
 
-def _evaluate(f: Callable[..., Sequence], fixed: Stack | None, rows: list,
-              ts: np.ndarray) -> list[list[float | None]]:
-    """``f`` at the points ``ts`` (segment by point), in one call; one list of values per segment.
+def _pieces(segments: int, width: int, points: int) -> list[tuple[slice, slice]]:
+    # The (segment, point) index in consecutive pieces of at most ``points``
+    # points: runs of whole segments, or of one segment's points when a
+    # segment alone has more.
+    if width <= points:
+        step = points // width
+        return [(slice(s, min(s + step, segments)), slice(0, width))
+                for s in range(0, segments, step)]
+    return [(slice(s, s + 1), slice(k, min(k + points, width)))
+            for s in range(segments) for k in range(0, width, points)]
 
-    ``fixed``, the segments' fixed matrices, goes first.  Should that call
-    raise, the points are evaluated again one at a time, each as a stack
-    of one, in order, so that the first point that fails (its validation
-    as a mixture included) is raised as SegmentEvaluationError with its
-    ``t``.
+
+def _evaluate(f: Callable[..., Sequence], fixed: Stack | None, rows: list, ts: np.ndarray,
+              dim: int) -> list[list[float | None]]:
+    """``f`` at the points ``ts`` (segment by point), a block at a time; a list of values a segment.
+
+    Each call of ``f`` takes a piece of consecutive points (:func:`_pieces`),
+    as many as one ``_BLOCK_BYTES`` block of ``dim`` x ``dim`` complex
+    entries holds, at least one, so that no temporary of the segments
+    exceeds a block.  ``fixed``, the segments' fixed matrices, goes
+    first.  Should a call raise, the points of its piece are evaluated
+    again one at a time, each as a stack of one, in order, so that the
+    first point that fails (its validation as a mixture included) is
+    raised as SegmentEvaluationError with its ``t``.
     """
-    def call(i, fx):
-        return f(*(() if fx is None else (fx,)), *(r(i) for r in rows))
+    segments, width = ts.shape
 
-    try:
-        values = _values(call(slice(None), fixed))
-    except Exception:  # noqa: BLE001 - located below, point by point
-        values = []
-        for s, k in np.ndindex(*ts.shape):
-            try:
-                values += _values(call(np.s_[s:s + 1, k:k + 1],
-                                       None if fixed is None else fixed[s:s + 1]))
-            except Exception as exc:  # noqa: BLE001 - re-raised with context
-                raise SegmentEvaluationError(float(ts[s, k]), str(exc)) from exc
-    width = ts.shape[1]
+    def call(s: slice, k: slice):
+        points = [r(s, k) for r in rows]
+        return f(*points) if fixed is None else f(_take(fixed, s), *points)
+
+    values: list = []
+    for s, k in _pieces(segments, width, _block_rows(dim)):
+        try:
+            values += _values(call(s, k))
+        except Exception:  # noqa: BLE001 - located below, point by point
+            for i in range(s.start, s.stop):
+                for j in range(k.start, k.stop):
+                    try:
+                        values += _values(call(slice(i, i + 1), slice(j, j + 1)))
+                    except Exception as exc:  # noqa: BLE001 - re-raised with context
+                        raise SegmentEvaluationError(float(ts[i, j]), str(exc)) from exc
     return [values[k:k + width] for k in range(0, len(values), width)]
 
 
@@ -151,14 +179,15 @@ def segment_test(
     PdStack or an array of entries with leading axes (segment, point), and
     returns one value per point.  ``fixed``, one matrix per segment held
     fixed along it, goes to ``f`` first with a point axis of one.  ``f``
-    is called twice, on the endpoints (unless ``ends`` gives their values)
-    and then on every mixture; :func:`pointwise` lifts a function of
-    single matrices.  The mixtures of a positive-definite component are
-    decomposed together, one stacked ``eigh`` for all segments and ``t``,
-    and validated positive definite before ``f`` sees them.  Any exception
-    from building the mixtures or from ``f`` is raised as
-    SegmentEvaluationError carrying the ``t`` of the first point that
-    fails in that call (1.0 and 0.0 for the endpoints).
+    is called on the endpoints (unless ``ends`` gives their values) and
+    then on the mixtures, a piece of at most one ``_BLOCK_BYTES`` block of
+    points per call (the whole stack at small n, one point at n = 64);
+    :func:`pointwise` lifts a function of single matrices.  The mixtures
+    of a piece's positive-definite component are built and decomposed
+    together, one stacked ``eigh``, and validated positive definite before
+    ``f`` sees them.  Any exception from building the mixtures or from
+    ``f`` is raised as SegmentEvaluationError carrying the ``t`` of the
+    first point that fails (1.0 and 0.0 for the endpoints).
 
     ``f`` returns None for a point it could not evaluate (an optimizer run
     that did not converge).  The comparison at that ``t`` is then recorded
@@ -169,11 +198,12 @@ def segment_test(
     p1, p2 = _as_point(p1), _as_point(p2)
     ts = np.asarray(t_samples, dtype=np.float64)
     ts = np.broadcast_to(ts, (len(p1[0]), ts.shape[-1]))
+    dim = _entries(p1[0]).shape[-1]
     if fixed is not None:
         fixed = _as_stack(fixed)[:, None]
     if ends is None:
         ends = _evaluate(f, fixed, [_rows(a, b) for a, b in zip(p1, p2)],
-                         np.tile((1.0, 0.0), (len(ts), 1)))
+                         np.tile((1.0, 0.0), (len(ts), 1)), dim)
     valid = [e[0] is not None and e[1] is not None for e in ends]
 
     def kept(c):
@@ -184,7 +214,7 @@ def segment_test(
     lhs_values = iter(())
     if any(valid) and ts.shape[1]:
         rows = [_rows(kept(a), kept(b), kept(ts)) for a, b in zip(p1, p2)]
-        lhs_values = iter(_evaluate(f, kept(fixed), rows, kept(ts)))
+        lhs_values = iter(_evaluate(f, kept(fixed), rows, kept(ts), dim))
     trials = []
     for (f1, f2), ok, row in zip(ends, valid, ts.tolist()):
         if not ok:

@@ -107,6 +107,42 @@ class TestVerify:
         assert doc["summary"]["all_pass"] is False
         assert doc["reports"][0]["max_violation"] > 1e-10
 
+    def test_flipped_report_equals_the_reference_serializer(self, tmp_path, monkeypatch):
+        # The same run, serialized by reference code: records minus the
+        # fields equal to their dataclass defaults, witness matrices as
+        # float(v) lists and json.dumps with its circular-reference check.
+        import dataclasses
+
+        from qrelent import cli, convexity
+
+        def record_dict(record):
+            defaults = {f.name: f.default for f in dataclasses.fields(record)
+                        if f.default is not dataclasses.MISSING}
+            return {k: v for k, v in vars(record).items()
+                    if k not in defaults or v != defaults[k]}
+
+        def matrix_dict(m):
+            e = m.entries
+            out = {"dim": int(e.shape[0]), "re": [float(v) for v in e.real.ravel()]}
+            if np.any(e.imag != 0.0):
+                out["im"] = [float(v) for v in e.imag.ravel()]
+            return out
+
+        def write(document, path):
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write(json.dumps(document, sort_keys=True) + "\n")
+
+        args = ["verify", "--suite", "lieb-concavity", "--dim", "4", "--trials", "20",
+                "--flip-orientation", "--out"]
+        out, reference = str(tmp_path / "flip.json"), str(tmp_path / "reference.json")
+        assert main(args + [out]) == 1
+        monkeypatch.setattr(convexity, "record_to_json_dict", record_dict)
+        monkeypatch.setattr(convexity, "matrix_to_dict", matrix_dict)
+        monkeypatch.setattr(cli, "write_report", write)
+        assert main(args + [reference]) == 1
+        assert open(out, "rb").read() == open(reference, "rb").read()
+        assert b'"witness"' in open(out, "rb").read()
+
     @pytest.mark.parametrize("name", [n for n in SUITES if n != "lieb-concavity"])
     def test_flip_orientation_rejected_for_other_suites(self, name, capsys):
         # the flag would otherwise be ignored: the suite runs unflipped and passes

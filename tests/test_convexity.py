@@ -430,8 +430,8 @@ def test_each_trial_replays_alone(name, options, dim, trials):
     assert start == len(full)
 
 
-def _lieb_chunk_liar(monkeypatch, k, kind):
-    """Make trial ``k`` of lieb-concavity (seed 42, dim 6) fail at a mixture, alone or chunked.
+def _lieb_chunk_liar(monkeypatch, k, kind, dim=6):
+    """Make trial ``k`` of lieb-concavity (seed 42, ``dim``) fail at a mixture, alone or chunked.
 
     Trial ``k``'s ``A1`` keeps its spectrum, which its endpoint value reads,
     but gets other entries, which its mixtures read: ``-A2`` makes the
@@ -444,9 +444,9 @@ def _lieb_chunk_liar(monkeypatch, k, kind):
     from qrelent.hermitian import PdStack, hermitian_draws, pd_draws
 
     rng = trial_rng(42, k)
-    hermitian_draws([rng], 6, 3.0)
-    a1, a2 = pd_draws([rng], 6, 0.1, 2)[0]
-    liar = -a2 if kind == "floor" else np.diag([math.exp(701.0)] + [1.0] * 5).astype(complex)
+    hermitian_draws([rng], dim, 3.0)
+    a1, a2 = pd_draws([rng], dim, 0.1, 2)[0]
+    liar = -a2 if kind == "floor" else np.diag([math.exp(701.0)] + [1.0] * (dim - 1)).astype(complex)
     validate = convexity.validate_pd_stack
 
     def validate_with_liar(entries, vectors=True):
@@ -529,6 +529,126 @@ class TestChunkFailures:
             segment_test(_lieb(h), pd_stack(a1s[:2] + [liar]),
                          pd_stack(a2s[:2] + [PdMatrix.identity(2)]), ts, "concave")
         assert err.value.t == 0.75
+
+
+def _pieces_of(monkeypatch, points):
+    """Make segment_test evaluate ``points`` points a call (None: one block, as it is).
+
+    Returns the number of points of each call that builds mixtures.
+    """
+    from qrelent import segments
+
+    if points is not None:
+        monkeypatch.setattr(segments, "_block_rows", lambda n: points)
+    sizes = []
+    for name in ("mixtures", "pd_mixtures"):
+        def recorded(a, b, ts, _build=getattr(segments, name)):
+            sizes.append(np.size(ts))
+            return _build(a, b, ts)
+        monkeypatch.setattr(segments, name, recorded)
+    return sizes
+
+
+class TestBlockPieces:
+    """segment_test calls f on pieces of at most one block of points."""
+
+    @pytest.mark.parametrize("points", [1, 3, 7, 25])
+    @pytest.mark.parametrize("dim, trials", [(6, 11), (16, 3)])
+    @pytest.mark.parametrize("name, options", [
+        ("joint-convexity", {}),
+        ("lieb-concavity", {"orientation": "concave"}),
+        ("lieb-concavity", {"orientation": "convex"}),
+        ("fenchel", {}),
+        ("partial-max", {}),
+    ])
+    def test_pieces_equal_one_call(self, monkeypatch, name, options, dim, trials, points):
+        # A chunk evaluated in pieces of 1, 3 or 7 points of a segment, or
+        # of two whole segments (25), gives the records and samples of the
+        # same chunk in one call per kernel, bit for bit.
+        from conftest import trial_rng
+
+        row = SUITES[name]
+
+        def chunk():
+            records, samples = row.trial([trial_rng(42, i) for i in range(trials)], dim,
+                                         row.tol, **options)
+            return [json.dumps(record_to_json_dict(r)) for r in records], json.dumps(samples)
+
+        with monkeypatch.context() as m:
+            whole = _pieces_of(m, 10**6)
+            expected = chunk()
+        split = _pieces_of(monkeypatch, points)
+        assert chunk() == expected
+        # one call per component builds every mixture; in pieces, each call
+        # builds at most ``points`` of them
+        mixed = trials * len(T_GRID + (0.0,))
+        assert sum(split) == sum(whole) == len(whole) * mixed
+        assert max(split) <= points
+
+    def test_one_block_at_dim_6_and_one_point_at_dim_64(self, monkeypatch):
+        # A dim-6 chunk (11 segments, 110 mixtures) fits one block; at dim
+        # 64 a block holds one matrix, so each point is its own piece.
+        from conftest import trial_rng
+        from qrelent import convexity
+
+        sizes = _pieces_of(monkeypatch, None)
+        convexity.fenchel_trial([trial_rng(42, i) for i in range(11)], 6, 1e-9)
+        assert sizes == [110]
+        sizes.clear()
+        convexity.fenchel_trial([trial_rng(42, 0)], 64, 1e-9)
+        assert sizes == [1] * len(T_GRID + (0.0,))
+
+    @pytest.mark.parametrize("dim, points, kind", [
+        # The floor liar fails at t = 0.5, point 4 of the segment: the first
+        # point of a later piece at dim 64 (pieces of one) and in pieces of
+        # 4, the middle of a piece in pieces of 3.  The overflow liar fails
+        # at t = 0.3, point 2, inside the first piece.
+        (64, None, "floor"), (6, 4, "floor"), (6, 3, "floor"),
+        (6, 4, "overflow"), (6, 3, "overflow"),
+    ])
+    def test_failing_point_raises_with_its_t_from_any_piece(self, monkeypatch, dim, points, kind):
+        from conftest import trial_rng
+        from qrelent import convexity
+
+        _lieb_chunk_liar(monkeypatch, 0, kind, dim)
+
+        def failure():
+            with np.errstate(over="ignore"), pytest.raises(SegmentEvaluationError) as err:
+                convexity.lieb_concavity_trial([trial_rng(42, 0)], dim, 1e-9, "concave")
+            return err.value
+
+        with monkeypatch.context() as m:
+            _pieces_of(m, 10**6)
+            whole = failure()
+        _pieces_of(monkeypatch, points)
+        split = failure()
+        assert (str(split), split.t) == (str(whole), whole.t)
+        assert type(split.__cause__) is type(whole.__cause__)
+        assert str(split.__cause__) == str(whole.__cause__)
+        assert split.t == (0.5 if kind == "floor" else 0.3)
+
+    @pytest.mark.parametrize("trial", ["joint_convexity_trial", "lieb_concavity_trial"])
+    def test_chunk_at_dim_64_peaks_below_one_and_a_fifth_megabytes(self, trial):
+        # numpy reports its array memory to tracemalloc.  Whole-segment
+        # stacks peaked at 3.1-3.2 MB here; block pieces hold one matrix
+        # of each kind at a time.
+        import tracemalloc
+
+        from conftest import trial_rng
+        from qrelent import convexity
+
+        args = ("concave",) if trial == "lieb_concavity_trial" else ()
+        run = lambda: getattr(convexity, trial)([trial_rng(42, 0)], 64, 1e-9, *args)
+        run()
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            run()
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.2e6
 
 
 class TestLiebConcavitySuite:
@@ -949,6 +1069,69 @@ class TestPartialMaxWarmStart:
         assert len(set(given)) == len(given)
         assert margins == [(start - r.rhs) / r.scale for start, r in zip(given, records)]
         assert gains == [(r.lhs - start) / r.scale for start, r in zip(given, records)]
+
+
+def _variational_per_trial(rngs, dim):
+    """Reference variational chunk: each lieb closed form from its own ``mat_exp``."""
+    from qrelent import convexity
+    from qrelent.hermitian import mat_exp, mat_log, pd_draws, validate_pd_stack
+
+    y = validate_pd_stack(pd_draws(rngs, dim, 0.1)[:, 0])
+    h, a = convexity._lieb_instances(rngs, dim, 1)
+    h, a = np.stack((np.zeros_like(h), h), axis=1), pd_stack((y, a[:, 0]), axis=1)
+    runs = iter(convexity.maximize_liebs(h, a))
+    records = []
+    for s in range(len(rngs)):
+        y_s = a.point((s, 0))
+        records += convexity._agreement("variational", next(runs), lambda: (y_s.trace(), y_s))
+        h_s, a_s = HermitianMatrix._exact(h[s, 1]), a.point((s, 1))
+
+        def lieb_closed_form():
+            x_star = mat_exp(h_s + mat_log(a_s))
+            return float(x_star.eigenvalues.sum()), x_star
+
+        records += convexity._agreement("lieb", next(runs), lieb_closed_form)
+    return records
+
+
+class TestVariationalClosedForms:
+    @pytest.mark.parametrize("dim, trials", [(1, 5), (6, 11), (16, 8)])
+    def test_stacked_closed_forms_equal_one_mat_exp_per_trial(self, dim, trials):
+        from conftest import trial_rng
+        from qrelent import convexity
+
+        rngs = lambda: [trial_rng(42, i) for i in range(trials)]
+        records, _ = convexity.variational_trial(rngs(), dim, 1e-9)
+        assert records == _variational_per_trial(rngs(), dim)
+
+    @pytest.mark.parametrize("shift, cause", [(710.0, OverflowError), (-40.0, DomainError)])
+    def test_stacked_closed_forms_raise_what_mat_exp_raises(self, monkeypatch, shift, cause):
+        # H + shift I puts every eigenvalue of H + log A above the exp-overflow
+        # guard, or its exponential at or below PD_FLOOR.  The ascent is
+        # replaced by converged runs, so the closed forms are evaluated.
+        from conftest import trial_rng
+        from qrelent import convexity
+        from qrelent.variational import OptimizeResult
+
+        instances = convexity._lieb_instances
+
+        def shifted(rngs, dim, count):
+            h, a = instances(rngs, dim, count)
+            return h + shift * np.eye(dim), a
+
+        def converged(h, a, init=None):
+            x = PdMatrix.identity(a.entries.shape[-1])
+            return [OptimizeResult(x, 0.0, 0, 0.0, True, (0.0,))] * (a.entries.size // x.entries.size)
+
+        monkeypatch.setattr(convexity, "_lieb_instances", shifted)
+        monkeypatch.setattr(convexity, "maximize_liebs", converged)
+        with pytest.raises(cause) as expected:
+            _variational_per_trial([trial_rng(42, 0)], 6)
+        for run in (lambda: convexity.variational_trial([trial_rng(42, 0)], 6, 1e-9),
+                    lambda: run_suite("variational", 6, 3, 42, None)):
+            with pytest.raises(cause) as err:
+                run()
+            assert str(err.value) == str(expected.value)
 
 
 class TestSuiteReportShape:
