@@ -1,7 +1,9 @@
 """Matrix file format and canonical report writing."""
 
+import errno
 import json
 import os
+import stat
 
 import numpy as np
 import pytest
@@ -15,6 +17,7 @@ from qrelent import (
     write_matrix,
     write_report,
 )
+from qrelent import matrixio
 from conftest import sample_hermitian, trial_rng
 
 
@@ -108,4 +111,122 @@ def test_write_is_atomic_no_temp_left_behind(tmp_path):
     write_report({"k": 1}, path)
     write_report({"k": 2}, path)
     assert json.loads(open(path).read()) == {"k": 2}
+    assert os.listdir(tmp_path) == ["report.json"]
+
+
+def _records(n):
+    return [{"i": i, "v": i / 7, "witness": {"t": 0.5, "p1": [{"dim": 1, "re": [i]}]}}
+            for i in range(n)]
+
+
+RUN = matrixio._RUN
+NAN, INF = float("nan"), float("inf")
+REFERENCE_CASES = {
+    "non-finite": {"reports": [{"trials": [{"v": NAN}, {"v": INF}, {"v": -INF}],
+                                "max_violation": NAN}], "tol": INF},
+    "strings": {"é\n\"\\": [{"ключ": "値\t \x00", "\U0001f600": "/"}], "a": "ü"},
+    "empty lists": {"a": [], "reports": [{"trials": []}, {"trials": [{}]}], "z": [{}]},
+    **{f"{n} records": {"trials": _records(n), "pass": False}
+       for n in (1, RUN, RUN + 1, 2 * RUN + 3)},
+    "dicts and scalars": {"x": [1, {"a": 2}, "s", None, {"b": [{"c": 3}]}],
+                          "y": [{"a": 1}, 2.5, [{"b": 1}], {"t": [{"u": 1}]}],
+                          "z": [{"t": [{"u": 1}]}, 3, {"v": [1]}, [{"w": 2}]]},
+    "nested reports": {"summary": {"suites_run": ["a", "b"], "all_pass": False},
+                       "reports": [{"suite_name": "a", "trials": _records(2 * RUN + 3),
+                                    "extras": {"gain": -0.0}},
+                                   {"suite_name": "b", "reports": [{"trials": _records(3)}]}]},
+    "int keys": {1: [{"a": 1}], 2: "b", 10: [{3: [{"c": 4}]}]},
+    "float keys": {0.5: [{"a": 1}], 2.0: None, -INF: [1.5]},
+    "bool keys": {False: [{"a": 1}], True: [{True: [{None: 1}]}]},
+}
+
+
+@pytest.mark.parametrize("doc", REFERENCE_CASES.values(), ids=REFERENCE_CASES)
+def test_report_equals_json_dumps(tmp_path, doc):
+    path = tmp_path / "report.json"
+    write_report(doc, str(path))
+    assert path.read_text(encoding="utf-8") == json.dumps(doc, sort_keys=True) + "\n"
+
+
+def test_records_are_encoded_in_runs():
+    doc = REFERENCE_CASES["nested reports"]
+    pieces = list(matrixio._pieces(doc))
+    assert "".join(pieces) == json.dumps(doc, sort_keys=True)
+    longest_run = max(len(p) for p in pieces)
+    assert longest_run < len(json.dumps(_records(RUN + 1)))
+
+
+@pytest.fixture
+def umask_022():
+    old = os.umask(0o022)
+    try:
+        yield
+    finally:
+        os.umask(old)
+
+
+@pytest.mark.skipif(os.name != "posix", reason="POSIX file modes")
+@pytest.mark.parametrize("write", [write_report, lambda obj, path: write_matrix(
+    HermitianMatrix.diagonal([1.0]), path)], ids=["report", "matrix"])
+def test_new_file_gets_the_umask_mode(tmp_path, umask_022, write):
+    path = tmp_path / "out.json"
+    write({"k": 1}, str(path))
+    plain = tmp_path / "plain.json"
+    with open(plain, "w"):
+        pass
+    assert stat.S_IMODE(path.stat().st_mode) == stat.S_IMODE(plain.stat().st_mode) == 0o644
+
+
+@pytest.mark.skipif(os.name != "posix", reason="POSIX file modes")
+@pytest.mark.parametrize("mode", [0o644, 0o640])
+def test_overwrite_keeps_the_file_mode(tmp_path, umask_022, mode):
+    path = tmp_path / "report.json"
+    path.write_text("old\n")
+    path.chmod(mode)
+    write_report({"k": 2}, str(path))
+    assert stat.S_IMODE(path.stat().st_mode) == mode
+    assert path.read_text() == '{"k": 2}\n'
+
+
+def _previous_report(tmp_path):
+    path = tmp_path / "report.json"
+    write_report({"trials": _records(2)}, str(path))
+    return path, path.read_bytes()
+
+
+def test_unencodable_last_run_keeps_the_previous_report(tmp_path):
+    path, before = _previous_report(tmp_path)
+    doc = {"summary": {"n": 1}, "trials": _records(3 * RUN)}
+    doc["trials"][-1]["witness"]["t"] = {0.5}
+    with pytest.raises(TypeError):
+        write_report(doc, str(path))
+    assert path.read_bytes() == before
+    assert os.listdir(tmp_path) == ["report.json"]
+
+
+def test_full_disk_mid_stream_keeps_the_previous_report(tmp_path, monkeypatch):
+    path, before = _previous_report(tmp_path)
+    doc = {"summary": {"n": 1}, "trials": _records(3 * RUN)}
+    half = len(json.dumps(doc)) // 2
+    written = []
+    fdopen = os.fdopen
+
+    def fdopen_filling_up(fd, *args, **kwargs):
+        fh = fdopen(fd, *args, **kwargs)
+        write = fh.write
+
+        def write_until_full(text):
+            if sum(written) + len(text) > half:
+                raise OSError(errno.ENOSPC, "No space left on device")
+            written.append(len(text))
+            return write(text)
+
+        fh.write = write_until_full
+        return fh
+
+    monkeypatch.setattr(os, "fdopen", fdopen_filling_up)
+    with pytest.raises(OSError):
+        write_report(doc, str(path))
+    assert len(written) > 3  # the failing write came after the summary and a run
+    assert path.read_bytes() == before
     assert os.listdir(tmp_path) == ["report.json"]
