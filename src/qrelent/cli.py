@@ -76,46 +76,39 @@ def cmd_verify(args: argparse.Namespace) -> int:
     return 0 if all_pass else 1
 
 
-def _read_pd(path: str, label: str) -> PdMatrix:
+def _read(path: str, label: str, pd: bool = True) -> HermitianMatrix | PdMatrix:
+    # The matrix of file ``path``, validated positive definite when ``pd``;
+    # parse and validation errors are prefixed with ``label`` and ``path``.
     try:
-        return validate_pd(read_matrix(path))
-    except QrelentError as exc:
-        raise QrelentError(f"{label} ({path}): {exc}") from exc
-
-
-def _read_hermitian(path: str, label: str) -> HermitianMatrix:
-    try:
-        return read_matrix(path)
+        m = read_matrix(path)
+        return validate_pd(m) if pd else m
     except QrelentError as exc:
         raise QrelentError(f"{label} ({path}): {exc}") from exc
 
 
 def cmd_eval(op: str, h_path: str | None, a_path: str | None, x_path: str | None) -> int:
-    """Evaluate one expression and print the value with 17 significant digits."""
+    """Evaluate one expression and print the value with 17 significant digits.
+
+    The operands are read in the order X, A (Y for relent), H.
+    """
     if a_path is None:
         raise QrelentError(f"operation {op!r} requires --a")
     if h_path is not None and op in ("relent", "entropy"):
         raise QrelentError(f"operation {op!r} does not read --h")
     if x_path is not None and op in ("trexplog", "entropy"):
         raise QrelentError(f"operation {op!r} does not read --x")
+    if x_path is None and op in ("relent", "objective"):
+        raise QrelentError(f"operation {op!r} requires --x")
+    x = None if x_path is None else _read(x_path, "X")
+    a = _read(a_path, "Y" if op == "relent" else "A")
+    h = _read(h_path, "H", pd=False) if h_path else HermitianMatrix.zeros(a.dim)
     if op == "entropy":
-        value = entropy(_read_pd(a_path, "A"))
+        value = entropy(a)
     elif op == "trexplog":
-        a = _read_pd(a_path, "A")
-        h = _read_hermitian(h_path, "H") if h_path else HermitianMatrix.zeros(a.dim)
         value = trace_exp_log(h, a)
     elif op == "relent":
-        if x_path is None:
-            raise QrelentError("operation 'relent' requires --x")
-        x = _read_pd(x_path, "X")
-        y = _read_pd(a_path, "Y")
-        value = relative_entropy(x, y).value
+        value = relative_entropy(x, a).value
     elif op == "objective":
-        if x_path is None:
-            raise QrelentError("operation 'objective' requires --x")
-        x = _read_pd(x_path, "X")
-        a = _read_pd(a_path, "A")
-        h = _read_hermitian(h_path, "H") if h_path else HermitianMatrix.zeros(a.dim)
         value = lieb_objective(x, h, a)
     else:
         raise QrelentError(f"unknown operation {op!r}")

@@ -33,6 +33,7 @@ from .hermitian import (
     hermitian_draws,
     pd_draws,
     pd_stack,
+    traces,
     trial_rng,
     validate_pd_stack,
 )
@@ -295,18 +296,18 @@ def partial_max_trial(rngs: Rngs, dim: int, tol: float) -> tuple[list, list]:
     # The start objective of each converged mixture, in valid-record order.
     starts: list[float] = []
 
-    def g(h: np.ndarray, a: PdStack, x: PdStack | None) -> tuple[list, list]:
+    def g(h: np.ndarray, a: PdStack, x: PdStack | None) -> tuple:
         # The ascents at each A from its X, and their values (None if not converged).
         runs = maximize_liebs(h, a, x)
+        values = _values(runs)
         direct = trace_exp_logs(h, a.log).ravel().tolist()
-        done = [(res, d) for res, d in zip(runs, direct) if res.converged]
-        gaps.extend(abs(res.value - d) / (1.0 + abs(d)) for res, d in done)
+        gaps.extend(abs(v - d) / (1.0 + abs(d)) for v, d in zip(values, direct) if v is not None)
         if x is not None:
-            starts.extend(res.objective_history[0] for res, _ in done)
-        return runs, [res.value if res.converged else None for res in runs]
+            starts.extend(hist[0] for hist, v in zip(runs.objective_history, values) if v is not None)
+        return runs, values
 
     runs, values = g(h[:, None], a, None)
-    x = pd_stack([res.maximizer for res in runs])
+    x = runs.maximizer
     ends = [values[i:i + 2] for i in range(0, len(values), 2)]
     records = _segment(lambda *p: g(*p)[1], (a[:, 0], x[0::2]), (a[:, 1], x[1::2]), rngs,
                        "concave", tol, fixed=h, ends=ends)
@@ -337,20 +338,26 @@ def _partial_max_extras(records: list, samples: list, tol: float) -> tuple[dict,
     return extras, ok
 
 
-def _agreement(kind: str, res, closed_form: Callable[[], tuple]) -> list[BoundTrial]:
+def _values(runs) -> list:
+    # The value of each run of a stacked result, None where it did not converge.
+    return [v if ok else None for v, ok in zip(runs.value.tolist(), runs.converged.tolist())]
+
+
+def _agreement(kind: str, value: float | None, maximizer: np.ndarray,
+               closed_form: Callable[[], tuple]) -> list[BoundTrial]:
     """Value and argmax gaps of one optimizer run, minus their budgets.
 
-    ``closed_form`` returns the exact ``(value, maximizer)`` and is called
-    only for a converged run; a run that did not converge gives one
-    invalid record.
+    ``value`` is None for a run that did not converge, which gives one
+    invalid record.  Otherwise ``closed_form()`` gives the exact ``(value,
+    maximizer)``, maximizers as entries, their norms one matrix at a time.
     """
-    if not res.converged:
+    if value is None:
         return [BoundTrial(f"{kind}-value", 0.0, VALUE_AGREEMENT_RTOL, 0.0, 1.0, valid=False)]
-    value, maximizer = closed_form()
-    value_scale = 1.0 + abs(value)
-    argmax_scale = 1.0 + maximizer.frobenius_norm()
-    value_gap = abs(res.value - value) / value_scale
-    argmax_gap = (res.maximizer.base - maximizer.base).frobenius_norm() / argmax_scale
+    exact, x_star = closed_form()
+    value_scale = 1.0 + abs(exact)
+    argmax_scale = 1.0 + float(np.linalg.norm(x_star))
+    value_gap = abs(value - exact) / value_scale
+    argmax_gap = float(np.linalg.norm(maximizer - x_star)) / argmax_scale
     return [
         BoundTrial(f"{kind}-value", value_gap, VALUE_AGREEMENT_RTOL,
                    value_gap - VALUE_AGREEMENT_RTOL, value_scale),
@@ -375,20 +382,22 @@ def variational_trial(rngs: Rngs, dim: int, tol: float) -> tuple[list, list]:
     h, a = np.stack((np.zeros_like(h), h), axis=1), pd_stack((y, a[:, 0]), axis=1)
     del y
     runs = maximize_liebs(h, a)
+    values, x = _values(runs), runs.maximizer.entries
     # One stacked decomposition of H + log A, for the converged lieb runs,
-    # gives each argmax exp(H + log A) and its trace, in trial order.
-    done = [s for s in range(len(rngs)) if runs[2 * s + 1].converged]
+    # gives each argmax exp(H + log A) and its trace, in trial order; the
+    # stack validates the argmaxes as mat_exp does.
+    done = [s for s in range(len(rngs)) if values[2 * s + 1] is not None]
     closed_forms = iter(())
     if done:
         w, u = _eigh(h[done, 1] + a.log[done, 1])
         w = exp_eigenvalues(w)
         x_star = PdStack(_reconstruct(u, w), w, u)
-        closed_forms = ((float(w[j].sum()), x_star.point(j)) for j in range(len(done)))
+        closed_forms = ((float(w[j].sum()), x_star.entries[j]) for j in range(len(done)))
     records = []
     for s in range(len(rngs)):
-        y = a.point((s, 0))
-        records += _agreement("variational", runs[2 * s], lambda: (y.trace(), y))
-        records += _agreement("lieb", runs[2 * s + 1], lambda: next(closed_forms))
+        y = a.entries[s, 0]
+        records += _agreement("variational", values[2 * s], x[2 * s], lambda: (float(traces(y)), y))
+        records += _agreement("lieb", values[2 * s + 1], x[2 * s + 1], lambda: next(closed_forms))
     return records, []
 
 

@@ -388,11 +388,6 @@ def pd_mixtures(a: PdStack, b: PdStack, ts: np.ndarray) -> PdStack:
 def _reconstruct(u: np.ndarray, vals: np.ndarray) -> np.ndarray:
     # U diag(vals) U* with real vals, for one matrix or a stack, stored as
     # its Hermitian part (M + M*)/2 so that it is exactly self-adjoint.
-    if u.ndim == 2:
-        # The same bytes as the block loop, without its bookkeeping (about
-        # 3 us per call at n = 6 and 16).
-        m = (u * vals) @ u.conj().T
-        return (m + m.conj().T) / 2.0
     n = u.shape[-1]
     out = np.empty(u.shape, dtype=np.complex128)
     us, ms, vs = u.reshape(-1, n, n), out.reshape(-1, n, n), vals.reshape(-1, 1, n)

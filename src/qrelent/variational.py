@@ -63,18 +63,19 @@ _ACCEPT_SLACK = 1e-12
 
 @dataclasses.dataclass(frozen=True)
 class OptimizeResult:
-    """Converged maximizer with value and convergence diagnostics.
+    """Maximizer with value and convergence diagnostics, of one run or of a stack of runs.
 
     ``objective_history`` lists the objective at the initial point and
-    after every accepted ascent step.
+    after every accepted ascent step.  A stack holds a PdStack, arrays,
+    and a list of histories, one row per run.
     """
 
-    maximizer: PdMatrix
-    value: float
-    iters: int
-    grad_norm_final: float
-    converged: bool
-    objective_history: tuple
+    maximizer: PdMatrix | PdStack
+    value: float | np.ndarray
+    iters: int | np.ndarray
+    grad_norm_final: float | np.ndarray
+    converged: bool | np.ndarray
+    objective_history: tuple | list
 
 
 def trace_exp_log(h: HermitianMatrix, a: PdMatrix) -> float:
@@ -277,15 +278,18 @@ def maximize_variational(y: PdMatrix, init: PdMatrix | None = None) -> OptimizeR
 
 
 def maximize_lieb(h: HermitianMatrix, a: PdMatrix, init: PdMatrix | None = None) -> OptimizeResult:
-    """:func:`maximize_liebs` of one ``A``; a run that takes no step returns ``init`` itself."""
+    """Row 0 of :func:`maximize_liebs` of one ``A``; a run that takes no step returns ``init`` itself."""
     _check_dims(h, a)
     stack = pd_stack((a,))
     stack.__dict__["log"] = mat_log(a).entries[None]  # a's cached log, as the stack's
-    (res,) = maximize_liebs(h.entries, stack, None if init is None else pd_stack((init,)))
-    return res if res.iters or init is None else dataclasses.replace(res, maximizer=init)
+    runs = maximize_liebs(h.entries, stack, None if init is None else pd_stack((init,)))
+    x = runs.maximizer.point(0) if runs.iters[0] or init is None else init
+    return OptimizeResult(x, float(runs.value[0]), int(runs.iters[0]),
+                          float(runs.grad_norm_final[0]), bool(runs.converged[0]),
+                          runs.objective_history[0])
 
 
-def maximize_liebs(h: np.ndarray, a: PdStack, init: PdStack | None = None) -> list[OptimizeResult]:
+def maximize_liebs(h: np.ndarray, a: PdStack, init: PdStack | None = None) -> OptimizeResult:
     """Maximize ``tr(XH) - (D(X;A) - tr A)`` over the PD cone, for each ``A`` of a stack at once.
 
     ``h`` holds self-adjoint entries that broadcast against ``a``; ``init``
@@ -293,8 +297,8 @@ def maximize_liebs(h: np.ndarray, a: PdStack, init: PdStack | None = None) -> li
     spectrum ``(1, I)``.  A run has converged once its gradient norm is at
     most ``1e-8 (1 + ||H||_F + ||A||_F)``, with a value near ``tr exp(H +
     log A)`` and a maximizer near ``exp(H + log A)``; one that takes no
-    step returns its start.  Results come in row-major order, each equal to
-    its row's alone.
+    step returns its start.  The result stacks the runs in row-major
+    order, one row of shape (n, n) each, and each row equals its run alone.
     """
     k = h + a.log
     n = k.shape[-1]
@@ -308,26 +312,23 @@ def maximize_liebs(h: np.ndarray, a: PdStack, init: PdStack | None = None) -> li
         return (m if m.shape == k.shape else np.broadcast_to(m, k.shape)).reshape(-1, n, n)
 
     vectors = _eigh(init.entries)[1] if init.vectors is None else init.vectors
-    init = PdStack(rows(init.entries), init.eigenvalues.reshape(-1, n), rows(vectors))
+    x, w, u = rows(init.entries), init.eigenvalues.reshape(-1, n), rows(vectors)
     k, h, a_entries, log_a = rows(k), rows(h), rows(a.entries), rows(a.log)
     grad_tol = 1e-8 * (1.0 + np.array([np.linalg.norm(p) + np.linalg.norm(q)
                                        for p, q in zip(h, a_entries)]))
-    w, u, iters, grad_norm, history = _ascend(k, init.eigenvalues, init.vectors, grad_tol)
+    w, u, iters, grad_norm, history = _ascend(k, w, u, grad_tol)
 
-    # U drifts from unitary by rounding, so each X = U diag(w) U* that moved
-    # carries its own decomposition, one stack for all; only when forming X
-    # took an eigenvalue near _EIG_FLOOR to PD_FLOOR or under (its error is
-    # about eps ||X||) does it carry (w, U) instead.
+    # A row that did not move keeps its start, (w, U) included.  U drifts
+    # from unitary by rounding, so each X = U diag(w) U* that moved carries
+    # its own decomposition, one stack for all; only when forming X took an
+    # eigenvalue near _EIG_FLOOR to PD_FLOOR or under (its error is about
+    # eps ||X||) does it carry (w, U) instead.
     moved = np.flatnonzero(iters)
-    x = _reconstruct(u[moved], w[moved])
-    xw, xu = _eigh(x)
-    maximizers = [None if i else init.point(r) for r, i in enumerate(iters)]
-    for j, r in enumerate(moved):
-        ok = xw[j, 0] > PD_FLOOR
-        maximizers[r] = PdMatrix(HermitianMatrix._exact(x[j]), xw[j] if ok else w[r],
-                                 xu[j] if ok else u[r])
-    x, xw = np.stack([m.entries for m in maximizers]), np.stack([m.eigenvalues for m in maximizers])
+    x = x.copy()
+    x[moved] = _reconstruct(u[moved], w[moved])
+    xw, xu = _eigh(x[moved])
+    ok = xw[:, 0] > PD_FLOOR
+    w[moved[ok]], u[moved[ok]] = xw[ok], xu[ok]
     # lieb_objective of every row.
-    values = trace_products(x, h) - relative_entropies(xw, x, a_entries, log_a)[0] + traces(a_entries)
-    return [OptimizeResult(m, float(v), int(i), float(g), bool(g <= tol), hist) for m, v, i, g, tol,
-            hist in zip(maximizers, values, iters, grad_norm, grad_tol, history)]
+    values = trace_products(x, h) - relative_entropies(w, x, a_entries, log_a)[0] + traces(a_entries)
+    return OptimizeResult(PdStack(x, w, u), values, iters, grad_norm, grad_norm <= grad_tol, history)

@@ -231,13 +231,16 @@ class TestEval:
     def test_non_pd_operand_exits_two(self, matrix_files, capsys):
         assert main(["eval", "entropy", "--a", matrix_files["indefinite"]]) == 2
         err = capsys.readouterr().err
-        assert matrix_files["indefinite"] in err
+        assert f"A ({matrix_files['indefinite']}): " in err
 
-    def test_asymmetric_matrix_exits_two(self, tmp_path, capsys):
+    def test_asymmetric_matrix_exits_two(self, matrix_files, tmp_path, capsys):
         path = tmp_path / "asym.json"
         path.write_text('{"dim": 2, "re": [1.0, 2.0, 3.0, 4.0]}')
         assert main(["eval", "entropy", "--a", str(path)]) == 2
-        assert "asym.json" in capsys.readouterr().err
+        assert f"A ({path}): " in capsys.readouterr().err
+        # a self-adjoint operand's parse error names it too
+        assert main(["eval", "trexplog", "--a", matrix_files["id3"], "--h", str(path)]) == 2
+        assert f"H ({path}): " in capsys.readouterr().err
 
     @pytest.mark.parametrize("op, flag", [
         ("relent", "--h"), ("entropy", "--h"), ("trexplog", "--x"), ("entropy", "--x"),

@@ -394,6 +394,27 @@ def test_variational_stacks_each_chunk_of_its_width(monkeypatch):
     assert rows == [16, 10]
 
 
+@pytest.mark.parametrize("name, dim", [("partial-max", 6), ("variational", 16)])
+def test_optimizer_suites_build_no_per_matrix_objects(monkeypatch, name, dim):
+    # The ascents' maximizers stay one stack from the ascent to the records:
+    # no PdMatrix and no HermitianMatrix is built for a row.
+    built = []
+    post_init, exact = PdMatrix.__post_init__, HermitianMatrix._exact.__func__
+
+    def counted_post_init(self, vectors):
+        built.append("PdMatrix")
+        post_init(self, vectors)
+
+    def counted_exact(cls, m):
+        built.append("HermitianMatrix._exact")
+        return exact(cls, m)
+
+    monkeypatch.setattr(PdMatrix, "__post_init__", counted_post_init)
+    monkeypatch.setattr(HermitianMatrix, "_exact", classmethod(counted_exact))
+    assert run_suite(name, dim, 13, 42, None).passed
+    assert built == []
+
+
 @pytest.mark.parametrize("dim, trials", [
     (3, 3),
     # chunks of 409 and of 11: 25 trials end mid-chunk (11, 11 and 3 at dim 6)
@@ -987,8 +1008,8 @@ class TestPartialMaxWarmStart:
 
         def recorded(h, a, init=None):
             runs = solver(h, a, init)
-            starts.extend([init is None] * len(runs))
-            calls.append(len(runs))
+            starts.extend([init is None] * len(runs.iters))
+            calls.append(len(runs.iters))
             return runs
 
         monkeypatch.setattr(convexity, "maximize_liebs", recorded)
@@ -1005,8 +1026,11 @@ class TestPartialMaxWarmStart:
 
         def nan_start(h, a, init=None):
             runs = maximize_liebs(h, a, init)
-            return [dataclasses.replace(res, objective_history=(math.nan,))
-                    if init is not None and res.iters > 0 else res for res in runs]
+            if init is None:
+                return runs
+            return dataclasses.replace(runs, objective_history=[
+                (math.nan,) if iters > 0 else hist
+                for hist, iters in zip(runs.objective_history, runs.iters)])
 
         monkeypatch.setattr(convexity, "maximize_liebs", nan_start)
         report = partial_max_concavity_suite(3, 2, 23, 1e-8)
@@ -1028,9 +1052,11 @@ class TestPartialMaxWarmStart:
 
         def shifted_start(h, a, init=None):
             runs = maximize_liebs(h, a, init)
-            return [dataclasses.replace(res, objective_history=(
-                        (res.objective_history[0] + shift,) + res.objective_history[1:]))
-                    if init is not None and res.iters > 0 else res for res in runs]
+            if init is None:
+                return runs
+            return dataclasses.replace(runs, objective_history=[
+                (hist[0] + shift,) + hist[1:] if iters > 0 else hist
+                for hist, iters in zip(runs.objective_history, runs.iters)])
 
         monkeypatch.setattr(convexity, "maximize_liebs", shifted_start)
         report = partial_max_concavity_suite(3, 2, 23, 1e-8)
@@ -1054,12 +1080,12 @@ class TestPartialMaxWarmStart:
             runs = maximize_liebs(h, a, init)
             if init is None:
                 return runs
-            value = runs[0].value
-            runs = [dataclasses.replace(res, value=value, objective_history=(
-                        (value - 1e-3 * (j + 1),) + res.objective_history[1:]))
-                    for j, res in enumerate(runs)]
-            given.extend(res.objective_history[0] for res in runs)
-            return runs
+            value = float(runs.value[0])
+            history = [(value - 1e-3 * (j + 1),) + hist[1:]
+                       for j, hist in enumerate(runs.objective_history)]
+            given.extend(hist[0] for hist in history)
+            return dataclasses.replace(runs, value=np.full_like(runs.value, value),
+                                       objective_history=history)
 
         monkeypatch.setattr(convexity, "maximize_liebs", equal_values)
         records, [(_, margins, gains)] = convexity.partial_max_trial(
@@ -1079,18 +1105,23 @@ def _variational_per_trial(rngs, dim):
     y = validate_pd_stack(pd_draws(rngs, dim, 0.1)[:, 0])
     h, a = convexity._lieb_instances(rngs, dim, 1)
     h, a = np.stack((np.zeros_like(h), h), axis=1), pd_stack((y, a[:, 0]), axis=1)
-    runs = iter(convexity.maximize_liebs(h, a))
+    runs = convexity.maximize_liebs(h, a)
+
+    def agreement(kind, r, closed_form):
+        value = float(runs.value[r]) if runs.converged[r] else None
+        return convexity._agreement(kind, value, runs.maximizer.entries[r], closed_form)
+
     records = []
     for s in range(len(rngs)):
         y_s = a.point((s, 0))
-        records += convexity._agreement("variational", next(runs), lambda: (y_s.trace(), y_s))
+        records += agreement("variational", 2 * s, lambda: (y_s.trace(), y_s.entries))
         h_s, a_s = HermitianMatrix._exact(h[s, 1]), a.point((s, 1))
 
         def lieb_closed_form():
             x_star = mat_exp(h_s + mat_log(a_s))
-            return float(x_star.eigenvalues.sum()), x_star
+            return float(x_star.eigenvalues.sum()), x_star.entries
 
-        records += convexity._agreement("lieb", next(runs), lieb_closed_form)
+        records += agreement("lieb", 2 * s + 1, lieb_closed_form)
     return records
 
 
@@ -1121,7 +1152,9 @@ class TestVariationalClosedForms:
 
         def converged(h, a, init=None):
             x = PdMatrix.identity(a.entries.shape[-1])
-            return [OptimizeResult(x, 0.0, 0, 0.0, True, (0.0,))] * (a.entries.size // x.entries.size)
+            rows = a.entries.size // x.entries.size
+            return OptimizeResult(pd_stack([x] * rows), np.zeros(rows), np.zeros(rows, dtype=int),
+                                  np.zeros(rows), np.ones(rows, dtype=bool), [(0.0,)] * rows)
 
         monkeypatch.setattr(convexity, "_lieb_instances", shifted)
         monkeypatch.setattr(convexity, "maximize_liebs", converged)

@@ -1,6 +1,8 @@
-"""The default reports against ``tests/golden.json``.
+"""The default reports and the flipped self-test against ``tests/golden.json``.
 
-``verify --suite all --seed 42`` at dims 1, 6 and 16 must reproduce the
+``verify --suite all --seed 42`` at dims 1, 6 and 16, and the self-test
+``verify --suite lieb-concavity --flip-orientation --dim 4 --trials 20
+--seed 42`` (exit 1, every trial a witness), must reproduce the
 golden sha256 where the numerics are the golden file's: the same numpy
 version, OpenBLAS build and CPU features, all read through
 ``np.show_config(mode="dicts")``.  Elsewhere another BLAS kernel may round
@@ -11,7 +13,7 @@ numpy 2.4.6 on five other OpenBLAS kernels (``OPENBLAS_CORETYPE`` from
 Prescott to Zen) the floats moved by at most 1.1e-9 relative, and the
 rounding-level ones by at most 7.1e-15 absolute.
 
-After a change that moves a default report, regenerate the file with
+After a change that moves a pinned report, regenerate the file with
 ``PYTHONPATH=src python tests/test_golden.py`` and say which floats moved.
 """
 
@@ -26,6 +28,9 @@ from qrelent.cli import main
 
 GOLDEN = Path(__file__).with_name("golden.json")
 DIMS = (1, 6, 16)
+# The self-test's arguments, its key in the golden file and its exit status.
+FLIPPED = ("flipped-4", ["--suite", "lieb-concavity", "--flip-orientation", "--dim", "4",
+                         "--trials", "20"], 1)
 RTOL, ATOL = 1e-6, 1e-12
 
 
@@ -60,17 +65,19 @@ def summarize(path) -> dict:
     }
 
 
-def default_report(dim: int, path) -> dict:
-    args = ["verify", "--suite", "all", "--seed", "42", "--dim", str(dim), "--out", str(path)]
-    assert main(args) == 0
+def pinned_report(args: list, status: int, path) -> dict:
+    assert main(["verify", "--seed", "42", *args, "--out", str(path)]) == status
     return summarize(path)
 
 
-@pytest.mark.parametrize("dim", DIMS)
-def test_default_report_matches_golden(dim, tmp_path):
+def default_report(dim: int, path) -> dict:
+    return pinned_report(["--suite", "all", "--dim", str(dim)], 0, path)
+
+
+def check(key: str, got: dict) -> None:
+    """``got``, a :func:`summarize`, against the golden entry ``key``."""
     golden = json.loads(GOLDEN.read_text())
-    want = golden["reports"][str(dim)]
-    got = default_report(dim, tmp_path / "report.json")
+    want = golden["reports"][key]
     if environment() == golden["environment"]:
         assert got["sha256"] == want["sha256"]
     assert got["suites"].keys() == want["suites"].keys()
@@ -82,10 +89,22 @@ def test_default_report_matches_golden(dim, tmp_path):
         assert have["extras"] == pytest.approx(suite["extras"], rel=RTOL, abs=ATOL), name
 
 
+@pytest.mark.parametrize("dim", DIMS)
+def test_default_report_matches_golden(dim, tmp_path):
+    check(str(dim), default_report(dim, tmp_path / "report.json"))
+
+
+def test_flipped_report_matches_golden(tmp_path):
+    key, args, status = FLIPPED
+    check(key, pinned_report(args, status, tmp_path / "report.json"))
+
+
 if __name__ == "__main__":
     import tempfile
 
     with tempfile.TemporaryDirectory() as tmp:
         reports = {str(d): default_report(d, Path(tmp) / "report.json") for d in DIMS}
+        key, args, status = FLIPPED
+        reports[key] = pinned_report(args, status, Path(tmp) / "report.json")
     GOLDEN.write_text(json.dumps({"environment": environment(), "reports": reports},
                                  indent=1, sort_keys=True) + "\n")

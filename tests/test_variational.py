@@ -554,19 +554,21 @@ class TestStackedAscent:
             assert (stacked[2][r], stacked[3][r], stacked[4][r]) == (one[2][0], one[3][0], one[4][0])
 
         runs = maximize_liebs(h, a, init)
-        assert [res.iters for res in runs] == [0, 27, 26, 22]
-        assert [res.converged for res in runs] == [True, False, False, True]
-        for r, res in enumerate(runs):
+        assert runs.iters.tolist() == [0, 27, 26, 22]
+        assert runs.converged.tolist() == [True, False, False, True]
+        x = runs.maximizer
+        for r in range(4):
             one = maximize_lieb(HermitianMatrix._exact(h[r]), a.point(r), init.point(r))
-            assert res.maximizer.entries.tobytes() == one.maximizer.entries.tobytes()
-            assert res.maximizer.eigenvalues.tobytes() == one.maximizer.eigenvalues.tobytes()
-            assert (res.value, res.iters, res.grad_norm_final, res.converged,
-                    res.objective_history) == (one.value, one.iters, one.grad_norm_final,
-                                               one.converged, one.objective_history)
+            assert x.entries[r].tobytes() == one.maximizer.entries.tobytes()
+            assert x.eigenvalues[r].tobytes() == one.maximizer.eigenvalues.tobytes()
+            assert x.vectors[r].tobytes() == one.maximizer.spectrum.vectors.tobytes()
+            assert (runs.value[r], runs.iters[r], runs.grad_norm_final[r], runs.converged[r],
+                    runs.objective_history[r]) == (one.value, one.iters, one.grad_norm_final,
+                                                   one.converged, one.objective_history)
         # Row 3's maximizer carries the last iterate's spectrum: forming it
         # took an eigenvalue to PD_FLOOR or under.
         grad_tol = 1e-8 * (1.0 + (np.linalg.norm(h[3]) + 2.0))
         w, u = _ascend(k[3:], init.eigenvalues[3:], init.vectors[3:], np.array([grad_tol]))[:2]
-        assert runs[3].maximizer.eigenvalues.tobytes() == w[0].tobytes()
+        assert x.eigenvalues[3].tobytes() == w[0].tobytes()
         with pytest.raises(DomainError):
-            validate_pd(runs[3].maximizer.base)
+            validate_pd(HermitianMatrix(x.entries[3]))
