@@ -27,11 +27,9 @@ from .hermitian import (
     PdMatrix,
     PdStack,
     _block_rows,
-    _eigh,
-    _reconstruct,
-    exp_eigenvalues,
     hermitian_draws,
     pd_draws,
+    pd_exp,
     pd_stack,
     traces,
     trial_rng,
@@ -137,7 +135,7 @@ def _segment(f, p1, p2, rngs: Rngs, orientation: str, tol: float, fixed=None,
     width = len(T_GRID) + 1
 
     def matrix(c: Stack, s: int) -> dict:
-        return matrix_to_dict(HermitianMatrix._exact(_entries(c)[s]))
+        return matrix_to_dict(_entries(c)[s])
 
     records = []
     for s in range(len(rngs)):
@@ -383,16 +381,13 @@ def variational_trial(rngs: Rngs, dim: int, tol: float) -> tuple[list, list]:
     del y
     runs = maximize_liebs(h, a)
     values, x = _values(runs), runs.maximizer.entries
-    # One stacked decomposition of H + log A, for the converged lieb runs,
-    # gives each argmax exp(H + log A) and its trace, in trial order; the
-    # stack validates the argmaxes as mat_exp does.
+    # One stacked exponential of H + log A, for the converged lieb runs,
+    # gives each argmax exp(H + log A) and its trace, in trial order.
     done = [s for s in range(len(rngs)) if values[2 * s + 1] is not None]
     closed_forms = iter(())
     if done:
-        w, u = _eigh(h[done, 1] + a.log[done, 1])
-        w = exp_eigenvalues(w)
-        x_star = PdStack(_reconstruct(u, w), w, u)
-        closed_forms = ((float(w[j].sum()), x_star.entries[j]) for j in range(len(done)))
+        x_star = pd_exp(h[done, 1] + a.log[done, 1])
+        closed_forms = ((float(w.sum()), e) for w, e in zip(x_star.eigenvalues, x_star.entries))
     records = []
     for s in range(len(rngs)):
         y = a.entries[s, 0]
@@ -498,15 +493,19 @@ def _run_chunk(trial: Callable, seed: int, indices: range, *args, **options) -> 
     """``trial`` on the generators of trials ``indices``, as one chunk.
 
     Should the chunk raise, its trials run again one at a time, in order,
-    so that the first one that fails raises what it raises alone.
+    so that the first one that fails raises what it raises alone.  Should
+    none fail alone, the chunk's own error is raised: the stacked path
+    has a defect that single trials do not reach.
     """
     try:
         return trial([trial_rng(seed, i) for i in indices], *args, **options)
-    except Exception:  # noqa: BLE001 - located below, trial by trial
+    except Exception as exc:  # noqa: BLE001 - located below, trial by trial
         if len(indices) == 1:
             raise
-    alone = [trial([trial_rng(seed, i)], *args, **options) for i in indices]
-    return [r for records, _ in alone for r in records], [x for _, xs in alone for x in xs]
+        error = exc
+    for i in indices:
+        trial([trial_rng(seed, i)], *args, **options)
+    raise error
 
 
 def run_suite(

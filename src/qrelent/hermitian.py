@@ -124,30 +124,22 @@ class HermitianMatrix:
 
 @dataclasses.dataclass(frozen=True, eq=False)
 class PdMatrix:
-    """A positive-definite matrix with the eigenvalues that prove it.
+    """A positive-definite matrix with the spectrum that proves it.
 
     Construction raises DomainError unless the smallest of the ascending
-    ``eigenvalues`` exceeds ``PD_FLOOR``.  ``vectors``, when given, are the
-    matching eigenvectors; when omitted, the first read of ``spectrum``
-    (and so of ``log``) computes them with one :func:`eig` of ``base`` and
-    caches them.  ``entropy`` and ``log`` read the eigenvalues instead of
-    recomputing them.
+    ``eigenvalues`` exceeds ``PD_FLOOR``; ``vectors`` are the matching
+    eigenvectors.  ``entropy`` and ``log`` read the spectrum instead of
+    recomputing it.
     """
 
     base: HermitianMatrix
     eigenvalues: np.ndarray
-    vectors: dataclasses.InitVar[np.ndarray | None] = None
+    vectors: np.ndarray
 
-    def __post_init__(self, vectors):
+    def __post_init__(self):
+        _check_floor(self.eigenvalues)
         self.eigenvalues.setflags(write=False)
-        smallest = self.min_eigenvalue
-        if not smallest > PD_FLOOR:
-            raise DomainError(
-                f"matrix is not positive definite: smallest eigenvalue {smallest:.6g}"
-            )
-        if vectors is not None:
-            # Given vectors fill the cache of ``spectrum``.
-            self.__dict__["spectrum"] = SpectralDecomposition(self.eigenvalues, vectors)
+        self.vectors.setflags(write=False)
 
     @property
     def dim(self) -> int:
@@ -163,13 +155,8 @@ class PdMatrix:
 
     @functools.cached_property
     def spectrum(self) -> SpectralDecomposition:
-        """The carried eigenvalues with their eigenvectors, computed on first read if not given."""
-        return SpectralDecomposition(self.eigenvalues, eig(self.base).vectors)
-
-    def _known_vectors(self) -> np.ndarray | None:
-        # The eigenvectors if given or already computed, without computing them.
-        spectrum = self.__dict__.get("spectrum")
-        return None if spectrum is None else spectrum.vectors
+        """The carried eigenvalues with their eigenvectors."""
+        return SpectralDecomposition(self.eigenvalues, self.vectors)
 
     @classmethod
     def identity(cls, dim: int) -> "PdMatrix":
@@ -182,7 +169,7 @@ class PdMatrix:
     @functools.cached_property
     def log(self) -> HermitianMatrix:
         """The matrix logarithm, built once from the carried spectrum."""
-        return _rebuild(self.spectrum.vectors, np.log(self.eigenvalues))
+        return _rebuild(self.vectors, np.log(self.eigenvalues))
 
     def trace(self) -> float:
         return self.base.trace()
@@ -193,12 +180,12 @@ class PdMatrix:
     def scaled(self, t: float) -> "PdMatrix":
         """Scalar multiple ``t * A`` with eigenvalues ``t w`` and the same eigenvectors.
 
-        Vectors not yet computed stay deferred; t <= 0 raises DomainError.
+        t <= 0 raises DomainError.
         """
         t = float(t)
         if not t > 0.0:
             raise DomainError(f"scale factor must be positive, got {t!r}")
-        return PdMatrix(self.base * t, self.eigenvalues * t, self._known_vectors())
+        return PdMatrix(self.base * t, self.eigenvalues * t, self.vectors)
 
     def __repr__(self):
         return f"PdMatrix(dim={self.dim}, min_eigenvalue={self.min_eigenvalue:.3e})"
@@ -232,10 +219,10 @@ class PdStack:
     The stacked PdMatrix, for evaluating many points with one call per
     kernel.  ``entries[k]`` has the ascending eigenvalues
     ``eigenvalues[k]`` and, when ``vectors`` is given, the eigenvectors
-    ``vectors[k]``, for any index ``k`` over the leading axes.
-    Construction raises DomainError, as :func:`validate_pd` does, unless
-    every smallest eigenvalue exceeds ``PD_FLOOR``; the message names the
-    first one that does not, in row-major order.  The arrays are read-only.
+    ``vectors[k]``, for any index ``k`` over the leading axes.  Only a
+    stack can be eigenvalues only.  Construction raises DomainError, as
+    PdMatrix does, unless every smallest eigenvalue exceeds ``PD_FLOOR``.
+    The arrays are read-only.
     """
 
     entries: np.ndarray
@@ -243,12 +230,7 @@ class PdStack:
     vectors: np.ndarray | None = None
 
     def __post_init__(self):
-        smallest = self.eigenvalues[..., 0]
-        ok = smallest > PD_FLOOR
-        if not ok.all():
-            raise DomainError(
-                f"matrix is not positive definite: smallest eigenvalue {smallest[~ok][0]:.6g}"
-            )
+        _check_floor(self.eigenvalues)
         for a in (self.entries, self.eigenvalues, self.vectors):
             if a is not None:
                 a.setflags(write=False)
@@ -260,13 +242,14 @@ class PdStack:
         vectors = None if self.vectors is None else self.vectors[rows]
         return PdStack(self.entries[rows], self.eigenvalues[rows], vectors)
 
-    def _known_vectors(self) -> np.ndarray | None:
-        return self.vectors
-
     def point(self, k) -> PdMatrix:
-        """Matrix ``k`` (an index over the leading axes) as a PdMatrix carrying its spectrum."""
-        vectors = None if self.vectors is None else self.vectors[k]
-        return PdMatrix(HermitianMatrix._exact(self.entries[k]), self.eigenvalues[k], vectors)
+        """Matrix ``k`` (an index over the leading axes) as a PdMatrix carrying its spectrum.
+
+        On an eigenvalues-only stack, one :func:`eig` of the matrix gives its eigenvectors.
+        """
+        base = HermitianMatrix._exact(self.entries[k])
+        vectors = eig(base).vectors if self.vectors is None else self.vectors[k]
+        return PdMatrix(base, self.eigenvalues[k], vectors)
 
     @functools.cached_property
     def log(self) -> np.ndarray:
@@ -279,6 +262,18 @@ class PdStack:
 
 
 MatrixLike = Union[HermitianMatrix, PdMatrix]
+
+
+def _check_floor(eigenvalues: np.ndarray) -> None:
+    # DomainError unless every smallest of the ascending eigenvalues (along
+    # the last axis) exceeds PD_FLOOR, naming the first that does not in
+    # row-major order.
+    smallest = eigenvalues[..., 0]
+    ok = smallest > PD_FLOOR
+    if not ok.all():
+        raise DomainError(
+            f"matrix is not positive definite: smallest eigenvalue {smallest[~ok][0]:.6g}"
+        )
 
 
 def _check_dims(a: MatrixLike, b: MatrixLike) -> None:
@@ -336,9 +331,9 @@ def pd_stack(points: Sequence[PdMatrix | PdStack], axis: int = 0) -> PdStack:
     """The positive-definite ``points`` as one stack along ``axis``, with their carried spectra.
 
     The points are matrices, or stacks of one shape.  The stack has
-    eigenvectors when every point has them at hand.
+    eigenvectors unless a point is an eigenvalues-only stack.
     """
-    vectors = [p._known_vectors() for p in points]
+    vectors = [p.vectors for p in points]
     return PdStack(
         np.stack([p.entries for p in points], axis),
         np.stack([p.eigenvalues for p in points], axis),
@@ -378,8 +373,8 @@ def pd_mixtures(a: PdStack, b: PdStack, ts: np.ndarray) -> PdStack:
     raises DomainError when a mixture has its smallest eigenvalue at or
     below ``PD_FLOOR``, and a solver failure raises ConvergenceError.  Each
     mixture equals ``validate_pd(a.base * t + b.base * (1 - t))`` bit for
-    bit, validated with ``vectors=False`` when the stack is eigenvalues
-    only.
+    bit, its eigenvalues those of :func:`eigvals` when the stack is
+    eigenvalues only.
     """
     entries = mixtures(a.entries, b.entries, ts)
     return PdStack(entries, *_eigh(entries, a.vectors is not None or b.vectors is not None))
@@ -440,15 +435,21 @@ def matrix_fn(m: HermitianMatrix, f: Callable[[float], float]) -> HermitianMatri
 
 
 def mat_exp(m: HermitianMatrix) -> PdMatrix:
-    """Spectral matrix exponential, carrying the spectrum ``(exp w, U)``.
+    """Spectral matrix exponential, carrying the spectrum ``(exp w, U)``: :func:`pd_exp` of one matrix."""
+    return pd_exp(m.entries[None]).point(0)
 
-    Raises OverflowError when any eigenvalue exceeds ``EXP_OVERFLOW_LIMIT``;
-    failing loudly beats returning infinities.  Raises DomainError when an
-    eigenvalue below about -27.6 takes the result to ``PD_FLOOR`` or under.
+
+def pd_exp(entries: np.ndarray) -> PdStack:
+    """Spectral exponentials of a stack of self-adjoint entries, carrying their spectra ``(exp w, U)``.
+
+    One ``eigh`` call decomposes the whole stack.  Raises OverflowError
+    when any eigenvalue exceeds ``EXP_OVERFLOW_LIMIT``; failing loudly
+    beats returning infinities.  Raises DomainError when an eigenvalue
+    below about -27.6 takes a result to ``PD_FLOOR`` or under.
     """
-    dec = eig(m)
-    w = exp_eigenvalues(dec.eigenvalues)
-    return PdMatrix(_rebuild(dec.vectors, w), w, dec.vectors)
+    w, u = _eigh(entries)
+    w = exp_eigenvalues(w)
+    return PdStack(_reconstruct(u, w), w, u)
 
 
 def exp_eigenvalues(w: np.ndarray) -> np.ndarray:
@@ -509,18 +510,14 @@ def traces(entries: np.ndarray) -> np.ndarray:
     return np.trace(entries, axis1=-2, axis2=-1).real
 
 
-def validate_pd(m: MatrixLike, vectors: bool = True) -> PdMatrix:
+def validate_pd(m: MatrixLike) -> PdMatrix:
     """Validate positive definiteness with one eigendecomposition, which the result carries.
 
     Raises DomainError when any eigenvalue is at or below ``PD_FLOOR``.
-    With ``vectors=False`` only the eigenvalues are computed (:func:`eigvals`);
-    the eigenvectors then cost one :func:`eig` when ``spectrum`` or ``log``
-    is first read.  A PdMatrix is returned as it is.
+    A PdMatrix is returned as it is.
     """
     if isinstance(m, PdMatrix):
         return m
-    if not vectors:
-        return PdMatrix(m, eigvals(m))
     dec = eig(m)
     return PdMatrix(m, dec.eigenvalues, dec.vectors)
 
@@ -589,15 +586,9 @@ def hermitian_draws(rngs: Sequence[np.random.Generator], dim: int, radius: float
     return h
 
 
-def sample_pd(
-    rng: np.random.Generator, dim: int, spread: float, vectors: bool = True
-) -> PdMatrix:
-    """Draw ``G G*/dim + spread I`` with standard complex normal ``G`` (:func:`pd_draws`).
-
-    ``vectors`` is passed to :func:`validate_pd`: False when the caller
-    never reads the sample's ``log``.
-    """
-    return validate_pd(HermitianMatrix._exact(pd_draws([rng], dim, spread)[0, 0]), vectors)
+def sample_pd(rng: np.random.Generator, dim: int, spread: float) -> PdMatrix:
+    """Draw ``G G*/dim + spread I`` with standard complex normal ``G`` (:func:`pd_draws`)."""
+    return validate_pd(HermitianMatrix._exact(pd_draws([rng], dim, spread)[0, 0]))
 
 
 def random_pd(dim: int, seed: int, spread: float) -> PdMatrix:

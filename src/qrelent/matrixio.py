@@ -23,9 +23,12 @@ from .errors import MatrixParseError, NotHermitianError
 from .hermitian import HermitianMatrix, PdMatrix, symmetrize
 
 
-def matrix_to_dict(m: HermitianMatrix | PdMatrix) -> dict:
-    """Matrix file representation; the imaginary block is kept only if nonzero."""
-    e = m.entries
+def matrix_to_dict(m: HermitianMatrix | PdMatrix | np.ndarray) -> dict:
+    """Matrix file representation of a matrix or of its self-adjoint entries.
+
+    The imaginary block is kept only if nonzero.
+    """
+    e = m if isinstance(m, np.ndarray) else m.entries
     out = {"dim": int(e.shape[0]), "re": e.real.ravel().tolist()}
     if np.any(e.imag != 0.0):
         out["im"] = e.imag.ravel().tolist()

@@ -112,7 +112,9 @@ def _evaluate(f: Callable[..., Sequence], fixed: Stack | None, rows: list, ts: n
     first.  Should a call raise, the points of its piece are evaluated
     again one at a time, each as a stack of one, in order, so that the
     first point that fails (its validation as a mixture included) is
-    raised as SegmentEvaluationError with its ``t``.
+    raised as SegmentEvaluationError with its ``t``.  Should none fail
+    alone, the piece's own exception is raised as it is: the stacked
+    evaluation has a defect that single points do not reach.
     """
     segments, width = ts.shape
 
@@ -128,9 +130,10 @@ def _evaluate(f: Callable[..., Sequence], fixed: Stack | None, rows: list, ts: n
             for i in range(s.start, s.stop):
                 for j in range(k.start, k.stop):
                     try:
-                        values += _values(call(slice(i, i + 1), slice(j, j + 1)))
+                        call(slice(i, i + 1), slice(j, j + 1))
                     except Exception as exc:  # noqa: BLE001 - re-raised with context
                         raise SegmentEvaluationError(float(ts[i, j]), str(exc)) from exc
+            raise
     return [values[k:k + width] for k in range(0, len(values), width)]
 
 

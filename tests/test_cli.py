@@ -121,8 +121,7 @@ class TestVerify:
             return {k: v for k, v in vars(record).items()
                     if k not in defaults or v != defaults[k]}
 
-        def matrix_dict(m):
-            e = m.entries
+        def matrix_dict(e):
             out = {"dim": int(e.shape[0]), "re": [float(v) for v in e.real.ravel()]}
             if np.any(e.imag != 0.0):
                 out["im"] = [float(v) for v in e.imag.ravel()]
@@ -223,6 +222,13 @@ class TestEval:
         assert main(["eval", "relent", "--x", matrix_files["two"]]) == 2
         assert "--a" in capsys.readouterr().err
         assert main(["eval", "entropy"]) == 2
+
+    @pytest.mark.parametrize("op", ["relent", "objective"])
+    def test_missing_x_exits_two(self, matrix_files, capsys, op):
+        assert main(["eval", op, "--a", matrix_files["id3"]]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: operation {op!r} requires --x\n"
 
     def test_missing_file_exits_two_and_names_path(self, capsys):
         assert main(["eval", "entropy", "--a", "/nonexistent/a.json"]) == 2

@@ -29,7 +29,7 @@ from qrelent import (
 )
 from qrelent.convexity import chunk_trials, record_to_json_dict
 from qrelent.divergence import relative_entropies
-from qrelent.hermitian import pd_stack
+from qrelent.hermitian import PdStack, pd_draws, pd_stack, validate_pd_stack
 from qrelent.variational import trace_exp_logs
 from test_divergence import scalar_divergence
 
@@ -48,19 +48,24 @@ def _fenchel(a):
     return lambda h: trace_exp_logs(h, a.log.entries)
 
 
+def _eigenvalues_only(rng, dim):
+    """A ``sample_pd`` draw as an eigenvalues-only stack of one, as joint-convexity's ``X``."""
+    return validate_pd_stack(pd_draws([rng], dim, 0.1)[0], vectors=False)
+
+
 def _segment_instance(kind, dim, seed):
     """``(f, stacked, p1, p2, t_samples, orientation)`` as the named suite draws them.
 
     ``f`` is the claim's function of single matrices and ``stacked`` the
     suite's stacked evaluation of it.  As in joint-convexity, the X side
-    carries eigenvalues only.
+    is an eigenvalues-only stack.
     """
     from conftest import sample_hermitian, sample_pd, trial_rng
 
     rng = trial_rng(seed, 0)
     if kind == "joint":
-        p1 = (sample_pd(rng, dim, 0.1, vectors=False), sample_pd(rng, dim, 0.1))
-        p2 = (sample_pd(rng, dim, 0.1, vectors=False), sample_pd(rng, dim, 0.1))
+        p1 = (_eigenvalues_only(rng, dim), sample_pd(rng, dim, 0.1))
+        p2 = (_eigenvalues_only(rng, dim), sample_pd(rng, dim, 0.1))
         f, orientation = divergence_value, "convex"
         stacked = lambda x, y: relative_entropies(x.eigenvalues, x.entries, y.entries, y.log)[0]
     elif kind == "lieb":
@@ -74,38 +79,39 @@ def _segment_instance(kind, dim, seed):
     return f, stacked, p1, p2, T_GRID + (float(rng.uniform()),), orientation
 
 
-def _per_point_segment(f, p1, p2, t_samples, orientation):
-    """Reference segment test: every mixture built and validated on its own.
+def _single(c):
+    # An endpoint as pointwise hands it to f: a stack of one as its PdMatrix.
+    return c.point(0) if isinstance(c, PdStack) else c
 
-    A mixture is validated with eigenvectors when an endpoint carries them.
-    """
+
+def _mixture(a, b, t):
+    # The mixture of two endpoints, built and validated on its own; that of
+    # eigenvalues-only stacks as pointwise hands it to f.
+    if isinstance(a, PdStack):
+        return validate_pd_stack(a.entries * t + b.entries * (1.0 - t), vectors=False).point(0)
+    if isinstance(a, PdMatrix):
+        return validate_pd(a.base * t + b.base * (1.0 - t))
+    return a * t + b * (1.0 - t)
+
+
+def _per_point_segment(f, p1, p2, t_samples, orientation):
+    """Reference segment test: every mixture built and validated on its own."""
     orient = {"convex": 1.0, "concave": -1.0}[orientation]
-    f1, f2 = f(*p1), f(*p2)
+    f1, f2 = f(*map(_single, p1)), f(*map(_single, p2))
     scale = 1.0 + abs(f1) + abs(f2)
     out = []
     for t in t_samples:
-        point = [
-            validate_pd(a.base * t + b.base * (1.0 - t), _has_vectors(a) or _has_vectors(b))
-            if isinstance(a, PdMatrix) else a * t + b * (1.0 - t)
-            for a, b in zip(p1, p2)
-        ]
+        point = [_mixture(a, b, t) for a, b in zip(p1, p2)]
         lhs = f(*point)
         rhs = t * f1 + (1.0 - t) * f2
         out.append(((t, lhs, rhs, (lhs - rhs) * orient / scale, scale), point))
     return out
 
 
-def _has_vectors(m):
-    return m._known_vectors() is not None
-
-
 def _bits(m):
-    # Reads the eigenvectors only if they are at hand, so never computes them.
     parts = [m.entries.tobytes()]
     if isinstance(m, PdMatrix):
-        parts.append(m.eigenvalues.tobytes())
-        if _has_vectors(m):
-            parts.append(m.spectrum.vectors.tobytes())
+        parts += [m.eigenvalues.tobytes(), m.vectors.tobytes()]
     return parts
 
 
@@ -164,20 +170,20 @@ class TestSegmentTest:
         assert len(seen) == 2 + len(ts)
         for got, (_, want) in zip(seen[2:], reference):
             assert [type(m) for m in got] == [type(m) for m in want]
-            assert [_has_vectors(m) for m in got if isinstance(m, PdMatrix)] == [
-                _has_vectors(a) for a in p1 if isinstance(a, PdMatrix)
-            ]
             assert [_bits(m) for m in got] == [_bits(m) for m in want]
-            for m in got:
-                if isinstance(m, PdMatrix) and not _has_vectors(m):
+            for m, a in zip(got, p1):
+                if isinstance(a, PdStack):
                     assert m.eigenvalues.tobytes() == np.linalg.eigvalsh(m.entries).tobytes()
         # The suite's stacked evaluation equals the per-point route bit for
         # bit, at the endpoints and at every t.
-        ends = [
-            pd_stack(pair) if isinstance(pair[0], PdMatrix) else np.stack([m.entries for m in pair])
-            for pair in zip(p1, p2)
-        ]
-        assert list(stacked(*ends)) == [f(*p1), f(*p2)]
+
+        def both(a, b):
+            if isinstance(a, PdStack):
+                return pd_stack((a, b), axis=1)[0]
+            return pd_stack((a, b)) if isinstance(a, PdMatrix) else np.stack([a.entries, b.entries])
+
+        ends = [both(a, b) for a, b in zip(p1, p2)]
+        assert list(stacked(*ends)) == [f(*map(_single, p1)), f(*map(_single, p2))]
         trials = segment_test(stacked, p1, p2, ts, orientation)
         assert [(tr.t, tr.lhs, tr.rhs, tr.violation, tr.scale) for tr in trials] == [
             fields for fields, _ in reference
@@ -229,8 +235,8 @@ class TestSegmentTest:
     @pytest.mark.parametrize("t_bad", [0.5, 0.7])
     def test_eigenvalues_only_mixture_at_or_below_floor_carries_its_t(self, t_bad):
         # The mixture at t = 0.5 has eigenvalue 0, the one at 0.7 -0.4.
-        liar = PdMatrix(HermitianMatrix.diagonal([-1.0, 1.0]), np.array([1.0, 1.0]))
-        one = validate_pd(HermitianMatrix.identity(2), vectors=False)
+        liar = PdStack(np.diag([-1.0, 1.0]).astype(complex)[None], np.array([[1.0, 1.0]]))
+        one = validate_pd_stack(np.eye(2, dtype=complex)[None], vectors=False)
         with pytest.raises(SegmentEvaluationError) as err:
             segment_test(pointwise(lambda m: m.trace()), liar, one, [0.2, t_bad], "convex")
         assert err.value.t == t_bad
@@ -401,9 +407,9 @@ def test_optimizer_suites_build_no_per_matrix_objects(monkeypatch, name, dim):
     built = []
     post_init, exact = PdMatrix.__post_init__, HermitianMatrix._exact.__func__
 
-    def counted_post_init(self, vectors):
+    def counted_post_init(self):
         built.append("PdMatrix")
-        post_init(self, vectors)
+        post_init(self)
 
     def counted_exact(cls, m):
         built.append("HermitianMatrix._exact")
@@ -550,6 +556,73 @@ class TestChunkFailures:
             segment_test(_lieb(h), pd_stack(a1s[:2] + [liar]),
                          pd_stack(a2s[:2] + [PdMatrix.identity(2)]), ts, "concave")
         assert err.value.t == 0.75
+
+
+class TestStackedPathDefects:
+    # A failure that no trial or point raises alone is a defect of the
+    # stacked path: it is raised, not replaced by the one-at-a-time results.
+
+    def test_chunk_failure_no_trial_raises_alone_is_raised(self, monkeypatch):
+        from qrelent import convexity
+
+        row = SUITES["fenchel"]
+
+        def stacked_only_bug(rngs, *args, **options):
+            if len(rngs) > 1:
+                raise IndexError("stacked path only")
+            return row.trial(rngs, *args, **options)
+
+        monkeypatch.setitem(convexity.SUITES, "fenchel", row._replace(trial=stacked_only_bug))
+        with pytest.raises(IndexError, match="stacked path only"):
+            run_suite("fenchel", 6, 30, 42, None)
+
+    def test_piece_failure_no_point_raises_alone_is_raised(self):
+        from conftest import sample_pd, trial_rng
+
+        rng = trial_rng(45, 0)
+        a1 = pd_stack([sample_pd(rng, 2, 0.1) for _ in range(2)])
+        a2 = pd_stack([sample_pd(rng, 2, 0.1) for _ in range(2)])
+
+        def stacked_only_bug(a):
+            if a.entries.shape[0] * a.entries.shape[1] > 1:
+                raise IndexError("stacked path only")
+            return a.eigenvalues.sum(axis=-1)
+
+        with pytest.raises(IndexError, match="stacked path only"):
+            segment_test(stacked_only_bug, a1, a2, [0.2, 0.5, 0.8], "concave")
+
+
+def test_flipped_lieb_witnesses_wrap_no_matrices(monkeypatch):
+    # Witness matrices are serialized from the stacks' entries: no
+    # HermitianMatrix or PdMatrix is built for them.
+    built = []
+    post_init, exact = PdMatrix.__post_init__, HermitianMatrix._exact.__func__
+
+    def counted_post_init(self):
+        built.append("PdMatrix")
+        post_init(self)
+
+    def counted_exact(cls, m):
+        built.append("HermitianMatrix._exact")
+        return exact(cls, m)
+
+    monkeypatch.setattr(PdMatrix, "__post_init__", counted_post_init)
+    monkeypatch.setattr(HermitianMatrix, "_exact", classmethod(counted_exact))
+    report = run_suite("lieb-concavity", 6, 25, 42, None, orientation="convex")
+    assert not report.passed
+    assert sum("p1" in (r.witness or {}) for r in report.trials) == 25
+    assert built == []
+
+
+def test_variational_run_that_does_not_converge_gives_invalid_records(monkeypatch):
+    from qrelent import variational
+
+    monkeypatch.setattr(variational, "_MAX_ITERS", 2)
+    report = run_suite("variational", 6, 3, 42, None)
+    assert [(r.kind, r.valid) for r in report.trials] == [
+        ("variational-value", False), ("lieb-value", False)] * 3
+    assert report.invalid_trials == 6 and math.isnan(report.max_violation)
+    assert not report.passed
 
 
 def _pieces_of(monkeypatch, points):
@@ -780,7 +853,7 @@ class TestWitnesses:
     def _joint_point(rng):
         from conftest import sample_pd
 
-        return (sample_pd(rng, 3, 0.1, vectors=False), sample_pd(rng, 3, 0.1))
+        return (_eigenvalues_only(rng, 3), sample_pd(rng, 3, 0.1))
 
     def test_endpoints_appear_once_per_segment(self):
         from conftest import trial_rng
@@ -803,7 +876,7 @@ class TestWitnesses:
         for key, point in (("p1", p1), ("p2", p2)):
             shown = [matrix_from_dict(d) for d in records[0].witness[key]]
             assert len(shown) == 2
-            assert all(np.array_equal(m.entries, e.entries) for m, e in zip(shown, point))
+            assert all(np.array_equal(m.entries, _single(e).entries) for m, e in zip(shown, point))
 
     def test_segment_without_violation_carries_no_witness(self):
         from conftest import trial_rng

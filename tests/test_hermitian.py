@@ -35,7 +35,8 @@ from qrelent import (
 from qrelent import convexity, hermitian
 from qrelent.hermitian import hermitian_draws, pd_draws
 from qrelent.convexity import sample_lieb_instance
-from qrelent.hermitian import pd_stack
+from qrelent.divergence import entropies, relative_entropies
+from qrelent.hermitian import PdStack, pd_stack, traces, validate_pd_stack
 from qrelent.variational import _ascend, maximize_liebs
 from conftest import random_unitary, sample_hermitian, sample_pd, trial_rng
 
@@ -319,8 +320,8 @@ PD_CONSTRUCTIONS = {
     "identity": lambda: PdMatrix.identity(4),
     "diagonal": lambda: PdMatrix.diagonal([3.0, 0.5, 1e-3]),
     "scaled": lambda: random_pd(5, 24, 0.1).scaled(2.7),
-    "eigenvalues_only": lambda: sample_pd(trial_rng(36, 0), 5, 0.1, vectors=False),
-    "scaled_eigenvalues_only": lambda: sample_pd(trial_rng(37, 0), 5, 0.1, vectors=False).scaled(2.7),
+    "eigenvalues_only_stack_point": lambda: validate_pd_stack(
+        pd_draws([trial_rng(36, 0)], 5, 0.1)[0], vectors=False).point(0),
     "mat_exp": lambda: mat_exp(sample_hermitian(trial_rng(25, 0), 5, 3.0)),
     "maximize_lieb": _pd_via_maximize_lieb,
 }
@@ -328,16 +329,19 @@ PD_CONSTRUCTIONS = {
 
 class TestPdMatrix:
     def test_sub_floor_spectrum_raises_domain_error(self):
-        # No PdMatrix, and so no argument of mat_log, carries a spectrum at
-        # or below the floor: there is no way around the validation.
+        # No PdMatrix or PdStack, and so no argument of mat_log, carries a
+        # spectrum at or below the floor: there is no way around the
+        # validation, and both types reject it with one message.
         base = HermitianMatrix.diagonal([-1.0, 1.0])
         vectors = np.eye(2, dtype=complex)
         for smallest in (-1.0, 0.0, PD_FLOOR, math.nan):
-            with pytest.raises(DomainError):
+            message = f"matrix is not positive definite: smallest eigenvalue {smallest:.6g}"
+            with pytest.raises(DomainError) as one:
                 PdMatrix(base, np.array([smallest, 1.0]), vectors)
-            with pytest.raises(DomainError):
-                PdMatrix(base, np.array([smallest, 1.0]))
-        with pytest.raises(DomainError):
+            with pytest.raises(DomainError) as eigenvalues_only:
+                PdStack(base.entries[None], np.array([[2.0, 3.0], [smallest, 1.0]]))
+            assert str(one.value) == str(eigenvalues_only.value) == message
+        with pytest.raises(DomainError, match="smallest eigenvalue -1$"):
             validate_pd(base)
 
     @pytest.mark.parametrize("build", PD_CONSTRUCTIONS.values(), ids=PD_CONSTRUCTIONS.keys())
@@ -400,37 +404,48 @@ class TestDecompositionCounts:
         trace_exp_log(h, a)
         assert decompositions == {"eigh": 0, "eigvalsh": 1}
 
-    def test_eigenvalues_only_pd_matrix_decomposes_for_its_first_log(self, decompositions):
-        entries = random_pd(5, 38, 0.1).entries
+    def test_eigenvalues_only_stack_decomposes_for_its_first_log(self, decompositions):
+        twin = validate_pd(HermitianMatrix(random_pd(5, 38, 0.1).entries))
         decompositions.update(eigh=0, eigvalsh=0)
-        a = validate_pd(HermitianMatrix(entries), vectors=False)
+        a = validate_pd_stack(twin.entries[None], vectors=False)
+        assert a.vectors is None
         assert decompositions == {"eigh": 0, "eigvalsh": 1}
-        twin = validate_pd(HermitianMatrix(entries))
         decompositions.update(eigh=0, eigvalsh=0)
-        first = mat_log(a)
+        first = a.log
         assert decompositions == {"eigh": 1, "eigvalsh": 0}
-        assert mat_log(a) is first and a.spectrum is a.spectrum
+        assert a.log is first
         assert decompositions == {"eigh": 1, "eigvalsh": 0}
+        bound = 1e-12 * (1.0 + twin.frobenius_norm())
+        assert np.linalg.norm(first[0] - twin.log.entries) <= bound
+        assert abs(entropies(a.eigenvalues)[0] - entropy(twin)) <= bound
+
+    def test_point_of_an_eigenvalues_only_stack_decomposes_that_matrix(self, decompositions):
         # The validated eigenvalues stay; the vectors come from eig.
-        assert a.spectrum.eigenvalues is a.eigenvalues
-        bound = 1e-12 * (1.0 + a.frobenius_norm())
-        assert (first - twin.log).frobenius_norm() <= bound
-        assert abs(entropy(a) - entropy(twin)) <= bound
+        a = validate_pd_stack(pd_draws([trial_rng(40, 0)], 4, 0.1, 3)[0], vectors=False)
+        decompositions.update(eigh=0, eigvalsh=0)
+        m = a.point(1)
+        assert decompositions == {"eigh": 1, "eigvalsh": 0}
+        assert m.eigenvalues.tobytes() == a.eigenvalues[1].tobytes()
+        assert m.vectors.tobytes() == eig(m.base).vectors.tobytes()
 
     def test_segment_with_eigenvalues_only_endpoints_stacks_eigvalsh(self, decompositions):
         # The joint-convexity segment as the suite draws it: X's mixtures are
         # one eigvalsh stack, Y's one eigh stack, and D(X;Y) decomposes
         # nothing else.  Alone, the X side costs one eigvalsh and no eigh.
         rng = trial_rng(39, 0)
-        p1 = (sample_pd(rng, 4, 0.1, vectors=False), sample_pd(rng, 4, 0.1))
-        p2 = (sample_pd(rng, 4, 0.1, vectors=False), sample_pd(rng, 4, 0.1))
+
+        def eigenvalues_only():
+            return validate_pd_stack(pd_draws([rng], 4, 0.1)[0], vectors=False)
+
+        p1 = (eigenvalues_only(), sample_pd(rng, 4, 0.1))
+        p2 = (eigenvalues_only(), sample_pd(rng, 4, 0.1))
         decompositions.update(eigh=0, eigvalsh=0)
-        f = lambda x, y: relative_entropy(x, y).value
-        assert len(segment_test(pointwise(f), p1, p2, [0.1, 0.3, 0.5, 0.9], "convex")) == 4
+        f = lambda x, y: relative_entropies(x.eigenvalues, x.entries, y.entries, y.log)[0]
+        assert len(segment_test(f, p1, p2, [0.1, 0.3, 0.5, 0.9], "convex")) == 4
         assert decompositions == {"eigh": 1, "eigvalsh": 1}
 
         decompositions.update(eigh=0, eigvalsh=0)
-        segment_test(pointwise(lambda x: x.trace()), p1[:1], p2[:1], [0.1, 0.3], "convex")
+        segment_test(lambda x: traces(x.entries), p1[:1], p2[:1], [0.1, 0.3], "convex")
         assert decompositions == {"eigh": 0, "eigvalsh": 1}
 
     @pytest.mark.parametrize("kind, pd_components", [("joint", 2), ("lieb", 1), ("fenchel", 0)])
@@ -602,6 +617,32 @@ class TestRandomPd:
             validate_pd(HermitianMatrix.diagonal([1.0, 1e-13]))
 
 
+class TestStackedKernelGuards:
+    def test_trace_products_rejects_an_imaginary_residue(self):
+        # tr(A B) of A = iI, not self-adjoint, and B = I is 2i.
+        with pytest.raises(NotHermitianError,
+                           match=r"^trace product has imaginary residue 2\.000e\+00 beyond 3\.000e-10$"):
+            hermitian.trace_products(1j * np.eye(2)[None], np.eye(2)[None])
+
+    def test_mixtures_reject_mismatched_shapes(self):
+        with pytest.raises(DimMismatchError, match="^dimension mismatch: 2 vs 3$"):
+            hermitian.mixtures(np.eye(2)[None], np.eye(3)[None], [[0.5]])
+
+    def test_pd_draws_reject_dimension_below_one(self):
+        with pytest.raises(DomainError, match="^dimension must be at least 1, got 0$"):
+            pd_draws([trial_rng(41, 0)], 0, 0.1)
+
+    @pytest.mark.parametrize("spread", [0.0, -0.1])
+    def test_pd_draws_reject_nonpositive_spread(self, spread):
+        with pytest.raises(DomainError, match=f"^spread must be positive, got {spread}$"):
+            pd_draws([trial_rng(41, 0)], 2, spread)
+
+
+def test_empty_matrix_is_rejected():
+    with pytest.raises(NotHermitianError, match="^matrix dimension must be at least 1$"):
+        HermitianMatrix(np.zeros((0, 0)))
+
+
 def test_pd_scaled_requires_positive_factor():
     a = random_pd(3, 5, 0.1)
     for t in (-1.0, 0.0, math.nan):
@@ -616,7 +657,7 @@ def test_sample_hermitian_spectral_radius_capped():
 
 
 @pytest.mark.parametrize("name", [
-    "eig", "eigvals", "validate_pd_eigenvalues_only", "sample_hermitian", "trace_exp_log",
+    "eig", "eigvals", "validate_pd_stack_eigenvalues_only", "sample_hermitian", "trace_exp_log",
     "maximize_lieb", "maximize_liebs",
 ])
 def test_solver_failure_raises_convergence_error(monkeypatch, name):
@@ -627,7 +668,7 @@ def test_solver_failure_raises_convergence_error(monkeypatch, name):
     calls = {
         "eig": lambda: eig(m),
         "eigvals": lambda: eigvals(m),
-        "validate_pd_eigenvalues_only": lambda: validate_pd(m, vectors=False),
+        "validate_pd_stack_eigenvalues_only": lambda: validate_pd_stack(m.entries[None], vectors=False),
         "sample_hermitian": lambda: sample_hermitian(trial_rng(10, 0), 3, 3.0),
         "trace_exp_log": lambda: trace_exp_log(m, a),
         "maximize_lieb": lambda: maximize_lieb(m, a),

@@ -10,6 +10,7 @@ from qrelent import (
     DimMismatchError,
     DomainError,
     HermitianMatrix,
+    NotHermitianError,
     PdMatrix,
     entropy,
     lieb_gradient,
@@ -85,6 +86,11 @@ class TestTraceExpLog:
     def test_dim_mismatch(self):
         with pytest.raises(DimMismatchError):
             trace_exp_log(HermitianMatrix.zeros(2), PdMatrix.identity(3))
+
+    def test_non_finite_argument_is_rejected(self):
+        h = np.diag([np.nan, 0.0]).astype(complex)
+        with pytest.raises(NotHermitianError, match="^matrix has non-finite entries$"):
+            variational.trace_exp_logs(h, np.zeros((2, 2)))
 
     def test_homogeneity_in_a(self):
         rng = trial_rng(74, 0)
