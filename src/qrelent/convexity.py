@@ -25,7 +25,6 @@ from .divergence import relative_entropies, relative_entropy  # noqa: F401
 from .hermitian import (
     HermitianMatrix,
     PdMatrix,
-    PdStack,
     _block_rows,
     hermitian_draws,
     pd_draws,
@@ -201,7 +200,7 @@ def joint_convexity_trial(rngs: Rngs, dim: int, tol: float) -> tuple[list, list]
     """
     values: list[float] = []
 
-    def f(x: PdStack, y: PdStack) -> np.ndarray:
+    def f(x: PdMatrix, y: PdMatrix) -> np.ndarray:
         value = relative_entropies(x.eigenvalues, x.entries, y.entries, y.log)[0]
         values.extend(value.ravel().tolist())
         return value
@@ -243,7 +242,7 @@ def fenchel_trial(rngs: Rngs, dim: int, tol: float) -> tuple[list, list]:
                     "convex", tol, fixed=a), []
 
 
-def _lieb_instances(rngs: Rngs, dim: int, count: int) -> tuple[np.ndarray, PdStack]:
+def _lieb_instances(rngs: Rngs, dim: int, count: int) -> tuple[np.ndarray, PdMatrix]:
     """Conditioned ``(H, A_1 .. A_count)`` instances, one per generator.
 
     ``H`` has spectral radius <= 1.7 and each ``A`` a log-spectrum centered
@@ -255,7 +254,7 @@ def _lieb_instances(rngs: Rngs, dim: int, count: int) -> tuple[np.ndarray, PdSta
     h = hermitian_draws(rngs, dim, 1.7)[:, 0]
     a = validate_pd_stack(pd_draws(rngs, dim, 0.3, count))
     c = 1.0 / np.sqrt(a.eigenvalues[..., 0] * a.eigenvalues[..., -1])
-    return h, PdStack(a.entries * c[..., None, None], a.eigenvalues * c[..., None], a.vectors)
+    return h, PdMatrix(a.entries * c[..., None, None], a.eigenvalues * c[..., None], a.vectors)
 
 
 def sample_lieb_instance(
@@ -263,7 +262,7 @@ def sample_lieb_instance(
 ) -> tuple[HermitianMatrix, PdMatrix]:
     """Conditioned (H, A) pair for optimizer-backed evaluations (:func:`_lieb_instances`)."""
     h, a = _lieb_instances([rng], dim, 1)
-    return HermitianMatrix._exact(h[0]), a.point((0, 0))
+    return HermitianMatrix._exact(h[0]), a[0, 0]
 
 
 def partial_max_trial(rngs: Rngs, dim: int, tol: float) -> tuple[list, list]:
@@ -294,7 +293,7 @@ def partial_max_trial(rngs: Rngs, dim: int, tol: float) -> tuple[list, list]:
     # The start objective of each converged mixture, in valid-record order.
     starts: list[float] = []
 
-    def g(h: np.ndarray, a: PdStack, x: PdStack | None) -> tuple:
+    def g(h: np.ndarray, a: PdMatrix, x: PdMatrix | None) -> tuple:
         # The ascents at each A from its X, and their values (None if not converged).
         runs = maximize_liebs(h, a, x)
         values = _values(runs)

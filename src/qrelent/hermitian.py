@@ -124,39 +124,48 @@ class HermitianMatrix:
 
 @dataclasses.dataclass(frozen=True, eq=False)
 class PdMatrix:
-    """A positive-definite matrix with the spectrum that proves it.
+    """Positive-definite matrices with the spectra that prove them: one, or a stack.
 
-    Construction raises DomainError unless the smallest of the ascending
-    ``eigenvalues`` exceeds ``PD_FLOOR``; ``vectors`` are the matching
-    eigenvectors.  ``entropy`` and ``log`` read the spectrum instead of
-    recomputing it.
+    ``entries`` holds one matrix ``(n, n)`` or a stack along leading axes.
+    ``entries[k]`` has the ascending eigenvalues ``eigenvalues[k]`` and,
+    when ``vectors`` is given, the eigenvectors ``vectors[k]``, for any
+    index ``k`` over the leading axes; ``a[k]`` is that matrix, or that
+    part of the stack.  Construction raises DomainError unless every
+    smallest eigenvalue exceeds ``PD_FLOOR``.  The arrays are read-only.
+    ``log`` reads the spectra instead of recomputing them; eigenvectors
+    not given cost one stacked ``eigh`` first.  ``base``,
+    ``min_eigenvalue``, ``trace`` and ``scaled`` are for one matrix.
     """
 
-    base: HermitianMatrix
+    entries: np.ndarray
     eigenvalues: np.ndarray
-    vectors: np.ndarray
+    vectors: np.ndarray | None = None
 
     def __post_init__(self):
         _check_floor(self.eigenvalues)
-        self.eigenvalues.setflags(write=False)
-        self.vectors.setflags(write=False)
+        for a in (self.entries, self.eigenvalues, self.vectors):
+            if a is not None:
+                a.setflags(write=False)
+
+    def __len__(self) -> int:
+        return len(self.entries)
+
+    def __getitem__(self, rows) -> "PdMatrix":
+        vectors = None if self.vectors is None else self.vectors[rows]
+        return PdMatrix(self.entries[rows], self.eigenvalues[rows], vectors)
 
     @property
     def dim(self) -> int:
-        return self.base.dim
+        return self.entries.shape[-1]
 
-    @property
-    def entries(self) -> np.ndarray:
-        return self.base.entries
+    @functools.cached_property
+    def base(self) -> HermitianMatrix:
+        """The entries as a HermitianMatrix, sharing them."""
+        return HermitianMatrix._exact(self.entries)
 
     @property
     def min_eigenvalue(self) -> float:
         return float(self.eigenvalues[0])
-
-    @functools.cached_property
-    def spectrum(self) -> SpectralDecomposition:
-        """The carried eigenvalues with their eigenvectors."""
-        return SpectralDecomposition(self.eigenvalues, self.vectors)
 
     @classmethod
     def identity(cls, dim: int) -> "PdMatrix":
@@ -167,9 +176,12 @@ class PdMatrix:
         return validate_pd(HermitianMatrix.diagonal(values))
 
     @functools.cached_property
-    def log(self) -> HermitianMatrix:
-        """The matrix logarithm, built once from the carried spectrum."""
-        return _rebuild(self.vectors, np.log(self.eigenvalues))
+    def log(self) -> np.ndarray:
+        """The entries of every matrix logarithm, built once from the carried spectra."""
+        vectors = _eigh(self.entries)[1] if self.vectors is None else self.vectors
+        out = _reconstruct(vectors, np.log(self.eigenvalues))
+        out.setflags(write=False)
+        return out
 
     def trace(self) -> float:
         return self.base.trace()
@@ -185,10 +197,11 @@ class PdMatrix:
         t = float(t)
         if not t > 0.0:
             raise DomainError(f"scale factor must be positive, got {t!r}")
-        return PdMatrix(self.base * t, self.eigenvalues * t, self.vectors)
+        return PdMatrix((self.base * t).entries, self.eigenvalues * t, self.vectors)
 
     def __repr__(self):
-        return f"PdMatrix(dim={self.dim}, min_eigenvalue={self.min_eigenvalue:.3e})"
+        smallest = float(np.min(self.eigenvalues[..., 0]))
+        return f"PdMatrix(shape={self.entries.shape}, min_eigenvalue={smallest:.3e})"
 
 
 @dataclasses.dataclass(frozen=True, eq=False)
@@ -210,55 +223,6 @@ class SpectralDecomposition:
         """Return ``U diag(lambda) U*`` as a plain array."""
         u = self.vectors
         return (u * self.eigenvalues) @ u.conj().T
-
-
-@dataclasses.dataclass(frozen=True, eq=False)
-class PdStack:
-    """Positive-definite matrices along leading axes, with the eigenvalues that prove them.
-
-    The stacked PdMatrix, for evaluating many points with one call per
-    kernel.  ``entries[k]`` has the ascending eigenvalues
-    ``eigenvalues[k]`` and, when ``vectors`` is given, the eigenvectors
-    ``vectors[k]``, for any index ``k`` over the leading axes.  Only a
-    stack can be eigenvalues only.  Construction raises DomainError, as
-    PdMatrix does, unless every smallest eigenvalue exceeds ``PD_FLOOR``.
-    The arrays are read-only.
-    """
-
-    entries: np.ndarray
-    eigenvalues: np.ndarray
-    vectors: np.ndarray | None = None
-
-    def __post_init__(self):
-        _check_floor(self.eigenvalues)
-        for a in (self.entries, self.eigenvalues, self.vectors):
-            if a is not None:
-                a.setflags(write=False)
-
-    def __len__(self) -> int:
-        return len(self.entries)
-
-    def __getitem__(self, rows) -> "PdStack":
-        vectors = None if self.vectors is None else self.vectors[rows]
-        return PdStack(self.entries[rows], self.eigenvalues[rows], vectors)
-
-    def point(self, k) -> PdMatrix:
-        """Matrix ``k`` (an index over the leading axes) as a PdMatrix carrying its spectrum.
-
-        On an eigenvalues-only stack, one :func:`eig` of the matrix gives its eigenvectors.
-        """
-        base = HermitianMatrix._exact(self.entries[k])
-        vectors = eig(base).vectors if self.vectors is None else self.vectors[k]
-        return PdMatrix(base, self.eigenvalues[k], vectors)
-
-    @functools.cached_property
-    def log(self) -> np.ndarray:
-        """The entries of every matrix logarithm, built at once from the carried spectra.
-
-        Eigenvectors not given cost one stacked ``eigh`` first.
-        """
-        vectors = _eigh(self.entries)[1] if self.vectors is None else self.vectors
-        return _reconstruct(vectors, np.log(self.eigenvalues))
 
 
 MatrixLike = Union[HermitianMatrix, PdMatrix]
@@ -327,23 +291,23 @@ def _eigh(entries: np.ndarray, vectors: bool = True):
         ) from exc
 
 
-def pd_stack(points: Sequence[PdMatrix | PdStack], axis: int = 0) -> PdStack:
+def pd_stack(points: Sequence[PdMatrix], axis: int = 0) -> PdMatrix:
     """The positive-definite ``points`` as one stack along ``axis``, with their carried spectra.
 
     The points are matrices, or stacks of one shape.  The stack has
-    eigenvectors unless a point is an eigenvalues-only stack.
+    eigenvectors unless a point is eigenvalues only.
     """
     vectors = [p.vectors for p in points]
-    return PdStack(
+    return PdMatrix(
         np.stack([p.entries for p in points], axis),
         np.stack([p.eigenvalues for p in points], axis),
         None if any(v is None for v in vectors) else np.stack(vectors, axis),
     )
 
 
-def validate_pd_stack(entries: np.ndarray, vectors: bool = True) -> PdStack:
+def validate_pd_stack(entries: np.ndarray, vectors: bool = True) -> PdMatrix:
     """:func:`validate_pd` of every matrix of a stack, with one stacked ``eigh`` (or ``eigvalsh``)."""
-    return PdStack(entries, *_eigh(entries, vectors))
+    return PdMatrix(entries, *_eigh(entries, vectors))
 
 
 def mixtures(a: np.ndarray, b: np.ndarray, ts: np.ndarray) -> np.ndarray:
@@ -363,7 +327,7 @@ def mixtures(a: np.ndarray, b: np.ndarray, ts: np.ndarray) -> np.ndarray:
     return out
 
 
-def pd_mixtures(a: PdStack, b: PdStack, ts: np.ndarray) -> PdStack:
+def pd_mixtures(a: PdMatrix, b: PdMatrix, ts: np.ndarray) -> PdMatrix:
     """The mixtures ``t A_s + (1-t) B_s`` of :func:`mixtures`, decomposed as one stack.
 
     One ``eigh`` call decomposes all of them, which at small n costs about
@@ -377,7 +341,7 @@ def pd_mixtures(a: PdStack, b: PdStack, ts: np.ndarray) -> PdStack:
     eigenvalues only.
     """
     entries = mixtures(a.entries, b.entries, ts)
-    return PdStack(entries, *_eigh(entries, a.vectors is not None or b.vectors is not None))
+    return PdMatrix(entries, *_eigh(entries, a.vectors is not None or b.vectors is not None))
 
 
 def _reconstruct(u: np.ndarray, vals: np.ndarray) -> np.ndarray:
@@ -403,11 +367,6 @@ def _block_rows(n: int) -> int:
     return max(1, _BLOCK_BYTES // (16 * n * n))
 
 
-def _rebuild(u: np.ndarray, vals: np.ndarray) -> HermitianMatrix:
-    # U diag(vals) U* with real vals, as a HermitianMatrix.
-    return HermitianMatrix._exact(_reconstruct(u, vals))
-
-
 def matrix_fn(m: HermitianMatrix, f: Callable[[float], float]) -> HermitianMatrix:
     """Apply a real scalar function through the spectral decomposition.
 
@@ -431,25 +390,26 @@ def matrix_fn(m: HermitianMatrix, f: Callable[[float], float]) -> HermitianMatri
     if not np.all(np.isfinite(vals)):
         bad = dec.eigenvalues[~np.isfinite(vals)]
         raise DomainError(f"eigenvalues outside the function domain: {bad}")
-    return _rebuild(dec.vectors, vals)
+    return HermitianMatrix._exact(_reconstruct(dec.vectors, vals))
 
 
 def mat_exp(m: HermitianMatrix) -> PdMatrix:
     """Spectral matrix exponential, carrying the spectrum ``(exp w, U)``: :func:`pd_exp` of one matrix."""
-    return pd_exp(m.entries[None]).point(0)
+    return pd_exp(m.entries)
 
 
-def pd_exp(entries: np.ndarray) -> PdStack:
-    """Spectral exponentials of a stack of self-adjoint entries, carrying their spectra ``(exp w, U)``.
+def pd_exp(entries: np.ndarray) -> PdMatrix:
+    """Spectral exponentials of self-adjoint entries, carrying their spectra ``(exp w, U)``.
 
-    One ``eigh`` call decomposes the whole stack.  Raises OverflowError
-    when any eigenvalue exceeds ``EXP_OVERFLOW_LIMIT``; failing loudly
-    beats returning infinities.  Raises DomainError when an eigenvalue
-    below about -27.6 takes a result to ``PD_FLOOR`` or under.
+    ``entries`` is one matrix or a stack; one ``eigh`` call decomposes
+    it.  Raises OverflowError when any eigenvalue exceeds
+    ``EXP_OVERFLOW_LIMIT``; failing loudly beats returning infinities.
+    Raises DomainError when an eigenvalue below about -27.6 takes a result
+    to ``PD_FLOOR`` or under.
     """
     w, u = _eigh(entries)
     w = exp_eigenvalues(w)
-    return PdStack(_reconstruct(u, w), w, u)
+    return PdMatrix(_reconstruct(u, w), w, u)
 
 
 def exp_eigenvalues(w: np.ndarray) -> np.ndarray:
@@ -466,8 +426,8 @@ def exp_eigenvalues(w: np.ndarray) -> np.ndarray:
 
 
 def mat_log(a: PdMatrix) -> HermitianMatrix:
-    """Spectral matrix logarithm of a positive-definite matrix: its cached ``a.log``."""
-    return a.log
+    """Spectral matrix logarithm of a positive-definite matrix: its cached ``a.log``, not copied."""
+    return HermitianMatrix._exact(a.log)
 
 
 def trace_product(a: MatrixLike, b: MatrixLike) -> float:
@@ -519,7 +479,7 @@ def validate_pd(m: MatrixLike) -> PdMatrix:
     if isinstance(m, PdMatrix):
         return m
     dec = eig(m)
-    return PdMatrix(m, dec.eigenvalues, dec.vectors)
+    return PdMatrix(m.entries, dec.eigenvalues, dec.vectors)
 
 
 def seeded_rng(seed: int) -> np.random.Generator:

@@ -65,7 +65,10 @@ def _number_block(obj, key, dim, context, required):
         raise MatrixParseError(
             f"{context}: field '{key}' has {len(values)} entries, expected {dim * dim}"
         )
-    block = np.asarray(values, dtype=np.float64)
+    try:
+        block = np.asarray(values, dtype=np.float64)
+    except OverflowError as exc:
+        raise MatrixParseError(f"{context}: field '{key}' has a value beyond the float64 range") from exc
     if not np.all(np.isfinite(block)):
         raise MatrixParseError(f"{context}: field '{key}' contains non-finite values")
     return block
@@ -78,6 +81,10 @@ def read_matrix(path: str) -> HermitianMatrix:
             obj = json.load(fh)
     except json.JSONDecodeError as exc:
         raise MatrixParseError(f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}") from exc
+    except UnicodeDecodeError as exc:
+        raise MatrixParseError(f"{path}: not UTF-8 text: byte {exc.start} {exc.reason}") from exc
+    except RecursionError as exc:
+        raise MatrixParseError(f"{path}: invalid JSON: nested too deeply") from exc
     return matrix_from_dict(obj, context=str(path))
 
 

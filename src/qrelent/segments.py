@@ -15,11 +15,11 @@ from typing import Callable, Sequence, Union
 import numpy as np
 
 from .errors import SegmentEvaluationError
-from .hermitian import HermitianMatrix, PdMatrix, PdStack, _block_rows, mixtures, pd_mixtures, pd_stack
+from .hermitian import HermitianMatrix, PdMatrix, _block_rows, mixtures, pd_mixtures, pd_stack
 
 _ORIENTATIONS = {"convex": 1.0, "concave": -1.0}
 
-Stack = Union[PdStack, np.ndarray]
+Stack = Union[PdMatrix, np.ndarray]
 
 
 @dataclasses.dataclass(frozen=True)
@@ -44,19 +44,19 @@ class SegmentTrial:
 
 def _as_stack(m) -> Stack:
     # One component as a stack of segments: a matrix is a stack of one.
-    if isinstance(m, PdMatrix):
-        return pd_stack((m,))
-    return m.entries[None] if isinstance(m, HermitianMatrix) else m
+    if isinstance(m, HermitianMatrix):
+        return m.entries[None]
+    return m[None] if isinstance(m, PdMatrix) and m.entries.ndim == 2 else m
 
 
 def _as_point(p) -> tuple:
-    if isinstance(p, (HermitianMatrix, PdMatrix, PdStack, np.ndarray)):
+    if isinstance(p, (HermitianMatrix, PdMatrix, np.ndarray)):
         p = (p,)
     return tuple(_as_stack(m) for m in p)
 
 
 def _entries(c: Stack) -> np.ndarray:
-    return c.entries if isinstance(c, PdStack) else c
+    return c.entries if isinstance(c, PdMatrix) else c
 
 
 def _take(c: Stack, s: slice) -> Stack:
@@ -70,10 +70,10 @@ def _rows(a: Stack, b: Stack, ts: np.ndarray | None = None) -> Callable[[slice, 
     The points of segment ``s`` are its endpoints ``(a[s], b[s])`` when
     ``ts`` is None, else the mixtures ``t a[s] + (1-t) b[s]`` for ``t`` in
     ``ts[s]``.  A call builds the points ``k`` of the segments ``s`` only.
-    Positive-definite components give PdStacks (mixtures decomposed and
-    validated when built), self-adjoint ones arrays of entries.
+    Positive-definite components give PdMatrix stacks (mixtures decomposed
+    and validated when built), self-adjoint ones arrays of entries.
     """
-    if isinstance(a, PdStack) and isinstance(b, PdStack):
+    if isinstance(a, PdMatrix) and isinstance(b, PdMatrix):
         if ts is None:
             return lambda s, k: pd_stack((_take(a, s), _take(b, s))[k], axis=1)
         return lambda s, k: pd_mixtures(_take(a, s), _take(b, s), ts[s, k])
@@ -141,15 +141,17 @@ def pointwise(g: Callable[..., float | None]) -> Callable[..., list]:
     """Lift ``g``, a function of matrices, to the stacked points of :func:`segment_test`.
 
     The lifted function calls ``g`` once per point, segment by segment and
-    in order; a point's positive-definite components are PdMatrix values
-    carrying their rows' spectra, and a segment's fixed matrix comes first.
+    in order; a point's positive-definite components are its rows of the
+    PdMatrix stacks, carrying their spectra, and a segment's fixed matrix
+    comes first.  A row of an eigenvalues-only stack carries no
+    eigenvectors: its first ``log`` decomposes it.
     """
 
     def f(*stacks: Stack) -> list:
         shapes = [_entries(s).shape[:2] for s in stacks]
         segments, points = shapes[-1]
         return [
-            g(*(s.point((i, k if p > 1 else 0)) if isinstance(s, PdStack)
+            g(*(s[i, k if p > 1 else 0] if isinstance(s, PdMatrix)
                 else HermitianMatrix._exact(s[i, k if p > 1 else 0])
                 for s, (_, p) in zip(stacks, shapes)))
             for i in range(segments) for k in range(points)
@@ -170,18 +172,18 @@ def segment_test(
     """Evaluate a Jensen inequality along a stack of segments, each from ``p2`` to ``p1``.
 
     Each component of the points ``p1`` and ``p2`` is a stack of S
-    segments' endpoints (a PdStack or an array of self-adjoint entries) or
-    one matrix, a stack of one.  ``t_samples`` has shape (S, T), or is one
-    sequence for all.  For each ``t`` the mixture is ``t p1 + (1-t) p2``
-    (componentwise), the left side is ``f`` at the mixture, and the right
-    side the scalar mixture of the endpoint values.  Violations are
-    normalized by ``1 + |f(p1)| + |f(p2)|``.  Returns the records segment
-    by segment.
+    segments' endpoints (a PdMatrix stack or an array of self-adjoint
+    entries) or one matrix, a stack of one.  ``t_samples`` has shape (S,
+    T), or is one sequence for all.  For each ``t`` the mixture is ``t p1
+    + (1-t) p2`` (componentwise), the left side is ``f`` at the mixture,
+    and the right side the scalar mixture of the endpoint values.
+    Violations are normalized by ``1 + |f(p1)| + |f(p2)|``.  Returns the
+    records segment by segment.
 
     ``f`` evaluates stacked points: it takes one stack per component, a
-    PdStack or an array of entries with leading axes (segment, point), and
-    returns one value per point.  ``fixed``, one matrix per segment held
-    fixed along it, goes to ``f`` first with a point axis of one.  ``f``
+    PdMatrix or an array of entries with leading axes (segment, point),
+    and returns one value per point.  ``fixed``, one matrix per segment
+    held fixed along it, goes to ``f`` first with a point axis of one.  ``f``
     is called on the endpoints (unless ``ends`` gives their values) and
     then on the mixtures, a piece of at most one ``_BLOCK_BYTES`` block of
     points per call (the whole stack at small n, one point at n = 64);

@@ -31,13 +31,11 @@ from .hermitian import (
     PD_FLOOR,
     HermitianMatrix,
     PdMatrix,
-    PdStack,
     _check_dims,
     _eigh,
     _reconstruct,
     exp_eigenvalues,
     mat_log,
-    pd_stack,
     trace_product,
     trace_products,
     traces,
@@ -66,11 +64,12 @@ class OptimizeResult:
     """Maximizer with value and convergence diagnostics, of one run or of a stack of runs.
 
     ``objective_history`` lists the objective at the initial point and
-    after every accepted ascent step.  A stack holds a PdStack, arrays,
-    and a list of histories, one row per run.
+    after every accepted ascent step.  A stack of runs holds the
+    maximizers as one PdMatrix stack, arrays, and a list of histories,
+    one row per run.
     """
 
-    maximizer: PdMatrix | PdStack
+    maximizer: PdMatrix
     value: float | np.ndarray
     iters: int | np.ndarray
     grad_norm_final: float | np.ndarray
@@ -85,7 +84,7 @@ def trace_exp_log(h: HermitianMatrix, a: PdMatrix) -> float:
     of ``A`` if its eigenvectors were not carried.
     """
     _check_dims(h, a)
-    return float(trace_exp_logs(h.entries, mat_log(a).entries))
+    return float(trace_exp_logs(h.entries, a.log))
 
 
 def trace_exp_logs(h: np.ndarray, log_a: np.ndarray) -> np.ndarray:
@@ -278,18 +277,15 @@ def maximize_variational(y: PdMatrix, init: PdMatrix | None = None) -> OptimizeR
 
 
 def maximize_lieb(h: HermitianMatrix, a: PdMatrix, init: PdMatrix | None = None) -> OptimizeResult:
-    """Row 0 of :func:`maximize_liebs` of one ``A``; a run that takes no step returns ``init`` itself."""
+    """Row 0 of :func:`maximize_liebs` of one ``A``, which reads ``A``'s cached ``log``."""
     _check_dims(h, a)
-    stack = pd_stack((a,))
-    stack.__dict__["log"] = mat_log(a).entries[None]  # a's cached log, as the stack's
-    runs = maximize_liebs(h.entries, stack, None if init is None else pd_stack((init,)))
-    x = runs.maximizer.point(0) if runs.iters[0] or init is None else init
-    return OptimizeResult(x, float(runs.value[0]), int(runs.iters[0]),
+    runs = maximize_liebs(h.entries, a, init)
+    return OptimizeResult(runs.maximizer[0], float(runs.value[0]), int(runs.iters[0]),
                           float(runs.grad_norm_final[0]), bool(runs.converged[0]),
                           runs.objective_history[0])
 
 
-def maximize_liebs(h: np.ndarray, a: PdStack, init: PdStack | None = None) -> OptimizeResult:
+def maximize_liebs(h: np.ndarray, a: PdMatrix, init: PdMatrix | None = None) -> OptimizeResult:
     """Maximize ``tr(XH) - (D(X;A) - tr A)`` over the PD cone, for each ``A`` of a stack at once.
 
     ``h`` holds self-adjoint entries that broadcast against ``a``; ``init``
@@ -298,7 +294,8 @@ def maximize_liebs(h: np.ndarray, a: PdStack, init: PdStack | None = None) -> Op
     most ``1e-8 (1 + ||H||_F + ||A||_F)``, with a value near ``tr exp(H +
     log A)`` and a maximizer near ``exp(H + log A)``; one that takes no
     step returns its start.  The result stacks the runs in row-major
-    order, one row of shape (n, n) each, and each row equals its run alone.
+    order, one row of shape (n, n) each (one ``A`` gives a stack of one),
+    and each row equals its run alone.
     """
     k = h + a.log
     n = k.shape[-1]
@@ -306,7 +303,7 @@ def maximize_liebs(h: np.ndarray, a: PdStack, init: PdStack | None = None) -> Op
         raise DimMismatchError(f"dimension mismatch: {init.entries.shape} vs {k.shape}")
     if init is None:
         eye = np.broadcast_to(np.eye(n, dtype=np.complex128), k.shape)
-        init = PdStack(eye, np.ones(k.shape[:-1]), eye)
+        init = PdMatrix(eye, np.ones(k.shape[:-1]), eye)
 
     def rows(m: np.ndarray) -> np.ndarray:
         return (m if m.shape == k.shape else np.broadcast_to(m, k.shape)).reshape(-1, n, n)
@@ -331,4 +328,4 @@ def maximize_liebs(h: np.ndarray, a: PdStack, init: PdStack | None = None) -> Op
     w[moved[ok]], u[moved[ok]] = xw[ok], xu[ok]
     # lieb_objective of every row.
     values = trace_products(x, h) - relative_entropies(w, x, a_entries, log_a)[0] + traces(a_entries)
-    return OptimizeResult(PdStack(x, w, u), values, iters, grad_norm, grad_norm <= grad_tol, history)
+    return OptimizeResult(PdMatrix(x, w, u), values, iters, grad_norm, grad_norm <= grad_tol, history)

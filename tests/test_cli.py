@@ -248,6 +248,21 @@ class TestEval:
         assert main(["eval", "trexplog", "--a", matrix_files["id3"], "--h", str(path)]) == 2
         assert f"H ({path}): " in capsys.readouterr().err
 
+    @pytest.mark.parametrize("content, message", [
+        (b'{"dim": 1, "re": [1' + b"0" * 400 + b"]}", "field 're' has a value beyond the float64 range"),
+        (b'\xff{"dim": 1, "re": [1.0]}', "not UTF-8 text: byte 0 invalid start byte"),
+        (b"[" * 100_000 + b"]" * 100_000, "invalid JSON: nested too deeply"),
+    ])
+    def test_unreadable_matrix_file_exits_two_and_names_operand_and_path(
+        self, tmp_path, capsys, content, message
+    ):
+        path = tmp_path / "bad.json"
+        path.write_bytes(content)
+        assert main(["eval", "entropy", "--a", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: A ({path}): {path}: {message}\n"
+
     @pytest.mark.parametrize("op, flag", [
         ("relent", "--h"), ("entropy", "--h"), ("trexplog", "--x"), ("entropy", "--x"),
     ])

@@ -29,7 +29,7 @@ from qrelent import (
 )
 from qrelent.convexity import chunk_trials, record_to_json_dict
 from qrelent.divergence import relative_entropies
-from qrelent.hermitian import PdStack, pd_draws, pd_stack, validate_pd_stack
+from qrelent.hermitian import pd_draws, pd_stack, validate_pd_stack
 from qrelent.variational import trace_exp_logs
 from test_divergence import scalar_divergence
 
@@ -45,7 +45,7 @@ def _lieb(h):
 
 def _fenchel(a):
     """The fenchel suite's stacked ``H -> tr exp(H + log A)``."""
-    return lambda h: trace_exp_logs(h, a.log.entries)
+    return lambda h: trace_exp_logs(h, a.log)
 
 
 def _eigenvalues_only(rng, dim):
@@ -79,16 +79,20 @@ def _segment_instance(kind, dim, seed):
     return f, stacked, p1, p2, T_GRID + (float(rng.uniform()),), orientation
 
 
+def _is_stack(c):
+    return isinstance(c, PdMatrix) and c.entries.ndim == 3
+
+
 def _single(c):
-    # An endpoint as pointwise hands it to f: a stack of one as its PdMatrix.
-    return c.point(0) if isinstance(c, PdStack) else c
+    # An endpoint as pointwise hands it to f: a stack of one as its row.
+    return c[0] if _is_stack(c) else c
 
 
 def _mixture(a, b, t):
     # The mixture of two endpoints, built and validated on its own; that of
-    # eigenvalues-only stacks as pointwise hands it to f.
-    if isinstance(a, PdStack):
-        return validate_pd_stack(a.entries * t + b.entries * (1.0 - t), vectors=False).point(0)
+    # eigenvalues-only stacks as pointwise hands it to f, without vectors.
+    if _is_stack(a):
+        return validate_pd_stack(a.entries * t + b.entries * (1.0 - t), vectors=False)[0]
     if isinstance(a, PdMatrix):
         return validate_pd(a.base * t + b.base * (1.0 - t))
     return a * t + b * (1.0 - t)
@@ -111,7 +115,7 @@ def _per_point_segment(f, p1, p2, t_samples, orientation):
 def _bits(m):
     parts = [m.entries.tobytes()]
     if isinstance(m, PdMatrix):
-        parts += [m.eigenvalues.tobytes(), m.vectors.tobytes()]
+        parts += [m.eigenvalues.tobytes(), None if m.vectors is None else m.vectors.tobytes()]
     return parts
 
 
@@ -172,15 +176,15 @@ class TestSegmentTest:
             assert [type(m) for m in got] == [type(m) for m in want]
             assert [_bits(m) for m in got] == [_bits(m) for m in want]
             for m, a in zip(got, p1):
-                if isinstance(a, PdStack):
+                if _is_stack(a):
                     assert m.eigenvalues.tobytes() == np.linalg.eigvalsh(m.entries).tobytes()
         # The suite's stacked evaluation equals the per-point route bit for
         # bit, at the endpoints and at every t.
 
         def both(a, b):
-            if isinstance(a, PdStack):
-                return pd_stack((a, b), axis=1)[0]
-            return pd_stack((a, b)) if isinstance(a, PdMatrix) else np.stack([a.entries, b.entries])
+            if isinstance(a, PdMatrix):
+                return pd_stack((_single(a), _single(b)))
+            return np.stack([a.entries, b.entries])
 
         ends = [both(a, b) for a, b in zip(p1, p2)]
         assert list(stacked(*ends)) == [f(*map(_single, p1)), f(*map(_single, p2))]
@@ -193,8 +197,8 @@ class TestSegmentTest:
     def test_stacked_mixture_at_or_below_floor_carries_its_t(self, middle):
         # Only the mixture at t = 0.7 is indefinite (liar's entries are not
         # those of its spectrum), in the middle or at the end of the stack.
-        truth = PdMatrix.identity(2).spectrum
-        liar = PdMatrix(HermitianMatrix.diagonal([-1.0, 1.0]), truth.eigenvalues, truth.vectors)
+        truth = PdMatrix.identity(2)
+        liar = PdMatrix(np.diag([-1.0, 1.0]).astype(complex), truth.eigenvalues, truth.vectors)
         ts = [0.2, 0.7, 0.3] if middle else [0.2, 0.3, 0.7]
         h = HermitianMatrix.diagonal([0.5, -0.5])
         with pytest.raises(SegmentEvaluationError) as err:
@@ -207,10 +211,10 @@ class TestSegmentTest:
         # liar's entries diag(e^701, 1) are not those of its spectrum, so the
         # endpoints evaluate; of the mixtures only the one at t = 0.9 puts
         # an eigenvalue of H + log A, about 701 + log t, above the guard.
-        truth = PdMatrix.identity(2).spectrum
+        truth = PdMatrix.identity(2)
         with np.errstate(over="ignore"):  # ||diag(e^701, 1)||_F overflows
             entries = HermitianMatrix.diagonal([math.exp(701.0), 1.0])
-        liar = PdMatrix(entries, truth.eigenvalues, truth.vectors)
+        liar = PdMatrix(entries.entries, truth.eigenvalues, truth.vectors)
         ts = [0.1, 0.9, 0.3] if middle else [0.1, 0.3, 0.9]
         h = HermitianMatrix.zeros(2)
         with pytest.raises(SegmentEvaluationError) as err:
@@ -223,8 +227,8 @@ class TestSegmentTest:
     def test_mixture_failing_validation_carries_its_t(self):
         # A hand-built PdMatrix whose spectrum does not belong to its entries
         # makes the mixtures at t >= 0.5 indefinite.
-        truth = PdMatrix.identity(2).spectrum
-        liar = PdMatrix(HermitianMatrix.diagonal([-1.0, 1.0]), truth.eigenvalues, truth.vectors)
+        truth = PdMatrix.identity(2)
+        liar = PdMatrix(np.diag([-1.0, 1.0]).astype(complex), truth.eigenvalues, truth.vectors)
         with pytest.raises(SegmentEvaluationError) as err:
             segment_test(
                 pointwise(lambda m: m.trace()), liar, PdMatrix.identity(2), [0.2, 0.7], "convex"
@@ -235,7 +239,7 @@ class TestSegmentTest:
     @pytest.mark.parametrize("t_bad", [0.5, 0.7])
     def test_eigenvalues_only_mixture_at_or_below_floor_carries_its_t(self, t_bad):
         # The mixture at t = 0.5 has eigenvalue 0, the one at 0.7 -0.4.
-        liar = PdStack(np.diag([-1.0, 1.0]).astype(complex)[None], np.array([[1.0, 1.0]]))
+        liar = PdMatrix(np.diag([-1.0, 1.0]).astype(complex)[None], np.array([[1.0, 1.0]]))
         one = validate_pd_stack(np.eye(2, dtype=complex)[None], vectors=False)
         with pytest.raises(SegmentEvaluationError) as err:
             segment_test(pointwise(lambda m: m.trace()), liar, one, [0.2, t_bad], "convex")
@@ -403,12 +407,13 @@ def test_variational_stacks_each_chunk_of_its_width(monkeypatch):
 @pytest.mark.parametrize("name, dim", [("partial-max", 6), ("variational", 16)])
 def test_optimizer_suites_build_no_per_matrix_objects(monkeypatch, name, dim):
     # The ascents' maximizers stay one stack from the ascent to the records:
-    # no PdMatrix and no HermitianMatrix is built for a row.
+    # no one-matrix PdMatrix and no HermitianMatrix is built for a row.
     built = []
     post_init, exact = PdMatrix.__post_init__, HermitianMatrix._exact.__func__
 
     def counted_post_init(self):
-        built.append("PdMatrix")
+        if self.entries.ndim == 2:  # one matrix, not a stack
+            built.append("PdMatrix")
         post_init(self)
 
     def counted_exact(cls, m):
@@ -468,7 +473,7 @@ def _lieb_chunk_liar(monkeypatch, k, kind, dim=6):
     """
     from conftest import trial_rng
     from qrelent import convexity
-    from qrelent.hermitian import PdStack, hermitian_draws, pd_draws
+    from qrelent.hermitian import hermitian_draws, pd_draws
 
     rng = trial_rng(42, k)
     hermitian_draws([rng], dim, 3.0)
@@ -483,7 +488,7 @@ def _lieb_chunk_liar(monkeypatch, k, kind, dim=6):
             return stack
         swapped = stack.entries.copy()
         swapped[hit] = liar
-        return PdStack(swapped, stack.eigenvalues, stack.vectors)
+        return PdMatrix(swapped, stack.eigenvalues, stack.vectors)
 
     monkeypatch.setattr(convexity, "validate_pd_stack", validate_with_liar)
 
@@ -550,8 +555,8 @@ class TestChunkFailures:
         alone = [tr for a1, a2, t in zip(a1s, a2s, ts)
                  for tr in segment_test(_lieb(h), a1, a2, t, "concave")]
         assert stacked == alone
-        truth = PdMatrix.identity(2).spectrum
-        liar = PdMatrix(HermitianMatrix.diagonal([-1.0, 1.0]), truth.eigenvalues, truth.vectors)
+        truth = PdMatrix.identity(2)
+        liar = PdMatrix(np.diag([-1.0, 1.0]).astype(complex), truth.eigenvalues, truth.vectors)
         with pytest.raises(SegmentEvaluationError) as err:
             segment_test(_lieb(h), pd_stack(a1s[:2] + [liar]),
                          pd_stack(a2s[:2] + [PdMatrix.identity(2)]), ts, "concave")
@@ -594,12 +599,13 @@ class TestStackedPathDefects:
 
 def test_flipped_lieb_witnesses_wrap_no_matrices(monkeypatch):
     # Witness matrices are serialized from the stacks' entries: no
-    # HermitianMatrix or PdMatrix is built for them.
+    # HermitianMatrix or one-matrix PdMatrix is built for them.
     built = []
     post_init, exact = PdMatrix.__post_init__, HermitianMatrix._exact.__func__
 
     def counted_post_init(self):
-        built.append("PdMatrix")
+        if self.entries.ndim == 2:  # one matrix, not a stack
+            built.append("PdMatrix")
         post_init(self)
 
     def counted_exact(cls, m):
@@ -1003,7 +1009,7 @@ def _partial_max_instance(seed):
     from qrelent.convexity import _lieb_instances
 
     h, a = _lieb_instances([trial_rng(seed, 0)], 4, 2)
-    h, a1, a2 = HermitianMatrix._exact(h[0]), a.point((0, 0)), a.point((0, 1))
+    h, a1, a2 = HermitianMatrix._exact(h[0]), a[0, 0], a[0, 1]
     return h, a1, a2, maximize_lieb(h, a1).maximizer, maximize_lieb(h, a2).maximizer
 
 
@@ -1031,7 +1037,8 @@ class TestPartialMaxWarmStart:
         cold = maximize_lieb(h, a1)
         res = maximize_lieb(h, a1, x1)
         assert res.converged and res.iters == 0
-        assert res.maximizer is x1
+        for field in ("entries", "eigenvalues", "vectors"):
+            assert getattr(res.maximizer, field).tobytes() == getattr(x1, field).tobytes()
         assert res.value == cold.value
 
     def test_runs_at_dim_one_where_the_endpoints_coincide(self, tmp_path):
@@ -1186,9 +1193,9 @@ def _variational_per_trial(rngs, dim):
 
     records = []
     for s in range(len(rngs)):
-        y_s = a.point((s, 0))
+        y_s = a[s, 0]
         records += agreement("variational", 2 * s, lambda: (y_s.trace(), y_s.entries))
-        h_s, a_s = HermitianMatrix._exact(h[s, 1]), a.point((s, 1))
+        h_s, a_s = HermitianMatrix._exact(h[s, 1]), a[s, 1]
 
         def lieb_closed_form():
             x_star = mat_exp(h_s + mat_log(a_s))

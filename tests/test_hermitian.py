@@ -36,7 +36,7 @@ from qrelent import convexity, hermitian
 from qrelent.hermitian import hermitian_draws, pd_draws
 from qrelent.convexity import sample_lieb_instance
 from qrelent.divergence import entropies, relative_entropies
-from qrelent.hermitian import PdStack, pd_stack, traces, validate_pd_stack
+from qrelent.hermitian import pd_exp, pd_stack, traces, validate_pd_stack
 from qrelent.variational import _ascend, maximize_liebs
 from conftest import random_unitary, sample_hermitian, sample_pd, trial_rng
 
@@ -148,7 +148,7 @@ class TestExactArithmetic:
         a = sample_pd(rng, dim, 0.1)
         dec = eig(h)
         pairs = [
-            (mat_log(a), rebuilt(a.spectrum, np.log(a.spectrum.eigenvalues))),
+            (mat_log(a), rebuilt(a, np.log(a.eigenvalues))),
             (mat_exp(h), rebuilt(dec, np.exp(dec.eigenvalues))),
             (matrix_fn(h, np.square), rebuilt(dec, np.square(dec.eigenvalues))),
         ]
@@ -167,7 +167,7 @@ class TestExactArithmetic:
 
         # The maximizer, against the last iterate (w, U) of the ascent it comes from.
         grad_tol = 1e-8 * (1.0 + (h.frobenius_norm() + a.frobenius_norm()))
-        start = PdMatrix.identity(dim).spectrum
+        start = PdMatrix.identity(dim)
         w, u = _ascend((h + mat_log(a)).entries[None], start.eigenvalues[None],
                        start.vectors[None], np.array([grad_tol]))[:2]
         pairs.append((maximize_lieb(h, a).maximizer, (u[0] * w[0]) @ u[0].conj().T))
@@ -271,6 +271,16 @@ class TestMatExp:
         assert out.min_eigenvalue > 0.0
         assert np.linalg.eigvalsh(out.entries)[0] > 0.0
 
+    def test_equals_its_row_of_the_stacked_exponential(self):
+        # One implementation: mat_exp is pd_exp of one matrix, and a stack
+        # that holds the matrix gives it bit for bit.
+        rng = trial_rng(46, 0)
+        hs = np.stack([sample_hermitian(rng, 5, 3.0).entries for _ in range(3)])
+        stacked = pd_exp(hs)
+        one = mat_exp(HermitianMatrix._exact(hs[1].copy()))
+        for field in ("entries", "eigenvalues", "vectors"):
+            assert getattr(one, field).tobytes() == getattr(stacked, field)[1].tobytes()
+
 
 class TestMatLog:
     def test_identity_gives_zero(self):
@@ -293,10 +303,12 @@ class TestMatLog:
     def test_log_is_built_once_and_cached(self, monkeypatch):
         a = random_pd(4, 33, 0.1)
         builds = []
-        rebuild = hermitian._rebuild
-        monkeypatch.setattr(hermitian, "_rebuild", lambda u, v: builds.append(1) or rebuild(u, v))
+        reconstruct = hermitian._reconstruct
+        monkeypatch.setattr(hermitian, "_reconstruct",
+                            lambda u, v: builds.append(1) or reconstruct(u, v))
         first = mat_log(a)
-        assert mat_log(a) is first
+        # mat_log wraps the cached entries, without copying them.
+        assert mat_log(a).entries is first.entries is a.log
         assert len(builds) == 1
 
     def test_round_trips(self):
@@ -320,8 +332,8 @@ PD_CONSTRUCTIONS = {
     "identity": lambda: PdMatrix.identity(4),
     "diagonal": lambda: PdMatrix.diagonal([3.0, 0.5, 1e-3]),
     "scaled": lambda: random_pd(5, 24, 0.1).scaled(2.7),
-    "eigenvalues_only_stack_point": lambda: validate_pd_stack(
-        pd_draws([trial_rng(36, 0)], 5, 0.1)[0], vectors=False).point(0),
+    "eigenvalues_only_stack_row": lambda: validate_pd_stack(
+        pd_draws([trial_rng(36, 0)], 5, 0.1)[0], vectors=False)[0],
     "mat_exp": lambda: mat_exp(sample_hermitian(trial_rng(25, 0), 5, 3.0)),
     "maximize_lieb": _pd_via_maximize_lieb,
 }
@@ -329,17 +341,17 @@ PD_CONSTRUCTIONS = {
 
 class TestPdMatrix:
     def test_sub_floor_spectrum_raises_domain_error(self):
-        # No PdMatrix or PdStack, and so no argument of mat_log, carries a
-        # spectrum at or below the floor: there is no way around the
-        # validation, and both types reject it with one message.
+        # No PdMatrix, one matrix or a stack, and so no argument of mat_log,
+        # carries a spectrum at or below the floor: there is no way around
+        # the validation, and both shapes are rejected with one message.
         base = HermitianMatrix.diagonal([-1.0, 1.0])
         vectors = np.eye(2, dtype=complex)
         for smallest in (-1.0, 0.0, PD_FLOOR, math.nan):
             message = f"matrix is not positive definite: smallest eigenvalue {smallest:.6g}"
             with pytest.raises(DomainError) as one:
-                PdMatrix(base, np.array([smallest, 1.0]), vectors)
+                PdMatrix(base.entries, np.array([smallest, 1.0]), vectors)
             with pytest.raises(DomainError) as eigenvalues_only:
-                PdStack(base.entries[None], np.array([[2.0, 3.0], [smallest, 1.0]]))
+                PdMatrix(base.entries[None], np.array([[2.0, 3.0], [smallest, 1.0]]))
             assert str(one.value) == str(eigenvalues_only.value) == message
         with pytest.raises(DomainError, match="smallest eigenvalue -1$"):
             validate_pd(base)
@@ -347,18 +359,22 @@ class TestPdMatrix:
     @pytest.mark.parametrize("build", PD_CONSTRUCTIONS.values(), ids=PD_CONSTRUCTIONS.keys())
     def test_carried_spectrum_reconstructs_entries(self, build):
         a = build()
-        w = a.spectrum.eigenvalues
+        w = a.eigenvalues
         assert np.all(np.diff(w) >= 0.0)
         assert a.min_eigenvalue == w[0] > PD_FLOOR
-        err = np.linalg.norm(a.spectrum.reconstruct() - a.entries)
-        assert err <= 1e-10 * (1.0 + a.frobenius_norm())
+        bound = 1e-10 * (1.0 + a.frobenius_norm())
+        if a.vectors is None:
+            # Eigenvalues only: checked through its eigenvalues.
+            assert np.linalg.norm(np.linalg.eigvalsh(a.entries) - w) <= bound
+        else:
+            assert np.linalg.norm((a.vectors * w) @ a.vectors.conj().T - a.entries) <= bound
 
     def test_min_eigenvalue_is_read_only(self):
         a = PdMatrix.identity(2)
         with pytest.raises(AttributeError):
             a.min_eigenvalue = 5.0
         with pytest.raises(ValueError):
-            a.spectrum.eigenvalues[0] = 5.0
+            a.eigenvalues[0] = 5.0
 
 
 @pytest.fixture
@@ -393,8 +409,8 @@ class TestDecompositionCounts:
         decompositions.update(eigh=0, eigvalsh=0)
         b = a.scaled(2.5)
         assert decompositions == {"eigh": 0, "eigvalsh": 0}
-        assert b.spectrum.eigenvalues.tobytes() == (a.spectrum.eigenvalues * 2.5).tobytes()
-        assert b.spectrum.vectors is a.spectrum.vectors
+        assert b.eigenvalues.tobytes() == (a.eigenvalues * 2.5).tobytes()
+        assert b.vectors is a.vectors
         assert b.entries.tobytes() == (a.base * 2.5).entries.tobytes()
 
     def test_trace_exp_log_decomposes_once(self, decompositions):
@@ -416,17 +432,21 @@ class TestDecompositionCounts:
         assert a.log is first
         assert decompositions == {"eigh": 1, "eigvalsh": 0}
         bound = 1e-12 * (1.0 + twin.frobenius_norm())
-        assert np.linalg.norm(first[0] - twin.log.entries) <= bound
+        assert np.linalg.norm(first[0] - twin.log) <= bound
         assert abs(entropies(a.eigenvalues)[0] - entropy(twin)) <= bound
 
-    def test_point_of_an_eigenvalues_only_stack_decomposes_that_matrix(self, decompositions):
-        # The validated eigenvalues stay; the vectors come from eig.
+    def test_row_of_an_eigenvalues_only_stack_decomposes_at_its_first_log(self, decompositions):
+        # a[k] keeps the validated eigenvalues and decomposes nothing; its
+        # first log makes the one eigh, and equals the stack's row bit for bit.
         a = validate_pd_stack(pd_draws([trial_rng(40, 0)], 4, 0.1, 3)[0], vectors=False)
         decompositions.update(eigh=0, eigvalsh=0)
-        m = a.point(1)
-        assert decompositions == {"eigh": 1, "eigvalsh": 0}
+        m = a[1]
+        assert decompositions == {"eigh": 0, "eigvalsh": 0}
+        assert m.vectors is None
         assert m.eigenvalues.tobytes() == a.eigenvalues[1].tobytes()
-        assert m.vectors.tobytes() == eig(m.base).vectors.tobytes()
+        first = m.log
+        assert decompositions == {"eigh": 1, "eigvalsh": 0}
+        assert first.tobytes() == a.log[1].tobytes()
 
     def test_segment_with_eigenvalues_only_endpoints_stacks_eigvalsh(self, decompositions):
         # The joint-convexity segment as the suite draws it: X's mixtures are
@@ -534,6 +554,28 @@ class TestDecompositionCounts:
         points.clear()
         res = maximize_lieb(HermitianMatrix.zeros(4), a, near)
         assert res.converged and len(points) == res.iters + 1 and res.iters >= 2
+
+    def test_maximize_lieb_reads_the_cached_log_of_a(self, monkeypatch):
+        # A validated A whose log is cached: the ascent neither decomposes A
+        # nor rebuilds log A, and the cache stays A's.
+        h = sample_hermitian(trial_rng(31, 0), 4, 1.7)
+        a = random_pd(4, 32, 0.3)
+        log_a = a.log
+        points, builds = [], []
+        solver, reconstruct = np.linalg.eigh, hermitian._reconstruct
+
+        def recorded(m, *args, **kwargs):
+            points.extend(np.array(m).reshape(-1, *np.shape(m)[-2:]))
+            return solver(m, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", recorded)
+        monkeypatch.setattr(hermitian, "_reconstruct",
+                            lambda u, v: builds.append(1) or reconstruct(u, v))
+        res = maximize_lieb(h, a)
+        assert res.converged and res.iters >= 1
+        assert a.entries.tobytes() not in {p.tobytes() for p in points}
+        assert builds == []
+        assert a.log is log_a
 
     @pytest.mark.parametrize("n", [1, 4, 16])
     def test_default_start_is_the_identity_without_its_decomposition(self, decompositions, n):

@@ -93,6 +93,35 @@ def test_non_finite_entries_rejected():
         matrix_from_dict({"dim": 1, "re": [float("nan")]})
 
 
+@pytest.mark.parametrize("key", ["re", "im"])
+def test_integer_beyond_float64_range_names_the_file_and_field(tmp_path, key):
+    path = tmp_path / "huge.json"
+    doc = {"dim": 1, "re": [1], key: [10**400]}
+    path.write_text(json.dumps(doc))
+    with pytest.raises(MatrixParseError) as err:
+        read_matrix(str(path))
+    assert str(err.value) == f"{path}: field '{key}' has a value beyond the float64 range"
+    assert isinstance(err.value.__cause__, OverflowError)
+
+
+def test_file_that_is_not_utf8_names_the_file(tmp_path):
+    path = tmp_path / "latin.json"
+    path.write_bytes(b'\xff{"dim": 1, "re": [1.0]}')
+    with pytest.raises(MatrixParseError) as err:
+        read_matrix(str(path))
+    assert str(err.value) == f"{path}: not UTF-8 text: byte 0 invalid start byte"
+    assert isinstance(err.value.__cause__, UnicodeDecodeError)
+
+
+def test_json_nested_too_deeply_names_the_file(tmp_path):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100_000 + "]" * 100_000)
+    with pytest.raises(MatrixParseError) as err:
+        read_matrix(str(path))
+    assert str(err.value) == f"{path}: invalid JSON: nested too deeply"
+    assert isinstance(err.value.__cause__, RecursionError)
+
+
 def test_matrix_to_dict_round_trips_complex():
     m = sample_hermitian(trial_rng(302, 0), 3, 2.0)
     back = matrix_from_dict(matrix_to_dict(m))

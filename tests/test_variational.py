@@ -392,7 +392,7 @@ def test_maximizer_respects_eigenvalue_floor():
 
 def _log_derivative(x: PdMatrix, e: np.ndarray) -> np.ndarray:
     """Daleckii-Krein: ``Dlog(X)[E] = U ((U* E U) / Phi) U*``."""
-    w, u = x.spectrum.eigenvalues, x.spectrum.vectors
+    w, u = x.eigenvalues, x.vectors
     return u @ ((u.conj().T @ e @ u) / _logarithmic_mean(w)) @ u.conj().T
 
 
@@ -433,10 +433,10 @@ class TestNewtonStep:
         h, a = sample_lieb_instance(rng, 5)
         x = sample_pd(rng, 5, 0.1)
         k = (h + mat_log(a)).entries
-        u = x.spectrum.vectors
+        u = x.vectors
         # a stack of one
         kt, grad_norm, dt, slope = (
-            r[0] for r in _newton_step(k[None], x.spectrum.eigenvalues[None], u[None]))
+            r[0] for r in _newton_step(k[None], x.eigenvalues[None], u[None]))
         # K~ = U* K U, exactly self-adjoint; D = U D~ U* back in the standard basis.
         assert np.array_equal(kt, kt.conj().T)
         assert np.linalg.norm(kt - u.conj().T @ k @ u) <= 1e-14 * np.linalg.norm(k)
@@ -456,7 +456,7 @@ class TestNewtonStep:
         rng = trial_rng(114, 0)
         x = [sample_pd(rng, 5, 0.1) for _ in range(3)]
         k = np.stack([sample_hermitian(rng, 5, 3.0).entries for _ in range(3)])
-        w, u = np.stack([m.eigenvalues for m in x]), np.stack([m.spectrum.vectors for m in x])
+        w, u = np.stack([m.eigenvalues for m in x]), np.stack([m.vectors for m in x])
         kt, norms, dt, slopes = _newton_step(k, w, u)
         # the objective's formula, at X = D~ with the eigenvalues w
         objectives = variational._objectives(kt, dt, w)
@@ -564,10 +564,10 @@ class TestStackedAscent:
         assert runs.converged.tolist() == [True, False, False, True]
         x = runs.maximizer
         for r in range(4):
-            one = maximize_lieb(HermitianMatrix._exact(h[r]), a.point(r), init.point(r))
+            one = maximize_lieb(HermitianMatrix._exact(h[r]), a[r], init[r])
             assert x.entries[r].tobytes() == one.maximizer.entries.tobytes()
             assert x.eigenvalues[r].tobytes() == one.maximizer.eigenvalues.tobytes()
-            assert x.vectors[r].tobytes() == one.maximizer.spectrum.vectors.tobytes()
+            assert x.vectors[r].tobytes() == one.maximizer.vectors.tobytes()
             assert (runs.value[r], runs.iters[r], runs.grad_norm_final[r], runs.converged[r],
                     runs.objective_history[r]) == (one.value, one.iters, one.grad_norm_final,
                                                    one.converged, one.objective_history)
