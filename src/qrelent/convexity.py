@@ -34,8 +34,7 @@ from .hermitian import (
     trial_rng,
     validate_pd_stack,
 )
-from .matrixio import matrix_to_dict
-from .segments import SegmentTrial, Stack, _as_point, _as_stack, _entries, segment_test
+from .segments import SegmentTrial, _as_point, _as_stack, _entries, segment_test
 from .variational import maximize_liebs, trace_exp_logs
 
 # Deterministic interior grid; endpoint t-values are trivially tight and
@@ -77,12 +76,6 @@ class BoundTrial:
     valid: bool = True
 
 
-def record_to_json_dict(record: SegmentTrial | BoundTrial) -> dict:
-    """Every field of a trial record, except one at its default (``valid=True``, ``witness=None``)."""
-    return {k: v for k, v in vars(record).items()
-            if not (k == "valid" and v is True or k == "witness" and v is None)}
-
-
 @dataclasses.dataclass(frozen=True)
 class SuiteReport:
     """Aggregate outcome of one property suite.
@@ -90,7 +83,8 @@ class SuiteReport:
     ``passed`` (serialized as ``"pass"``) is ``max_violation <= tol``;
     suites that run the optimizer additionally require the invalid-trial
     fraction and the value-agreement gap recorded in ``extras`` to stay
-    within their bounds.
+    within their bounds.  ``to_json_dict`` hands over the records as they are,
+    for ``json.dumps(..., default=json_default)``, the writer's hook.
     """
 
     suite_name: str
@@ -104,7 +98,7 @@ class SuiteReport:
     def to_json_dict(self) -> dict:
         return {
             "suite_name": self.suite_name,
-            "trials": [record_to_json_dict(t) for t in self.trials],
+            "trials": self.trials,
             "max_violation": self.max_violation,
             "pass": self.passed,
             "config_echo": self.config_echo,
@@ -124,18 +118,14 @@ def _segment(f, p1, p2, rngs: Rngs, orientation: str, tol: float, fixed=None,
     Segment ``s`` of the stacks ``p1``, ``p2`` (and ``fixed``) belongs to
     the trial of ``rngs[s]``.  A valid comparison violating ``tol``
     carries a witness ``{"t": t}``.  The first one of a segment also
-    carries its endpoints as ``"p1"`` and ``"p2"``, lists of matrix dicts,
-    and its matrix ``fixed``, if any, once as ``"fixed"``; the later ones
-    carry only their ``t``.
+    carries copies of its endpoints' entries as ``"p1"`` and ``"p2"``, lists
+    of arrays, and of its matrix ``fixed``, if any, once as ``"fixed"``;
+    the later ones carry only their ``t``.
     """
     p1, p2 = _as_point(p1), _as_point(p2)
     ts = [T_GRID + (float(rng.uniform()),) for rng in rngs]
     trials = segment_test(f, p1, p2, ts, orientation, fixed, ends)
     width = len(T_GRID) + 1
-
-    def matrix(c: Stack, s: int) -> dict:
-        return matrix_to_dict(_entries(c)[s])
-
     records = []
     for s in range(len(rngs)):
         first = True
@@ -143,10 +133,10 @@ def _segment(f, p1, p2, rngs: Rngs, orientation: str, tol: float, fixed=None,
             if tr.valid and tr.violation > tol:
                 witness = {"t": tr.t}
                 if first:
-                    witness["p1"] = [matrix(c, s) for c in p1]
-                    witness["p2"] = [matrix(c, s) for c in p2]
+                    witness["p1"] = [_entries(c)[s].copy() for c in p1]
+                    witness["p2"] = [_entries(c)[s].copy() for c in p2]
                     if fixed is not None:
-                        witness["fixed"] = matrix(_as_stack(fixed), s)
+                        witness["fixed"] = _entries(_as_stack(fixed))[s].copy()
                     first = False
                 tr = SegmentTrial(tr.t, tr.lhs, tr.rhs, tr.violation, tr.scale, witness=witness)
             records.append(tr)

@@ -45,8 +45,8 @@ class HermitianMatrix:
 
     The constructor accepts anything convertible to a square complex array,
     verifies that the anti-self-adjoint part is within ``SYMMETRIZE_RTOL``
-    of zero (relative to the Frobenius norm), and stores the exactly
-    symmetrized form ``(M + M*)/2``.
+    of zero (relative to the Frobenius norm, which must not overflow), and
+    stores the exactly symmetrized form ``(M + M*)/2``.
     """
 
     entries: np.ndarray
@@ -59,8 +59,13 @@ class HermitianMatrix:
             raise NotHermitianError("matrix dimension must be at least 1")
         if not np.isfinite(m).all():
             raise NotHermitianError("matrix has non-finite entries")
+        with np.errstate(over="ignore"):
+            norm = np.linalg.norm(m)
+        # A finite norm keeps every entry of M - M* and of (M + M*)/2 finite.
+        if not np.isfinite(norm):
+            raise NotHermitianError("matrix entries overflow: ||M||_F exceeds the float64 range")
         anti = np.linalg.norm(m - m.conj().T)
-        if anti > SYMMETRIZE_RTOL * (1.0 + np.linalg.norm(m)):
+        if anti > SYMMETRIZE_RTOL * (1.0 + norm):
             raise NotHermitianError(
                 f"anti-self-adjoint part too large: ||M - M*||_F = {anti:.3e}"
             )
@@ -240,18 +245,20 @@ def _check_floor(eigenvalues: np.ndarray) -> None:
         )
 
 
-def _check_dims(a: MatrixLike, b: MatrixLike) -> None:
-    if a.entries.shape != b.entries.shape:
-        raise DimMismatchError(
-            f"dimension mismatch: {a.entries.shape[0]} vs {b.entries.shape[0]}"
-        )
+def _check_dims(a: MatrixLike | np.ndarray, b: MatrixLike | np.ndarray) -> None:
+    # DimMismatchError unless two matrices or stacks (or their entries) have
+    # one shape; it names the dimensions when only they differ, else the shapes.
+    sa, sb = (m.shape if isinstance(m, np.ndarray) else m.entries.shape for m in (a, b))
+    if sa != sb:
+        named = f"{sa[-1]} vs {sb[-1]}" if sa[:-2] == sb[:-2] else f"shapes {sa} vs {sb}"
+        raise DimMismatchError(f"dimension mismatch: {named}")
 
 
 def symmetrize(m) -> HermitianMatrix:
     """Return ``(M + M*)/2`` as a HermitianMatrix.
 
     Raises NotHermitianError when the anti-self-adjoint part of ``M``
-    exceeds ``SYMMETRIZE_RTOL * (1 + ||M||_F)``.
+    exceeds ``SYMMETRIZE_RTOL * (1 + ||M||_F)``, or ``||M||_F`` overflows.
     """
     return HermitianMatrix(np.asarray(m))
 
@@ -319,8 +326,7 @@ def mixtures(a: np.ndarray, b: np.ndarray, ts: np.ndarray) -> np.ndarray:
     Callers keep the result within one ``_BLOCK_BYTES`` block, so that
     its temporaries reuse heap memory.
     """
-    if a.shape != b.shape:
-        raise DimMismatchError(f"dimension mismatch: {a.shape[-1]} vs {b.shape[-1]}")
+    _check_dims(a, b)
     t = np.asarray(ts, dtype=np.float64)[..., None, None]
     out = a[:, None] * t
     out += b[:, None] * (1.0 - t)

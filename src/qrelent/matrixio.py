@@ -3,10 +3,10 @@
 Matrix files are JSON objects ``{"dim": n, "re": [...], "im": [...]}`` with
 ``n*n`` row-major entries; ``"im"`` may be omitted for real matrices.
 Reports and matrices are written canonically, as the text of
-``json.dumps(obj, sort_keys=True)`` plus a newline, and atomically (temp
-file plus rename), so identical runs produce byte-identical files.  The
-text is streamed in pieces: the writer holds at most one run of records as
-text, never the whole document.  A new file gets the mode ``open(path,
+``json.dumps(obj, sort_keys=True, default=json_default)`` plus a newline, and
+atomically (temp file plus rename), so identical runs produce byte-identical
+files.  The text is streamed: the writer makes the JSON of one run of records
+at a time, never the whole document.  A new file gets the mode ``open(path,
 "w")`` would give it, 0o666 less the umask; a replaced file keeps its mode.
 """
 
@@ -16,6 +16,7 @@ import contextlib
 import json
 import os
 import stat
+from dataclasses import is_dataclass
 
 import numpy as np
 
@@ -88,33 +89,46 @@ def read_matrix(path: str) -> HermitianMatrix:
     return matrix_from_dict(obj, context=str(path))
 
 
-# json.dumps(obj, sort_keys=True) runs this encoder, in C, on the whole
-# document; the writer runs it on pieces.  The documents are trees, so the
-# circular-reference check is skipped.
-_encode = json.JSONEncoder(sort_keys=True, check_circular=False).encode
+def json_default(obj) -> dict:
+    """The ``default`` hook of ``json.dumps`` for reports: a record's or a matrix's JSON object.
+
+    A record (a dataclass) gives its fields less those at their default, a square
+    array its :func:`matrix_to_dict`; anything else raises TypeError, as json.dumps does.
+    """
+    if is_dataclass(obj) and not isinstance(obj, type):
+        # The fields unfiltered: records have no pseudo-fields, and fields(obj) doubles the cost.
+        return {f.name: v for f in obj.__dataclass_fields__.values()
+                if (v := getattr(obj, f.name)) is not f.default}
+    if isinstance(obj, np.ndarray) and obj.ndim == 2 and obj.shape[0] == obj.shape[1]:
+        return matrix_to_dict(obj)
+    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+
+
+# The C encoder of json.dumps(obj, sort_keys=True, default=json_default), which the
+# writer runs on pieces; documents are trees, so it skips the circular-reference check.
+_encode = json.JSONEncoder(sort_keys=True, check_circular=False, default=json_default).encode
 
 # Records encoded per call in a list of records.  A segment suite writes a
-# trial as ten records, one of which may carry its witness matrices, so a
-# run is one trial: writing a flipped lieb report peaks at 0.05 MB
-# (tracemalloc) at dim 6 and at one 0.5 MB witness set, 2.7 MB, at dim 64.
+# trial as ten records, one of which may carry its witness arrays, so a
+# run is one trial, and one witness set at a time becomes lists of floats.
 _RUN = 10
 
 
 def _is_records(obj) -> bool:
-    """Whether ``obj`` is a list of dicts, judged by its first item."""
-    return isinstance(obj, list) and bool(obj) and isinstance(obj[0], dict)
+    """Whether ``obj`` is a list of dicts or records, judged by its first item."""
+    return isinstance(obj, list) and bool(obj) and (isinstance(obj[0], dict) or is_dataclass(obj[0]))
 
 
 def _holds_records(obj) -> bool:
-    """Whether ``obj`` is a dict with a list of dicts among its values."""
+    """Whether ``obj`` is a dict with a list of dicts or records among its values."""
     return isinstance(obj, dict) and any(map(_is_records, obj.values()))
 
 
 def _pieces(obj):
-    """The text of ``json.dumps(obj, sort_keys=True)``, in pieces.
+    """The text of ``json.dumps(obj, sort_keys=True, default=json_default)``, in pieces.
 
-    A dict that holds a list of dicts is written key by key, a list of such
-    dicts item by item, any other list of dicts in runs of ``_RUN`` items;
+    A dict that holds a list of dicts or records is written key by key, a list
+    of such dicts item by item, any other in runs of ``_RUN`` items;
     everything else is encoded whole.  Each choice gives the same text, so
     a list is judged by its first item.
     """

@@ -29,8 +29,8 @@ class SegmentTrial:
     ``violation = (lhs - rhs) * orientation / scale`` with orientation +1
     for convexity claims and -1 for concavity claims, so positive means the
     claimed inequality failed.  ``witness`` is set when the trial violates
-    the tolerance: ``{"t": t}``, plus the segment's whole instance (in the
-    matrix file format) on the segment's first violating trial.
+    the tolerance: ``{"t": t}``, plus the segment's whole instance (arrays of
+    entries, for the writer) on the segment's first violating trial.
     """
 
     t: float

@@ -26,7 +26,7 @@ import dataclasses
 import numpy as np
 
 from .divergence import entropies, entropy, relative_entropies, relative_entropy
-from .errors import DimMismatchError, NotHermitianError
+from .errors import NotHermitianError
 from .hermitian import (
     PD_FLOOR,
     HermitianMatrix,
@@ -299,9 +299,9 @@ def maximize_liebs(h: np.ndarray, a: PdMatrix, init: PdMatrix | None = None) -> 
     """
     k = h + a.log
     n = k.shape[-1]
-    if init is not None and init.entries.shape != k.shape:
-        raise DimMismatchError(f"dimension mismatch: {init.entries.shape} vs {k.shape}")
-    if init is None:
+    if init is not None:
+        _check_dims(init, k)
+    else:
         eye = np.broadcast_to(np.eye(n, dtype=np.complex128), k.shape)
         init = PdMatrix(eye, np.ones(k.shape[:-1]), eye)
 

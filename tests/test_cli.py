@@ -113,7 +113,7 @@ class TestVerify:
         # float(v) lists and json.dumps with its circular-reference check.
         import dataclasses
 
-        from qrelent import cli, convexity
+        from qrelent import cli
 
         def record_dict(record):
             defaults = {f.name: f.default for f in dataclasses.fields(record)
@@ -127,16 +127,17 @@ class TestVerify:
                 out["im"] = [float(v) for v in e.imag.ravel()]
             return out
 
+        def reference_default(obj):
+            return matrix_dict(obj) if isinstance(obj, np.ndarray) else record_dict(obj)
+
         def write(document, path):
             with open(path, "w", encoding="utf-8") as fh:
-                fh.write(json.dumps(document, sort_keys=True) + "\n")
+                fh.write(json.dumps(document, sort_keys=True, default=reference_default) + "\n")
 
         args = ["verify", "--suite", "lieb-concavity", "--dim", "4", "--trials", "20",
                 "--flip-orientation", "--out"]
         out, reference = str(tmp_path / "flip.json"), str(tmp_path / "reference.json")
         assert main(args + [out]) == 1
-        monkeypatch.setattr(convexity, "record_to_json_dict", record_dict)
-        monkeypatch.setattr(convexity, "matrix_to_dict", matrix_dict)
         monkeypatch.setattr(cli, "write_report", write)
         assert main(args + [reference]) == 1
         assert open(out, "rb").read() == open(reference, "rb").read()
@@ -247,6 +248,17 @@ class TestEval:
         # a self-adjoint operand's parse error names it too
         assert main(["eval", "trexplog", "--a", matrix_files["id3"], "--h", str(path)]) == 2
         assert f"H ({path}): " in capsys.readouterr().err
+
+    @pytest.mark.parametrize("re", [[1, 1e200, -1e200, 1], [1e308] * 4])
+    def test_matrix_whose_norm_overflows_exits_two(self, tmp_path, capsys, re):
+        # The entropy of either was reported before: 0 for the first, read
+        # as the identity, and "smallest eigenvalue nan" for the second.
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps({"dim": 2, "re": re}))
+        assert main(["eval", "entropy", "--a", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"A ({path}): {path}: matrix entries overflow" in captured.err
 
     @pytest.mark.parametrize("content, message", [
         (b'{"dim": 1, "re": [1' + b"0" * 400 + b"]}", "field 're' has a value beyond the float64 range"),

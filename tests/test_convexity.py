@@ -27,9 +27,10 @@ from qrelent import (
     trace_product,
     validate_pd,
 )
-from qrelent.convexity import chunk_trials, record_to_json_dict
+from qrelent.convexity import chunk_trials
 from qrelent.divergence import relative_entropies
 from qrelent.hermitian import pd_draws, pd_stack, validate_pd_stack
+from qrelent.matrixio import json_default
 from qrelent.variational import trace_exp_logs
 from test_divergence import scalar_divergence
 
@@ -212,9 +213,9 @@ class TestSegmentTest:
         # endpoints evaluate; of the mixtures only the one at t = 0.9 puts
         # an eigenvalue of H + log A, about 701 + log t, above the guard.
         truth = PdMatrix.identity(2)
-        with np.errstate(over="ignore"):  # ||diag(e^701, 1)||_F overflows
-            entries = HermitianMatrix.diagonal([math.exp(701.0), 1.0])
-        liar = PdMatrix(entries.entries, truth.eigenvalues, truth.vectors)
+        # Entries, not a HermitianMatrix, which rejects them: ||diag(e^701, 1)||_F overflows.
+        entries = np.diag([math.exp(701.0), 1.0]).astype(complex)
+        liar = PdMatrix(entries, truth.eigenvalues, truth.vectors)
         ts = [0.1, 0.9, 0.3] if middle else [0.1, 0.3, 0.9]
         h = HermitianMatrix.zeros(2)
         with pytest.raises(SegmentEvaluationError) as err:
@@ -358,8 +359,8 @@ class TestJointConvexitySuite:
     def test_deterministic_reruns(self):
         a = joint_convexity_suite(3, 10, 5, 1e-10)
         b = joint_convexity_suite(3, 10, 5, 1e-10)
-        assert json.dumps(a.to_json_dict(), sort_keys=True) == json.dumps(
-            b.to_json_dict(), sort_keys=True
+        assert json.dumps(a.to_json_dict(), sort_keys=True, default=json_default) == json.dumps(
+            b.to_json_dict(), sort_keys=True, default=json_default
         )
 
 
@@ -447,7 +448,7 @@ def test_each_trial_replays_alone(name, options, dim, trials):
 
     row = SUITES[name]
     report = run_suite(name, dim, trials, 42, None, **options)
-    full = [json.dumps(record_to_json_dict(r)) for r in report.trials]
+    full = [json.dumps(r, default=json_default) for r in report.trials]
     start = 0
     for kind in row.kinds:
         named = () if kind.name is None else (kind.name,)
@@ -456,7 +457,7 @@ def test_each_trial_replays_alone(name, options, dim, trials):
                 [trial_rng(42, kind.first + i)], dim, row.tol, *named,
                 **{**row.options, **options}
             )
-            replayed = [json.dumps(record_to_json_dict(r)) for r in records]
+            replayed = [json.dumps(r, default=json_default) for r in records]
             assert replayed == full[start:start + len(replayed)], (kind.name, i)
             start += len(replayed)
     assert start == len(full)
@@ -620,6 +621,34 @@ def test_flipped_lieb_witnesses_wrap_no_matrices(monkeypatch):
     assert built == []
 
 
+@pytest.mark.parametrize("name, options", [
+    ("lieb-concavity", {"orientation": "convex"}),
+    ("joint-convexity", {}),
+])
+def test_witness_matrices_stay_arrays_until_the_writer(monkeypatch, name, options):
+    # A failing run keeps each witness matrix as a complex array of its
+    # entries, a copy that owns its data; the writer alone makes its
+    # matrix file dict.
+    if name == "joint-convexity":
+        from qrelent import convexity
+
+        monkeypatch.setattr(convexity, "relative_entropies",
+                            lambda *args: tuple(-v for v in relative_entropies(*args)))
+    report = run_suite(name, 6, 12, 42, None, **options)
+    assert not report.passed
+    firsts = [r.witness for r in report.trials if "p1" in (r.witness or {})]
+    assert len(firsts) == 12
+    for w in firsts:
+        matrices = [*w["p1"], *w["p2"], *([w["fixed"]] if "fixed" in w else [])]
+        assert len(matrices) == (3 if name == "lieb-concavity" else 4)
+        for e in matrices:
+            assert type(e) is np.ndarray and e.dtype == np.complex128 and e.shape == (6, 6)
+            assert e.flags.owndata
+    doc = json.loads(json.dumps(report.to_json_dict(), default=json_default))
+    w = next(r["witness"] for r in doc["trials"] if "p1" in r.get("witness", {}))
+    assert w["p1"][0]["dim"] == 6 and len(w["p1"][0]["re"]) == 36
+
+
 def test_variational_run_that_does_not_converge_gives_invalid_records(monkeypatch):
     from qrelent import variational
 
@@ -672,7 +701,7 @@ class TestBlockPieces:
         def chunk():
             records, samples = row.trial([trial_rng(42, i) for i in range(trials)], dim,
                                          row.tol, **options)
-            return [json.dumps(record_to_json_dict(r)) for r in records], json.dumps(samples)
+            return [json.dumps(r, default=json_default) for r in records], json.dumps(samples)
 
         with monkeypatch.context() as m:
             whole = _pieces_of(m, 10**6)
@@ -804,8 +833,8 @@ class TestLiebConcavitySuite:
         w = witnesses[0]
         # the offending tuple replays through the matrix format: A1 and A2
         # as the endpoints, H once as the fixed matrix
-        (a1,), (a2,) = ([validate_pd(matrix_from_dict(d)) for d in w[k]] for k in ("p1", "p2"))
-        h = matrix_from_dict(w["fixed"])
+        (a1,), (a2,) = ([validate_pd(_read_back(e)) for e in w[k]] for k in ("p1", "p2"))
+        h = _read_back(w["fixed"])
         assert a1.dim == a2.dim == h.dim == 3
         assert 0.0 < w["t"] < 1.0
 
@@ -822,6 +851,11 @@ class TestLiebConcavitySuite:
         report = lieb_concavity_suite(1, 20, 3, 1e-10)
         flipped = lieb_concavity_suite(1, 20, 3, 1e-10, orientation="convex")
         assert report.passed and flipped.passed
+
+
+def _read_back(entries):
+    # A witness matrix as a report reader gets it: through the matrix file format.
+    return matrix_from_dict(json.loads(json.dumps(entries, default=json_default)))
 
 
 def _replay_witnesses(report, tol, lhs) -> int:
@@ -843,9 +877,9 @@ def _replay_witnesses(report, tol, lhs) -> int:
         assert witnesses, start
         assert all(set(w) == {"t"} for w in witnesses[1:])
         assert set(witnesses[0]) == {"t", "p1", "p2", "fixed"}
-        p1 = [matrix_from_dict(d) for d in witnesses[0]["p1"]]
-        p2 = [matrix_from_dict(d) for d in witnesses[0]["p2"]]
-        fixed = matrix_from_dict(witnesses[0]["fixed"])
+        p1 = [_read_back(e) for e in witnesses[0]["p1"]]
+        p2 = [_read_back(e) for e in witnesses[0]["p2"]]
+        fixed = _read_back(witnesses[0]["fixed"])
         for r in block:
             if r.witness is not None:
                 assert r.witness["t"] == r.t
@@ -880,7 +914,7 @@ class TestWitnesses:
         assert ["p1" in r.witness for r in records] == [True] + [False] * len(T_GRID)
         assert ["p2" in r.witness for r in records] == [True] + [False] * len(T_GRID)
         for key, point in (("p1", p1), ("p2", p2)):
-            shown = [matrix_from_dict(d) for d in records[0].witness[key]]
+            shown = [_read_back(e) for e in records[0].witness[key]]
             assert len(shown) == 2
             assert all(np.array_equal(m.entries, _single(e).entries) for m, e in zip(shown, point))
 
@@ -896,7 +930,7 @@ class TestWitnesses:
     def test_failing_report_is_at_most_a_quarter_of_the_old_size(self):
         # 613 909 bytes when every violation carried its own endpoints
         report = lieb_concavity_suite(6, 20, 42, 1e-9, orientation="convex")
-        assert len(json.dumps(report.to_json_dict())) <= 613_909 // 4
+        assert len(json.dumps(report.to_json_dict(), default=json_default)) <= 613_909 // 4
 
     def test_fenchel_witnesses_replay(self, monkeypatch):
         # the negated map is concave, so the convexity claim fails; each
@@ -967,8 +1001,8 @@ class TestPartialMaxSuite:
     def test_deterministic_reruns(self):
         a = partial_max_concavity_suite(3, 4, 31, 1e-8)
         b = partial_max_concavity_suite(3, 4, 31, 1e-8)
-        assert json.dumps(a.to_json_dict(), sort_keys=True) == json.dumps(
-            b.to_json_dict(), sort_keys=True
+        assert json.dumps(a.to_json_dict(), sort_keys=True, default=json_default) == json.dumps(
+            b.to_json_dict(), sort_keys=True, default=json_default
         )
 
     def test_zero_h_partial_maximum_is_affine(self):
@@ -1250,7 +1284,7 @@ class TestVariationalClosedForms:
 class TestSuiteReportShape:
     def test_json_fields(self):
         report = lieb_concavity_suite(2, 3, 37, 1e-10)
-        doc = report.to_json_dict()
+        doc = json.loads(json.dumps(report.to_json_dict(), default=json_default))
         assert set(doc) == {
             "suite_name",
             "trials",

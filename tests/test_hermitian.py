@@ -68,6 +68,22 @@ class TestSymmetrize:
         with pytest.raises(NotHermitianError):
             symmetrize(np.array([[np.inf, 0.0], [0.0, 1.0]]))
 
+    def test_asymmetry_whose_norms_overflow_rejected(self):
+        # Both Frobenius norms are inf, and inf > 1e-8 (1 + inf) is False:
+        # this matrix was accepted as the identity.
+        with pytest.raises(NotHermitianError, match="overflow"):
+            HermitianMatrix([[1.0, 1e200], [-1e200, 1.0]])
+
+    def test_entries_whose_symmetrized_form_overflows_rejected(self):
+        # (M + M*)/2 of 1e308 entries was inf+nanj.
+        with pytest.raises(NotHermitianError, match="overflow"):
+            HermitianMatrix(np.full((2, 2), 1e308))
+
+    def test_large_entries_with_a_finite_norm_keep_their_bits(self):
+        raw = np.array([[1e153, 3e150 + 1e140j], [3e150 - 1e140j, -7e152]])
+        assert np.isfinite(np.linalg.norm(raw))
+        assert HermitianMatrix(raw).entries.tobytes() == raw.tobytes()
+
     @settings(max_examples=25, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), dim=st.integers(1, 8))
     def test_output_exactly_self_adjoint_and_idempotent(self, seed, dim):
@@ -669,6 +685,25 @@ class TestStackedKernelGuards:
     def test_mixtures_reject_mismatched_shapes(self):
         with pytest.raises(DimMismatchError, match="^dimension mismatch: 2 vs 3$"):
             hermitian.mixtures(np.eye(2)[None], np.eye(3)[None], [[0.5]])
+
+    def test_mixtures_of_stacks_of_other_lengths_name_the_shapes(self):
+        with pytest.raises(DimMismatchError,
+                           match=r"^dimension mismatch: shapes \(2, 3, 3\) vs \(4, 3, 3\)$"):
+            hermitian.mixtures(np.zeros((2, 3, 3)), np.zeros((4, 3, 3)), [[0.5]] * 2)
+
+    def test_trace_product_of_stacks_names_the_dimensions(self):
+        # Stacks of two 3x3 and two 2x2 matrices: the message named the
+        # stack lengths, "2 vs 2".
+        a = pd_stack([PdMatrix.identity(3)] * 2)
+        b = pd_stack([PdMatrix.identity(2)] * 2)
+        with pytest.raises(DimMismatchError, match="^dimension mismatch: 3 vs 2$"):
+            trace_product(a, b)
+
+    def test_maximize_liebs_start_of_another_shape_names_the_shapes(self):
+        a = pd_stack([PdMatrix.identity(2)] * 3)
+        with pytest.raises(DimMismatchError,
+                           match=r"^dimension mismatch: shapes \(2, 2, 2\) vs \(3, 2, 2\)$"):
+            maximize_liebs(np.zeros((2, 2)), a, a[:2])
 
     def test_pd_draws_reject_dimension_below_one(self):
         with pytest.raises(DomainError, match="^dimension must be at least 1, got 0$"):

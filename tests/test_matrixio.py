@@ -17,7 +17,7 @@ from qrelent import (
     write_matrix,
     write_report,
 )
-from qrelent import matrixio
+from qrelent import BoundTrial, SegmentTrial, matrixio
 from conftest import sample_hermitian, trial_rng
 
 
@@ -93,6 +93,13 @@ def test_non_finite_entries_rejected():
         matrix_from_dict({"dim": 1, "re": [float("nan")]})
 
 
+@pytest.mark.parametrize("re", [[1, 1e200, -1e200, 1], [1e308] * 4])
+def test_entries_whose_norm_overflows_rejected(re):
+    # Accepted before as the identity, or symmetrized to inf+nanj.
+    with pytest.raises(MatrixParseError, match="^m: matrix entries overflow"):
+        matrix_from_dict({"dim": 2, "re": re}, context="m")
+
+
 @pytest.mark.parametrize("key", ["re", "im"])
 def test_integer_beyond_float64_range_names_the_file_and_field(tmp_path, key):
     path = tmp_path / "huge.json"
@@ -148,6 +155,16 @@ def _records(n):
             for i in range(n)]
 
 
+def _record_objects(n):
+    # Segment records, every third with witness arrays, and bound records,
+    # every other one invalid.
+    e = np.array([[2.0, 0.5 - 0.25j], [0.5 + 0.25j, 1.0]])
+    return [SegmentTrial(i / 10, 1.0, 0.5, i / 7, 2.0, witness=(
+                {"t": i / 10, "p1": [e * i], "p2": [e.real], "fixed": e} if i % 3 == 0 else None))
+            if i % 2 else BoundTrial("k", i / 3, 0.0, -i / 3, 1.0, valid=i % 4 == 0)
+            for i in range(n)]
+
+
 RUN = matrixio._RUN
 NAN, INF = float("nan"), float("inf")
 REFERENCE_CASES = {
@@ -167,6 +184,10 @@ REFERENCE_CASES = {
     "int keys": {1: [{"a": 1}], 2: "b", 10: [{3: [{"c": 4}]}]},
     "float keys": {0.5: [{"a": 1}], 2.0: None, -INF: [1.5]},
     "bool keys": {False: [{"a": 1}], True: [{True: [{None: 1}]}]},
+    **{f"{n} record objects": {"summary": {"n": n}, "reports": [
+        {"trials": _record_objects(n), "extras": {}}, {"trials": _records(2)}]}
+       for n in (1, RUN + 1, 3 * RUN + 4)},
+    "a witness array outside a run": {"x": [np.eye(2)], "y": {"fixed": np.eye(1)}},
 }
 
 
@@ -174,7 +195,8 @@ REFERENCE_CASES = {
 def test_report_equals_json_dumps(tmp_path, doc):
     path = tmp_path / "report.json"
     write_report(doc, str(path))
-    assert path.read_text(encoding="utf-8") == json.dumps(doc, sort_keys=True) + "\n"
+    expected = json.dumps(doc, sort_keys=True, default=matrixio.json_default) + "\n"
+    assert path.read_text(encoding="utf-8") == expected
 
 
 def test_records_are_encoded_in_runs():
@@ -183,6 +205,41 @@ def test_records_are_encoded_in_runs():
     assert "".join(pieces) == json.dumps(doc, sort_keys=True)
     longest_run = max(len(p) for p in pieces)
     assert longest_run < len(json.dumps(_records(RUN + 1)))
+
+
+def test_record_objects_are_encoded_in_runs():
+    # Records and their witness arrays become JSON one run at a time.
+    doc = REFERENCE_CASES[f"{3 * RUN + 4} record objects"]
+    pieces = list(matrixio._pieces(doc))
+    assert "".join(pieces) == json.dumps(doc, sort_keys=True, default=matrixio.json_default)
+    longest_run = max(len(p) for p in pieces)
+    assert longest_run < len(json.dumps(_record_objects(RUN + 1), default=matrixio.json_default))
+
+
+def test_json_default_drops_fields_at_their_default_and_writes_matrix_files():
+    segment = SegmentTrial(0.5, 1.0, 2.0, 0.25, 3.0)
+    assert matrixio.json_default(segment) == {
+        "t": 0.5, "lhs": 1.0, "rhs": 2.0, "violation": 0.25, "scale": 3.0}
+    invalid = BoundTrial("k", 1.0, 0.0, -1.0, 1.0, valid=False)
+    assert matrixio.json_default(invalid)["valid"] is False
+    assert "valid" not in matrixio.json_default(BoundTrial("k", 1.0, 0.0, -1.0, 1.0))
+    m = sample_hermitian(trial_rng(303, 0), 3, 2.0)
+    assert matrixio.json_default(m.entries) == matrix_to_dict(m)
+    witness = {"t": 0.5, "p1": [m.entries]}
+    assert matrixio.json_default(SegmentTrial(0.5, 1.0, 2.0, 0.25, 3.0, witness=witness))[
+        "witness"] is witness
+
+
+@pytest.mark.parametrize("obj", [
+    object(), {1, 2}, 1 + 2j, b"x", np.float32(1.0), np.zeros(3), np.zeros((2, 3)),
+    np.zeros((1, 2, 2)), SegmentTrial,
+], ids=["object", "set", "complex", "bytes", "float32", "vector", "non-square", "stack",
+        "record-class"])
+def test_json_default_raises_type_error_for_anything_else(obj):
+    with pytest.raises(TypeError, match="is not JSON serializable"):
+        matrixio.json_default(obj)
+    with pytest.raises(TypeError):
+        json.dumps({"x": [obj]}, default=matrixio.json_default)
 
 
 @pytest.fixture
