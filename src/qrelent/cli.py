@@ -162,7 +162,9 @@ def main(argv: list[str] | None = None) -> int:
             return cmd_verify(args)
         return cmd_eval(args.op, args.h, args.a, args.x)
     except (QrelentError, ValueError, OverflowError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        # An error of a suite's trial names it: suite, kind and index.
+        where = getattr(exc, "trial_key", None)
+        print(f"error: {where}: {exc}" if where else f"error: {exc}", file=sys.stderr)
         return 2
 
 

@@ -16,6 +16,7 @@ from __future__ import annotations
 import dataclasses
 import functools
 import math
+import threading
 from typing import Callable, NamedTuple, Sequence, TypeAlias
 
 import numpy as np
@@ -27,11 +28,13 @@ from .hermitian import (
     PdMatrix,
     _block_rows,
     hermitian_draws,
+    one_blas_thread,
     pd_draws,
     pd_exp,
     pd_stack,
     traces,
     trial_rng,
+    usable_cpus,
     validate_pd_stack,
 )
 from .segments import SegmentTrial, _as_point, _as_stack, _entries, segment_test
@@ -54,6 +57,9 @@ _MAX_DIM = 64
 # Largest trial count any suite accepts: klein's kinds start a million
 # indices apart, so more trials would draw one generator twice.
 _MAX_TRIALS = 1_000_000
+# Smallest dimension whose chunks run on two threads, BLAS held at one
+# thread: below it the GIL-bound Python work of a chunk outweighs its LAPACK.
+_THREADED_DIM = 32
 # Klein strictness probe: pairs at least this far apart in Frobenius norm
 # must have a divergence above the minimum.
 _SEPARATION_DISTANCE = 0.1
@@ -478,23 +484,81 @@ def chunk_trials(dim: int, width: int) -> int:
     return max(1, _block_rows(dim) // width)
 
 
-def _run_chunk(trial: Callable, seed: int, indices: range, *args, **options) -> tuple[list, list]:
-    """``trial`` on the generators of trials ``indices``, as one chunk.
+def _run_chunk(name: str, seed: int, kind: Kind, indices: range, dim: int, tol: float,
+               options: dict) -> tuple[list, list]:
+    """Suite ``name``'s trials ``indices`` of ``kind``, as one chunk.
 
     Should the chunk raise, its trials run again one at a time, in order,
     so that the first one that fails raises what it raises alone.  Should
     none fail alone, the chunk's own error is raised: the stacked path
-    has a defect that single trials do not reach.
+    has a defect that single trials do not reach.  The error raised keeps
+    its class and gains ``trial_key``, naming the suite, kind and index
+    within the kind of the trial (or the chunk's trials) that raised it.
     """
+    trial = SUITES[name].trial
+    named = () if kind.name is None else (kind.name,)
+    label = name if kind.name is None else f"{name} {kind.name}"
+
+    def run(trials: range) -> tuple[list, list]:
+        try:
+            return trial([trial_rng(seed, i) for i in trials], dim, tol, *named, **options)
+        except Exception as exc:
+            first, last = trials[0] - kind.first, trials[-1] - kind.first
+            where = f"trial {first}" if first == last else f"trials {first}-{last} as one chunk"
+            exc.trial_key = f"{label} {where}"
+            raise
+
     try:
-        return trial([trial_rng(seed, i) for i in indices], *args, **options)
+        return run(indices)
     except Exception as exc:  # noqa: BLE001 - located below, trial by trial
         if len(indices) == 1:
             raise
         error = exc
     for i in indices:
-        trial([trial_rng(seed, i)], *args, **options)
+        run(range(i, i + 1))
     raise error
+
+
+def _run_tasks(run: Callable, tasks: list, threads: int) -> list:
+    """``run(task)`` for every task, the results in task order.
+
+    The calling thread and ``threads - 1`` more take tasks from one queue
+    in task order.  Once a task raises, or the calling thread is
+    interrupted, no thread takes another.  When every thread is done, the
+    error of the lowest failing task is raised: every earlier task was
+    taken before it, so it has run to its end.  No thread outlives the
+    call.
+    """
+    results: list = [None] * len(tasks)
+    errors: dict = {}
+    queue = iter(range(len(tasks)))
+    lock = threading.Lock()
+    stop = threading.Event()
+
+    def work() -> None:
+        while not stop.is_set():
+            with lock:
+                k = next(queue, None)
+            if k is None:
+                return
+            try:
+                results[k] = run(tasks[k])
+            except BaseException as exc:  # noqa: BLE001 - raised below, lowest task first
+                errors[k] = exc
+                stop.set()
+
+    helpers = [threading.Thread(target=work) for _ in range(threads - 1)]
+    for helper in helpers:
+        helper.start()
+    try:
+        work()
+    finally:
+        stop.set()
+        for helper in helpers:
+            helper.join()
+    if errors:
+        raise errors[min(errors)]
+    return results
 
 
 def run_suite(
@@ -503,28 +567,41 @@ def run_suite(
     """Run every trial of suite ``name``, kind by kind, in index order, in chunks.
 
     Consecutive trials of a kind go to the row's function in chunks of
-    :func:`chunk_trials`.  ``trials`` and ``tol`` of None take the row's
-    defaults; ``options`` go to every chunk.  The suite passes when every
-    valid violation is at most ``tol`` and the row's extras pass.  A
-    non-finite valid violation fails the suite and makes ``max_violation``
-    NaN (Python's ``max`` would skip a NaN that does not come first).
+    :func:`chunk_trials`.  From dim ``_THREADED_DIM`` on, two threads (at
+    most one per usable CPU) run the chunks while numpy's OpenBLAS is held
+    at one thread; elsewhere, or where that hold is not available, the
+    chunks run one after another.  Either way the records and samples are
+    merged in chunk order, so the report is the same.  ``trials`` and
+    ``tol`` of None take the row's defaults; ``options`` go to every
+    chunk.  The suite passes when every valid violation is at most ``tol``
+    and the row's extras pass.  A non-finite valid violation fails the
+    suite and makes ``max_violation`` NaN (Python's ``max`` would skip a
+    NaN that does not come first).
     """
     trials, tol = suite_args(name, dim, trials, seed, tol)
     row = SUITES[name]
     options = {**row.options, **options}
     chunk = chunk_trials(dim, row.width)
+    tasks = [
+        (kind, range(kind.first + first, kind.first + min(first + chunk, kind.count(trials))))
+        for kind in row.kinds
+        for first in range(0, kind.count(trials), chunk)
+    ]
+
+    def run(task: tuple) -> tuple[list, list]:
+        return _run_chunk(name, seed, *task, dim, tol, options)
+
+    threads = min(2, usable_cpus()) if dim >= _THREADED_DIM else 1
+    if threads > 1:
+        with one_blas_thread() as held:
+            outcomes = _run_tasks(run, tasks, threads if held else 1)
+    else:
+        outcomes = _run_tasks(run, tasks, 1)
     records: list = []
     samples: list = []
-    for kind in row.kinds:
-        named = () if kind.name is None else (kind.name,)
-        count = kind.count(trials)
-        for first in range(0, count, chunk):
-            indices = range(kind.first + first, kind.first + min(first + chunk, count))
-            chunk_records, chunk_samples = _run_chunk(
-                row.trial, seed, indices, dim, tol, *named, **options
-            )
-            records += chunk_records
-            samples += chunk_samples
+    for chunk_records, chunk_samples in outcomes:
+        records += chunk_records
+        samples += chunk_samples
     extras, extras_ok = row.extras(records, samples, tol)
     violations = [r.violation for r in records if r.valid]
     if all(math.isfinite(v) for v in violations):

@@ -9,9 +9,13 @@ point arithmetic never accumulates.
 
 from __future__ import annotations
 
+import contextlib
+import ctypes
 import dataclasses
 import functools
 import math
+import os
+import threading
 from typing import Callable, Sequence, Union
 
 import numpy as np
@@ -296,6 +300,70 @@ def _eigh(entries: np.ndarray, vectors: bool = True):
             f"eigen-decomposition failed for dim={entries.shape[-1]}, "
             f"||M||_F={np.linalg.norm(entries):.3e}: {exc}"
         ) from exc
+
+
+@functools.cache
+def _openblas_threads() -> tuple | None:
+    # The (get, set) thread-count functions of the OpenBLAS bundled with
+    # numpy, in the numpy.libs directory beside it, or None if not found.
+    libs = os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs")
+    try:
+        paths = sorted(os.path.join(libs, f) for f in os.listdir(libs) if "openblas" in f)
+    except OSError:
+        return None
+    for path in paths:
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for prefix, suffix in (("scipy_", "64_"), ("", "64_"), ("scipy_", ""), ("", "")):
+            get = getattr(lib, f"{prefix}openblas_get_num_threads{suffix}", None)
+            put = getattr(lib, f"{prefix}openblas_set_num_threads{suffix}", None)
+            if get is not None and put is not None:
+                get.restype, put.argtypes, put.restype = ctypes.c_int, [ctypes.c_int], None
+                return get, put
+    return None
+
+
+# Holds of one BLAS thread in progress, and the count the first one found.
+_blas_hold = {"lock": threading.Lock(), "holders": 0, "saved": None}
+
+
+@contextlib.contextmanager
+def one_blas_thread():
+    """Hold numpy's OpenBLAS at one thread for the block; yield whether it could.
+
+    The count is process-wide, so other threads of the host see one BLAS
+    thread meanwhile.  Overlapping holds share one: the first sets one
+    thread, and the last restores the count the first found, also when
+    the block raises.  Yields False, changing nothing, where the control
+    is not found.
+    """
+    control = _openblas_threads()
+    if control is None:
+        yield False
+        return
+    get, put = control
+    hold = _blas_hold
+    with hold["lock"]:
+        if hold["holders"] == 0:
+            hold["saved"] = get()
+            put(1)
+        hold["holders"] += 1
+    try:
+        yield True
+    finally:
+        with hold["lock"]:
+            hold["holders"] -= 1
+            if hold["holders"] == 0:
+                put(hold["saved"])
+
+
+def usable_cpus() -> int:
+    """The CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def pd_stack(points: Sequence[PdMatrix], axis: int = 0) -> PdMatrix:

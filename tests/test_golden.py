@@ -1,8 +1,9 @@
 """The default reports and the flipped self-test against ``tests/golden.json``.
 
-``verify --suite all --seed 42`` at dims 1, 6 and 16, and the self-test
+``verify --suite all --seed 42`` at dims 1, 6 and 16, the self-test
 ``verify --suite lieb-concavity --flip-orientation --dim 4 --trials 20
---seed 42`` (exit 1, every trial a witness), must reproduce the
+--seed 42`` (exit 1, every trial a witness), and ``verify --suite all
+--dim 64 --trials 3 --seed 42`` (chunks on two threads) must reproduce the
 golden sha256 where the numerics are the golden file's: the same numpy
 version, OpenBLAS build and CPU features, all read through
 ``np.show_config(mode="dicts")``.  Elsewhere another BLAS kernel may round
@@ -31,6 +32,8 @@ DIMS = (1, 6, 16)
 # The self-test's arguments, its key in the golden file and its exit status.
 FLIPPED = ("flipped-4", ["--suite", "lieb-concavity", "--flip-orientation", "--dim", "4",
                          "--trials", "20"], 1)
+# A run at a dim whose chunks run on two threads.
+THREADED = ("all-64", ["--suite", "all", "--dim", "64", "--trials", "3"], 0)
 RTOL, ATOL = 1e-6, 1e-12
 
 
@@ -99,12 +102,17 @@ def test_flipped_report_matches_golden(tmp_path):
     check(key, pinned_report(args, status, tmp_path / "report.json"))
 
 
+def test_threaded_report_matches_golden(tmp_path):
+    key, args, status = THREADED
+    check(key, pinned_report(args, status, tmp_path / "report.json"))
+
+
 if __name__ == "__main__":
     import tempfile
 
     with tempfile.TemporaryDirectory() as tmp:
         reports = {str(d): default_report(d, Path(tmp) / "report.json") for d in DIMS}
-        key, args, status = FLIPPED
-        reports[key] = pinned_report(args, status, Path(tmp) / "report.json")
+        for key, args, status in (FLIPPED, THREADED):
+            reports[key] = pinned_report(args, status, Path(tmp) / "report.json")
     GOLDEN.write_text(json.dumps({"environment": environment(), "reports": reports},
                                  indent=1, sort_keys=True) + "\n")
