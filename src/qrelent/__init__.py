@@ -58,7 +58,7 @@ from .variational import (
     variational_gradient,
     variational_objective,
 )
-from .segments import SegmentTrial, pointwise, segment_test
+from .segments import ByEigenvalues, SegmentTrial, pointwise, segment_test
 from .convexity import (
     SUITES,
     BoundTrial,
@@ -101,6 +101,7 @@ __all__ = [
     "lieb_gradient", "maximize_variational", "maximize_lieb",
     # convexity suites
     "SegmentTrial", "BoundTrial", "SuiteReport", "T_GRID", "segment_test", "pointwise",
+    "ByEigenvalues",
     "SUITES", "klein_suite", "joint_convexity_suite",
     "lieb_concavity_suite", "partial_max_concavity_suite",
     "fenchel_convexity_suite", "variational_suite", "run_suite", "sample_lieb_instance",

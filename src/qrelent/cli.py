@@ -3,7 +3,8 @@
 ``qrelent verify`` runs the randomized certification suites and writes a
 deterministic JSON report; ``qrelent eval`` evaluates a single expression
 on matrices read from files.  Exit statuses: 0 all checks pass, 1 a
-violation was found, 2 usage/config/parse error.
+violation was found, 2 usage/config/parse error, 3 a fault of the
+library: any other exception, printed as one line that names its type.
 """
 
 from __future__ import annotations
@@ -162,10 +163,17 @@ def main(argv: list[str] | None = None) -> int:
             return cmd_verify(args)
         return cmd_eval(args.op, args.h, args.a, args.x)
     except (QrelentError, ValueError, OverflowError, OSError) as exc:
-        # An error of a suite's trial names it: suite, kind and index.
-        where = getattr(exc, "trial_key", None)
-        print(f"error: {where}: {exc}" if where else f"error: {exc}", file=sys.stderr)
+        _print_error(exc, str(exc))
         return 2
+    except Exception as exc:  # noqa: BLE001 - a library fault, not a claim violated
+        _print_error(exc, f"{type(exc).__name__}: {exc}")
+        return 3
+
+
+def _print_error(exc: Exception, message: str) -> None:
+    # An error of a suite's trial names it: suite, kind and index.
+    where = getattr(exc, "trial_key", None)
+    print(f"error: {where}: {message}" if where else f"error: {message}", file=sys.stderr)
 
 
 def entry() -> None:

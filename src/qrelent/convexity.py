@@ -22,23 +22,25 @@ from typing import Callable, NamedTuple, Sequence, TypeAlias
 import numpy as np
 
 # relative_entropy stays importable from qrelent.convexity.
-from .divergence import relative_entropies, relative_entropy  # noqa: F401
+from .divergence import divergences, relative_entropies, relative_entropy  # noqa: F401
 from .hermitian import (
     HermitianMatrix,
     PdMatrix,
     _block_rows,
+    _check_floor,
     hermitian_draws,
     one_blas_thread,
     pd_draws,
     pd_exp,
     pd_stack,
+    trace_products,
     traces,
     trial_rng,
     usable_cpus,
     validate_pd_stack,
 )
-from .segments import SegmentTrial, _as_point, _as_stack, _entries, segment_test
-from .variational import maximize_liebs, trace_exp_logs
+from .segments import ByEigenvalues, SegmentTrial, _as_point, _as_stack, _entries, segment_test
+from .variational import exp_log_arguments, maximize_liebs, trace_exps
 
 # Deterministic interior grid; endpoint t-values are trivially tight and
 # deliberately omitted.  Each trial appends one uniform random t.
@@ -59,6 +61,8 @@ _MAX_DIM = 64
 _MAX_TRIALS = 1_000_000
 # Smallest dimension whose chunks run on two threads, BLAS held at one
 # thread: below it the GIL-bound Python work of a chunk outweighs its LAPACK.
+# numpy's eigh releases the GIL at any size, its eigvalsh only for a call of
+# more than 500 eigenvalues: a segment's stack of ten from dim 51 on.
 _THREADED_DIM = 32
 # Klein strictness probe: pairs at least this far apart in Frobenius norm
 # must have a divergence above the minimum.
@@ -192,19 +196,32 @@ def joint_convexity_trial(rngs: Rngs, dim: int, tol: float) -> tuple[list, list]
     stay at or above ``-tol``, and the suite fails otherwise (or when it is
     NaN).  ``D(X;Y)`` reads only the eigenvalues of ``X``, so ``X1`` and
     ``X2``, and with them every X-mixture, are decomposed without
-    eigenvectors.
+    eigenvectors: the endpoints when validated, the mixtures as the
+    entries of a :class:`ByEigenvalues`, validated by its ``finish``.
     """
     values: list[float] = []
 
-    def f(x: PdMatrix, y: PdMatrix) -> np.ndarray:
-        value = relative_entropies(x.eigenvalues, x.entries, y.entries, y.log)[0]
-        values.extend(value.ravel().tolist())
-        return value
+    def f(x: np.ndarray, y: PdMatrix) -> ByEigenvalues:
+        # D(X;Y) once X's eigenvalues are known; the summands that read the
+        # matrices are taken now, so that finish holds no matrix.
+        cross_term, trace_gap = trace_products(x, y.log), traces(x) - traces(y.entries)
+
+        def finish(w: np.ndarray) -> np.ndarray:
+            _check_floor(w)
+            value = divergences(w, cross_term, trace_gap)[0]
+            values.extend(value.ravel().tolist())
+            return value
+
+        return ByEigenvalues(x, finish)
 
     quadruples = pd_draws(rngs, dim, 0.1, 4)
     x = validate_pd_stack(quadruples[:, 0::2], vectors=False)
     y = validate_pd_stack(quadruples[:, 1::2])
-    return _segment(f, (x[:, 0], y[:, 0]), (x[:, 1], y[:, 1]), rngs, "convex", tol), values
+    # y[:, :] takes the logarithms of the endpoints, so that y, which the
+    # mixtures read, does not hold them.
+    ends = f(x.entries, y[:, :]).finish(x.eigenvalues).tolist()
+    return _segment(f, (x.entries[:, 0], y[:, 0]), (x.entries[:, 1], y[:, 1]), rngs, "convex",
+                    tol, ends=ends), values
 
 
 def _min_divergence(records: list, values: list, tol: float) -> tuple[dict, bool]:
@@ -222,8 +239,8 @@ def lieb_concavity_trial(rngs: Rngs, dim: int, tol: float, orientation: str) -> 
     """
     h = hermitian_draws(rngs, dim, 3.0)[:, 0]
     a = validate_pd_stack(pd_draws(rngs, dim, 0.1, 2))
-    return _segment(lambda h, a: trace_exp_logs(h, a.log), (a[:, 0],), (a[:, 1],), rngs,
-                    orientation, tol, fixed=h), []
+    return _segment(lambda h, a: ByEigenvalues(exp_log_arguments(h, a.log), trace_exps),
+                    (a[:, 0],), (a[:, 1],), rngs, orientation, tol, fixed=h), []
 
 
 def fenchel_trial(rngs: Rngs, dim: int, tol: float) -> tuple[list, list]:
@@ -234,8 +251,8 @@ def fenchel_trial(rngs: Rngs, dim: int, tol: float) -> tuple[list, list]:
     """
     a = validate_pd_stack(pd_draws(rngs, dim, 0.1)[:, 0])
     h = hermitian_draws(rngs, dim, 3.0, 2)
-    return _segment(lambda a, h: trace_exp_logs(h, a.log), (h[:, 0],), (h[:, 1],), rngs,
-                    "convex", tol, fixed=a), []
+    return _segment(lambda a, h: ByEigenvalues(exp_log_arguments(h, a.log), trace_exps),
+                    (h[:, 0],), (h[:, 1],), rngs, "convex", tol, fixed=a), []
 
 
 def _lieb_instances(rngs: Rngs, dim: int, count: int) -> tuple[np.ndarray, PdMatrix]:
@@ -290,17 +307,24 @@ def partial_max_trial(rngs: Rngs, dim: int, tol: float) -> tuple[list, list]:
     starts: list[float] = []
 
     def g(h: np.ndarray, a: PdMatrix, x: PdMatrix | None) -> tuple:
-        # The ascents at each A from its X, and their values (None if not converged).
+        # The ascents at each A from its X, and their values (None if not
+        # converged), which wait for the eigenvalues of H + log A: their
+        # direct values.
         runs = maximize_liebs(h, a, x)
         values = _values(runs)
-        direct = trace_exp_logs(h, a.log).ravel().tolist()
-        gaps.extend(abs(v - d) / (1.0 + abs(d)) for v, d in zip(values, direct) if v is not None)
         if x is not None:
             starts.extend(hist[0] for hist, v in zip(runs.objective_history, values) if v is not None)
-        return runs, values
 
-    runs, values = g(h[:, None], a, None)
-    x = runs.maximizer
+        def finish(w: np.ndarray) -> list:
+            direct = trace_exps(w).ravel().tolist()
+            gaps.extend(abs(v - d) / (1.0 + abs(d))
+                        for v, d in zip(values, direct) if v is not None)
+            return values
+
+        return runs, ByEigenvalues(exp_log_arguments(h, a.log), finish)
+
+    runs, cold = g(h[:, None], a, None)
+    x, values = runs.maximizer, cold.evaluate()
     ends = [values[i:i + 2] for i in range(0, len(values), 2)]
     records = _segment(lambda *p: g(*p)[1], (a[:, 0], x[0::2]), (a[:, 1], x[1::2]), rngs,
                        "concave", tol, fixed=h, ends=ends)

@@ -82,9 +82,18 @@ def relative_entropies(
     returns ``(value, entropy_x, cross_term, trace_gap)`` in the order of
     :class:`DivergenceBreakdown`, each with the stacks' leading shape.
     """
+    return divergences(x_eigenvalues, trace_products(x, log_y), traces(x) - traces(y))
+
+
+def divergences(
+    x_eigenvalues: np.ndarray, cross_term: np.ndarray, trace_gap: np.ndarray
+) -> tuple[np.ndarray, ...]:
+    """:func:`relative_entropies` from X's eigenvalues and the summands that read the matrices.
+
+    ``cross_term`` is ``tr(X log Y)`` and ``trace_gap`` is ``tr X - tr Y``;
+    the value is ``entropy_x - cross_term - trace_gap``, one rounding chain.
+    """
     entropy_x = entropies(x_eigenvalues)
-    cross_term = trace_products(x, log_y)
-    trace_gap = traces(x) - traces(y)
     return entropy_x - cross_term - trace_gap, entropy_x, cross_term, trace_gap
 
 

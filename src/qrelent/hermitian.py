@@ -407,12 +407,15 @@ def pd_mixtures(a: PdMatrix, b: PdMatrix, ts: np.ndarray) -> PdMatrix:
     One ``eigh`` call decomposes all of them, which at small n costs about
     half as much per matrix as separate calls.  When neither endpoint stack
     has its eigenvectors at hand, the mixtures follow them: one ``eigvalsh``
-    call computes their eigenvalues only.  Like :func:`validate_pd` it
-    raises DomainError when a mixture has its smallest eigenvalue at or
-    below ``PD_FLOOR``, and a solver failure raises ConvergenceError.  Each
-    mixture equals ``validate_pd(a.base * t + b.base * (1 - t))`` bit for
-    bit, its eigenvalues those of :func:`eigvals` when the stack is
-    eigenvalues only.
+    call computes their eigenvalues only.  (The suites build such mixtures
+    as entries instead, which a segment test decomposes a segment at a
+    time: :class:`qrelent.segments.ByEigenvalues`.)  Like
+    :func:`validate_pd` it raises DomainError when a mixture has its
+    smallest eigenvalue at or below ``PD_FLOOR``, and a solver failure
+    raises ConvergenceError.  Each mixture equals
+    ``validate_pd(a.base * t + b.base * (1 - t))`` bit for bit, its
+    eigenvalues those of :func:`eigvals` when the stack is eigenvalues
+    only.
     """
     entries = mixtures(a.entries, b.entries, ts)
     return PdMatrix(entries, *_eigh(entries, a.vectors is not None or b.vectors is not None))

@@ -4,18 +4,29 @@ A segment runs from ``p2`` to ``p1`` through the mixtures ``t p1 +
 (1-t) p2``; :func:`segment_test` compares a function at each mixture
 with the mixture of its endpoint values, for many segments at once: the
 endpoints, then the mixtures, are evaluated as stacks, each call taking
-as many points as one ``_BLOCK_BYTES`` block of their entries holds.
+as many points as one ``_BLOCK_BYTES`` block of their entries holds.  A
+function whose values are read off eigenvalues alone returns
+:class:`ByEigenvalues`, and the matrices of a segment's calls are then
+decomposed with one ``eigvalsh`` call.
 """
 
 from __future__ import annotations
 
 import dataclasses
-from typing import Callable, Sequence, Union
+from typing import Callable, NamedTuple, Sequence, Union
 
 import numpy as np
 
 from .errors import SegmentEvaluationError
-from .hermitian import HermitianMatrix, PdMatrix, _block_rows, mixtures, pd_mixtures, pd_stack
+from .hermitian import (
+    HermitianMatrix,
+    PdMatrix,
+    _block_rows,
+    _eigh,
+    mixtures,
+    pd_mixtures,
+    pd_stack,
+)
 
 _ORIENTATIONS = {"convex": 1.0, "concave": -1.0}
 
@@ -40,6 +51,22 @@ class SegmentTrial:
     scale: float
     valid: bool = True
     witness: dict | None = None
+
+
+class ByEigenvalues(NamedTuple):
+    """Values of a segment function that wait for the eigenvalues of ``entries``.
+
+    ``entries`` holds one self-adjoint matrix per point of the call, with
+    the call's leading axes; ``finish(w)`` maps their ascending
+    eigenvalues ``w``, of those leading axes, to the call's values.
+    """
+
+    entries: np.ndarray
+    finish: Callable[[np.ndarray], Sequence]
+
+    def evaluate(self) -> Sequence:
+        """The values: ``finish`` of the eigenvalues of ``entries``, one ``eigvalsh`` call."""
+        return self.finish(_eigh(self.entries, vectors=False)[0])
 
 
 def _as_stack(m) -> Stack:
@@ -89,32 +116,77 @@ def _values(v) -> list:
     return [None if x is None else float(x) for x in np.asarray(v, dtype=object).ravel()]
 
 
-def _pieces(segments: int, width: int, points: int) -> list[tuple[slice, slice]]:
+def _groups(segments: int, width: int, points: int) -> list[list[tuple[slice, slice]]]:
     # The (segment, point) index in consecutive pieces of at most ``points``
-    # points: runs of whole segments, or of one segment's points when a
-    # segment alone has more.
+    # points, in groups: runs of whole segments, one piece a group, or,
+    # when a segment alone has more, the pieces of one segment, one
+    # segment a group.
     if width <= points:
         step = points // width
-        return [(slice(s, min(s + step, segments)), slice(0, width))
+        return [[(slice(s, min(s + step, segments)), slice(0, width))]
                 for s in range(0, segments, step)]
-    return [(slice(s, s + 1), slice(k, min(k + points, width)))
-            for s in range(segments) for k in range(0, width, points)]
+    return [[(slice(s, s + 1), slice(k, min(k + points, width))) for k in range(0, width, points)]
+            for s in range(segments)]
+
+
+def _group_values(call: Callable, group: list[tuple[slice, slice]]) -> list:
+    """``call``'s values on the pieces of a group, in order.
+
+    A call that returns :class:`ByEigenvalues` is finished after every
+    piece of the group is called: the entries of one piece are decomposed
+    as they are, those of several are first copied into one stack, so
+    that one ``eigvalsh`` call decomposes them all.  Meanwhile each
+    piece's own temporaries are freed, so the stack is the one thing the
+    group holds beyond a piece.
+    """
+    if len(group) == 1:
+        out = call(*group[0])
+        return _values(out.evaluate() if isinstance(out, ByEigenvalues) else out)
+    points = sum((s.stop - s.start) * (k.stop - k.start) for s, k in group)
+    values: list = []
+    # (index in values, rows of the stack, leading shape, finish) of each ByEigenvalues.
+    waiting: list = []
+    stack, used = None, 0
+    for piece in group:
+        out = call(*piece)
+        if not isinstance(out, ByEigenvalues):
+            values.append(_values(out))
+            continue
+        m = out.entries.reshape(-1, *out.entries.shape[-2:])
+        if stack is None:
+            stack = np.empty((points, *m.shape[1:]), m.dtype)
+        rows = slice(used, used + len(m))
+        stack[rows] = m
+        waiting.append((len(values), rows, out.entries.shape[:-1], out.finish))
+        values.append(None)
+        used = rows.stop
+        del out, m
+    if waiting:
+        w = _eigh(stack[:used], vectors=False)[0]
+        for i, rows, shape, finish in waiting:
+            values[i] = _values(finish(w[rows].reshape(shape)))
+    return [v for piece in values for v in piece]
 
 
 def _evaluate(f: Callable[..., Sequence], fixed: Stack | None, rows: list, ts: np.ndarray,
               dim: int) -> list[list[float | None]]:
     """``f`` at the points ``ts`` (segment by point), a block at a time; a list of values a segment.
 
-    Each call of ``f`` takes a piece of consecutive points (:func:`_pieces`),
+    Each call of ``f`` takes a piece of consecutive points (:func:`_groups`),
     as many as one ``_BLOCK_BYTES`` block of ``dim`` x ``dim`` complex
-    entries holds, at least one, so that no temporary of the segments
-    exceeds a block.  ``fixed``, the segments' fixed matrices, goes
-    first.  Should a call raise, the points of its piece are evaluated
-    again one at a time, each as a stack of one, in order, so that the
-    first point that fails (its validation as a mixture included) is
-    raised as SegmentEvaluationError with its ``t``.  Should none fail
-    alone, the piece's own exception is raised as it is: the stacked
-    evaluation has a defect that single points do not reach.
+    entries holds, at least one, so that no temporary of a piece exceeds
+    a block.  ``fixed``, the segments' fixed matrices, goes first.  When a
+    segment takes several pieces (from ``dim`` 21 on for ten points), its
+    pieces form one group, whose :class:`ByEigenvalues` entries are
+    decomposed together (:func:`_group_values`): at ``dim`` 64 one stack
+    of ten matrices, the one stack above a block.  Elsewhere a group is
+    one piece.  Should a group raise, in ``f``, in its ``eigvalsh`` or in
+    a ``finish``, its points are evaluated again one at a time, each as a
+    stack of one, in order, so that the first point that fails (its
+    validation as a mixture included) is raised as
+    SegmentEvaluationError with its ``t``.  Should none fail alone, the
+    group's own exception is raised as it is: the stacked evaluation has
+    a defect that single points do not reach.
     """
     segments, width = ts.shape
 
@@ -123,16 +195,17 @@ def _evaluate(f: Callable[..., Sequence], fixed: Stack | None, rows: list, ts: n
         return f(*points) if fixed is None else f(_take(fixed, s), *points)
 
     values: list = []
-    for s, k in _pieces(segments, width, _block_rows(dim)):
+    for group in _groups(segments, width, _block_rows(dim)):
         try:
-            values += _values(call(s, k))
+            values += _group_values(call, group)
         except Exception:  # noqa: BLE001 - located below, point by point
-            for i in range(s.start, s.stop):
-                for j in range(k.start, k.stop):
-                    try:
-                        call(slice(i, i + 1), slice(j, j + 1))
-                    except Exception as exc:  # noqa: BLE001 - re-raised with context
-                        raise SegmentEvaluationError(float(ts[i, j]), str(exc)) from exc
+            for s, k in group:
+                for i in range(s.start, s.stop):
+                    for j in range(k.start, k.stop):
+                        try:
+                            _group_values(call, [(slice(i, i + 1), slice(j, j + 1))])
+                        except Exception as exc:  # noqa: BLE001 - re-raised with context
+                            raise SegmentEvaluationError(float(ts[i, j]), str(exc)) from exc
             raise
     return [values[k:k + width] for k in range(0, len(values), width)]
 
@@ -182,17 +255,21 @@ def segment_test(
 
     ``f`` evaluates stacked points: it takes one stack per component, a
     PdMatrix or an array of entries with leading axes (segment, point),
-    and returns one value per point.  ``fixed``, one matrix per segment
-    held fixed along it, goes to ``f`` first with a point axis of one.  ``f``
-    is called on the endpoints (unless ``ends`` gives their values) and
-    then on the mixtures, a piece of at most one ``_BLOCK_BYTES`` block of
-    points per call (the whole stack at small n, one point at n = 64);
-    :func:`pointwise` lifts a function of single matrices.  The mixtures
-    of a piece's positive-definite component are built and decomposed
+    and returns one value per point, or a :class:`ByEigenvalues` whose
+    ``finish`` does.  ``fixed``, one matrix per segment held fixed along
+    it, goes to ``f`` first with a point axis of one.  ``f`` is called on
+    the endpoints (unless ``ends`` gives their values) and then on the
+    mixtures, a piece of at most one ``_BLOCK_BYTES`` block of points per
+    call (the whole stack at small n, one point at n = 64);
+    :func:`pointwise` lifts a function of single matrices.  The
+    :class:`ByEigenvalues` entries of one segment's pieces are decomposed
+    with one ``eigvalsh`` call, ten matrices at n = 64.  The mixtures of
+    a piece's positive-definite component are built and decomposed
     together, one stacked ``eigh``, and validated positive definite before
-    ``f`` sees them.  Any exception from building the mixtures or from
-    ``f`` is raised as SegmentEvaluationError carrying the ``t`` of the
-    first point that fails (1.0 and 0.0 for the endpoints).
+    ``f`` sees them.  Any exception from building the mixtures, from
+    ``f``, from the ``eigvalsh`` call or from ``finish`` is raised as
+    SegmentEvaluationError carrying the ``t`` of the first point that
+    fails (1.0 and 0.0 for the endpoints).
 
     ``f`` returns None for a point it could not evaluate (an optimizer run
     that did not converge).  The comparison at that ``t`` is then recorded

@@ -91,14 +91,29 @@ def trace_exp_logs(h: np.ndarray, log_a: np.ndarray) -> np.ndarray:
     """``tr exp(H + log A)`` from the entries of ``H`` and ``log A``, over their leading axes.
 
     Either argument may be one matrix or a stack; they broadcast.  One
-    ``eigvalsh`` call computes the eigenvalues of every ``H + log A``.
-    Raises NotHermitianError when ``H + log A`` has a non-finite entry and
-    OverflowError when an eigenvalue exceeds ``EXP_OVERFLOW_LIMIT``.
+    ``eigvalsh`` call computes the eigenvalues of every ``H + log A``:
+    :func:`trace_exps` of the eigenvalues of :func:`exp_log_arguments`.
+    """
+    return trace_exps(_eigh(exp_log_arguments(h, log_a), vectors=False)[0])
+
+
+def exp_log_arguments(h: np.ndarray, log_a: np.ndarray) -> np.ndarray:
+    """The entries of every ``H + log A``, ``H`` and ``log A`` broadcast.
+
+    Raises NotHermitianError when one has a non-finite entry.
     """
     k = h + log_a
     if not np.isfinite(k).all():
         raise NotHermitianError("matrix has non-finite entries")
-    return exp_eigenvalues(_eigh(k, vectors=False)[0]).sum(axis=-1)
+    return k
+
+
+def trace_exps(w: np.ndarray) -> np.ndarray:
+    """``tr exp(K)`` from the ascending eigenvalues ``w`` of ``K``, along the last axis.
+
+    Raises OverflowError when an eigenvalue exceeds ``EXP_OVERFLOW_LIMIT``.
+    """
+    return exp_eigenvalues(w).sum(axis=-1)
 
 
 def variational_objective(x: PdMatrix, y: PdMatrix) -> float:

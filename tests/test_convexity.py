@@ -1,6 +1,7 @@
 """Segment tester and the named convexity/concavity suites."""
 
 import dataclasses
+import functools
 import json
 import math
 
@@ -28,10 +29,10 @@ from qrelent import (
     validate_pd,
 )
 from qrelent.convexity import chunk_trials
-from qrelent.divergence import relative_entropies
+from qrelent.divergence import divergences, relative_entropies
 from qrelent.hermitian import pd_draws, pd_stack, validate_pd_stack
 from qrelent.matrixio import json_default
-from qrelent.variational import trace_exp_logs
+from qrelent.variational import trace_exp_logs, trace_exps
 from test_divergence import scalar_divergence
 
 
@@ -325,13 +326,13 @@ class TestJointConvexitySuite:
             # the 4th call evaluates the second chunk's mixtures (chunks of
             # 11 trials at dim 6)
             calls.append(None)
-            value, *summands = relative_entropies(*args)
+            value, *summands = divergences(*args)
             if len(calls) == 4:
                 value = value.copy()
                 value[1, 3] = math.nan
             return (value, *summands)
 
-        monkeypatch.setattr(convexity, "relative_entropies", nan_in_4th_call)
+        monkeypatch.setattr(convexity, "divergences", nan_in_4th_call)
         report = joint_convexity_suite(6, 25, 42, 1e-9)
         assert len(calls) > 4
         assert not report.passed
@@ -342,11 +343,11 @@ class TestJointConvexitySuite:
         # nonnegativity gate on min_divergence_value can fail the suite.
         from qrelent import convexity
 
-        def constant(x_eigenvalues, x, y, log_y):
-            shape = x.shape[:-2]
+        def constant(x_eigenvalues, cross_term, trace_gap):
+            shape = x_eigenvalues.shape[:-1]
             return (np.full(shape, -1.0),) + (np.zeros(shape),) * 2 + (np.ones(shape),)
 
-        monkeypatch.setattr(convexity, "relative_entropies", constant)
+        monkeypatch.setattr(convexity, "divergences", constant)
         report = joint_convexity_suite(3, 3, 42, 1e-9)
         assert report.max_violation <= 1e-9
         assert report.extras["min_divergence_value"] == -1.0
@@ -463,28 +464,19 @@ def test_each_trial_replays_alone(name, options, dim, trials):
     assert start == len(full)
 
 
-def _lieb_chunk_liar(monkeypatch, k, kind, dim=6):
-    """Make trial ``k`` of lieb-concavity (seed 42, ``dim``) fail at a mixture, alone or chunked.
+def _validate_with_liar(monkeypatch, target, liar):
+    """Make convexity's validate_pd_stack give ``liar``'s entries wherever it validates ``target``.
 
-    Trial ``k``'s ``A1`` keeps its spectrum, which its endpoint value reads,
-    but gets other entries, which its mixtures read: ``-A2`` makes the
-    mixture at t = 0.5 zero (``"floor"``), and ``diag(e^701, 1, ...)``
-    puts an eigenvalue of ``H + log A_t`` above the exp-overflow guard
-    (``"overflow"``).
+    The matrix keeps ``target``'s spectrum, which its endpoint value reads,
+    but gets other entries, which its mixtures read.
     """
-    from conftest import trial_rng
     from qrelent import convexity
-    from qrelent.hermitian import hermitian_draws, pd_draws
 
-    rng = trial_rng(42, k)
-    hermitian_draws([rng], dim, 3.0)
-    a1, a2 = pd_draws([rng], dim, 0.1, 2)[0]
-    liar = -a2 if kind == "floor" else np.diag([math.exp(701.0)] + [1.0] * (dim - 1)).astype(complex)
     validate = convexity.validate_pd_stack
 
     def validate_with_liar(entries, vectors=True):
         stack = validate(entries, vectors)
-        hit = np.all(stack.entries == a1, axis=(-2, -1))
+        hit = np.all(stack.entries == target, axis=(-2, -1))
         if not hit.any():
             return stack
         swapped = stack.entries.copy()
@@ -492,6 +484,60 @@ def _lieb_chunk_liar(monkeypatch, k, kind, dim=6):
         return PdMatrix(swapped, stack.eigenvalues, stack.vectors)
 
     monkeypatch.setattr(convexity, "validate_pd_stack", validate_with_liar)
+
+
+def _lieb_chunk_liar(monkeypatch, k, kind, dim=6):
+    """Make trial ``k`` of lieb-concavity (seed 42, ``dim``) fail at a mixture, alone or chunked.
+
+    Trial ``k``'s ``A1`` gets other entries (:func:`_validate_with_liar`):
+    ``-A2`` makes the mixture at t = 0.5 zero (``"floor"``), and
+    ``diag(e^701, 1, ...)`` puts an eigenvalue of ``H + log A_t`` above
+    the exp-overflow guard (``"overflow"``).
+    """
+    from conftest import trial_rng
+    from qrelent.hermitian import hermitian_draws, pd_draws
+
+    rng = trial_rng(42, k)
+    hermitian_draws([rng], dim, 3.0)
+    a1, a2 = pd_draws([rng], dim, 0.1, 2)[0]
+    liar = -a2 if kind == "floor" else np.diag([math.exp(701.0)] + [1.0] * (dim - 1)).astype(complex)
+    _validate_with_liar(monkeypatch, a1, liar)
+
+
+def _joint_chunk_liar(monkeypatch, k, dim):
+    """Make trial ``k`` of joint-convexity (seed 42, ``dim``) fail at t = 0.5.
+
+    Trial ``k``'s ``X1`` gets the entries ``-X2``, so that the X-mixture
+    at t = 0.5 is zero, at the floor.
+    """
+    from conftest import trial_rng
+    from qrelent.hermitian import pd_draws
+
+    x1, _, x2, _ = pd_draws([trial_rng(42, k)], dim, 0.1, 4)[0]
+    _validate_with_liar(monkeypatch, x1, -x2)
+
+
+def _fenchel_chunk_liar(monkeypatch, k, dim):
+    """Make trial ``k`` of fenchel (seed 42, ``dim``) fail at its endpoint t = 0.0.
+
+    Trial ``k``'s ``H2`` gets the entries ``diag(710, 0, ...)``, so that
+    ``H2 + log A`` has an eigenvalue above the exp-overflow guard.
+    """
+    from conftest import trial_rng
+    from qrelent import convexity
+    from qrelent.hermitian import pd_draws
+
+    rng = trial_rng(42, k)
+    pd_draws([rng], dim, 0.1)
+    draw = convexity.hermitian_draws
+    h2 = draw([rng], dim, 3.0, 2)[0, 1]
+
+    def draw_with_liar(rngs, dim, radius, count=1):
+        h = draw(rngs, dim, radius, count)
+        h[np.all(h == h2, axis=(-2, -1))] = np.diag([710.0] + [0.0] * (dim - 1))
+        return h
+
+    monkeypatch.setattr(convexity, "hermitian_draws", draw_with_liar)
 
 
 class TestChunkFailures:
@@ -632,8 +678,8 @@ def test_witness_matrices_stay_arrays_until_the_writer(monkeypatch, name, option
     if name == "joint-convexity":
         from qrelent import convexity
 
-        monkeypatch.setattr(convexity, "relative_entropies",
-                            lambda *args: tuple(-v for v in relative_entropies(*args)))
+        monkeypatch.setattr(convexity, "divergences",
+                            lambda *args: tuple(-v for v in divergences(*args)))
     report = run_suite(name, 6, 12, 42, None, **options)
     assert not report.passed
     firsts = [r.witness for r in report.trials if "p1" in (r.witness or {})]
@@ -678,36 +724,82 @@ def _pieces_of(monkeypatch, points):
     return sizes
 
 
+def _ungrouped(monkeypatch):
+    """Make segment_test finish every piece on its own: one ``eigvalsh`` call a piece."""
+    from qrelent import segments
+
+    groups = segments._groups
+    monkeypatch.setattr(segments, "_groups",
+                        lambda *args: [[piece] for group in groups(*args) for piece in group])
+
+
+def _eigvalsh_calls(monkeypatch):
+    """Record the number of matrices of each ``numpy.linalg.eigvalsh`` call."""
+    sizes = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def recorded(a, *args, **kwargs):
+        sizes.append(math.prod(np.shape(a)[:-2]))
+        return eigvalsh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", recorded)
+    return sizes
+
+
+def _chunk(name, options, dim, trials):
+    """The records and samples of a chunk of suite ``name``, seed 42, as JSON text."""
+    from conftest import trial_rng
+
+    row = SUITES[name]
+    records, samples = row.trial([trial_rng(42, i) for i in range(trials)], dim, row.tol,
+                                 **options)
+    return [json.dumps(r, default=json_default) for r in records], json.dumps(samples)
+
+
+_SEGMENT_SUITES = [
+    ("joint-convexity", {}),
+    ("lieb-concavity", {"orientation": "concave"}),
+    ("lieb-concavity", {"orientation": "convex"}),
+    ("fenchel", {}),
+    ("partial-max", {}),
+]
+
+
+# One segment's eigenvalue-only stack at dim 64: ten complex 64 x 64 matrices.
+_SEGMENT_STACK_BYTES = 10 * 16 * 64**2
+
+
+def _peak_bytes(run) -> int:
+    # numpy reports its array memory to tracemalloc; run once before, so
+    # that caches and lazy imports do not count.
+    import tracemalloc
+
+    run()
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        run()
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
 class TestBlockPieces:
     """segment_test calls f on pieces of at most one block of points."""
 
     @pytest.mark.parametrize("points", [1, 3, 7, 25])
-    @pytest.mark.parametrize("dim, trials", [(6, 11), (16, 3)])
-    @pytest.mark.parametrize("name, options", [
-        ("joint-convexity", {}),
-        ("lieb-concavity", {"orientation": "concave"}),
-        ("lieb-concavity", {"orientation": "convex"}),
-        ("fenchel", {}),
-        ("partial-max", {}),
-    ])
+    @pytest.mark.parametrize("dim, trials", [(6, 11), (16, 3), (64, 2)])
+    @pytest.mark.parametrize("name, options", _SEGMENT_SUITES)
     def test_pieces_equal_one_call(self, monkeypatch, name, options, dim, trials, points):
         # A chunk evaluated in pieces of 1, 3 or 7 points of a segment, or
         # of two whole segments (25), gives the records and samples of the
         # same chunk in one call per kernel, bit for bit.
-        from conftest import trial_rng
-
-        row = SUITES[name]
-
-        def chunk():
-            records, samples = row.trial([trial_rng(42, i) for i in range(trials)], dim,
-                                         row.tol, **options)
-            return [json.dumps(r, default=json_default) for r in records], json.dumps(samples)
-
         with monkeypatch.context() as m:
             whole = _pieces_of(m, 10**6)
-            expected = chunk()
+            expected = _chunk(name, options, dim, trials)
         split = _pieces_of(monkeypatch, points)
-        assert chunk() == expected
+        assert _chunk(name, options, dim, trials) == expected
         # one call per component builds every mixture; in pieces, each call
         # builds at most ``points`` of them
         mixed = trials * len(T_GRID + (0.0,))
@@ -727,57 +819,107 @@ class TestBlockPieces:
         convexity.fenchel_trial([trial_rng(42, 0)], 64, 1e-9)
         assert sizes == [1] * len(T_GRID + (0.0,))
 
-    @pytest.mark.parametrize("dim, points, kind", [
-        # The floor liar fails at t = 0.5, point 4 of the segment: the first
-        # point of a later piece at dim 64 (pieces of one) and in pieces of
-        # 4, the middle of a piece in pieces of 3.  The overflow liar fails
-        # at t = 0.3, point 2, inside the first piece.
-        (64, None, "floor"), (6, 4, "floor"), (6, 3, "floor"),
-        (6, 4, "overflow"), (6, 3, "overflow"),
+    @pytest.mark.parametrize("name, options, calls", [
+        # Matrices of each eigvalsh call of a chunk of two trials: first the
+        # draws (joint's X endpoints, the spectral radii of H), then each
+        # segment's two endpoint values (none for joint, which has them from
+        # its draws; one stack of four for partial-max's cold ascents), then
+        # each segment's ten mixtures.
+        ("joint-convexity", {}, [4, 10, 10]),
+        ("lieb-concavity", {"orientation": "concave"}, [2, 2, 2, 10, 10]),
+        ("lieb-concavity", {"orientation": "convex"}, [2, 2, 2, 10, 10]),
+        ("fenchel", {}, [4, 2, 2, 10, 10]),
+        ("partial-max", {}, [2, 4, 10, 10]),
     ])
-    def test_failing_point_raises_with_its_t_from_any_piece(self, monkeypatch, dim, points, kind):
+    def test_one_eigvalsh_per_segment_at_dim_64(self, monkeypatch, name, options, calls):
+        # A block holds one 64 x 64 matrix, so a segment takes ten pieces,
+        # and their eigenvalue-only matrices go to one eigvalsh call.  The
+        # records and samples equal those of the same chunk with one call a
+        # piece, bit for bit.
+        sizes = _eigvalsh_calls(monkeypatch)
+        grouped = _chunk(name, options, 64, 2)
+        assert sizes == calls
+        sizes.clear()
+        _ungrouped(monkeypatch)
+        assert _chunk(name, options, 64, 2) == grouped
+        assert sum(sizes) == sum(calls) and max(sizes) < 10
+
+    @pytest.mark.parametrize("suite, dim, points, kind, t", [
+        # The lieb floor liar fails at t = 0.5, point 4 of the segment: the
+        # first point of a later piece at dim 64 (pieces of one) and in
+        # pieces of 4, the middle of a piece in pieces of 3, as the mixture
+        # is built.  Its overflow liar fails at t = 0.3, point 2, inside
+        # the first piece, and at dim 64 at t = 0.4, after its segment's
+        # eigvalsh call.
+        ("lieb", 64, None, "floor", 0.5), ("lieb", 6, 4, "floor", 0.5),
+        ("lieb", 6, 3, "floor", 0.5), ("lieb", 6, 4, "overflow", 0.3),
+        ("lieb", 6, 3, "overflow", 0.3), ("lieb", 64, None, "overflow", 0.4),
+        # At dim 64 the joint liar's X-mixture at t = 0.5 fails in the
+        # floor check after its segment's eigvalsh call, and the fenchel
+        # liar at t = 0.0, the second point of its segment's endpoints.
+        ("joint", 64, None, "floor", 0.5), ("fenchel", 64, None, "overflow", 0.0),
+    ])
+    def test_failing_point_raises_with_its_t_from_any_piece(self, monkeypatch, suite, dim,
+                                                            points, kind, t):
+        # The error equals that of the chunk in one call and that of the
+        # chunk with one eigvalsh call a piece.
         from conftest import trial_rng
         from qrelent import convexity
 
-        _lieb_chunk_liar(monkeypatch, 0, kind, dim)
+        if suite == "lieb":
+            _lieb_chunk_liar(monkeypatch, 0, kind, dim)
+            trial = functools.partial(convexity.lieb_concavity_trial, orientation="concave")
+        elif suite == "joint":
+            _joint_chunk_liar(monkeypatch, 0, dim)
+            trial = convexity.joint_convexity_trial
+        else:
+            _fenchel_chunk_liar(monkeypatch, 0, dim)
+            trial = convexity.fenchel_trial
 
         def failure():
             with np.errstate(over="ignore"), pytest.raises(SegmentEvaluationError) as err:
-                convexity.lieb_concavity_trial([trial_rng(42, 0)], dim, 1e-9, "concave")
+                trial([trial_rng(42, 0)], dim, 1e-9)
             return err.value
 
         with monkeypatch.context() as m:
             _pieces_of(m, 10**6)
             whole = failure()
+        with monkeypatch.context() as m:
+            _pieces_of(m, points)
+            _ungrouped(m)
+            alone = failure()
         _pieces_of(monkeypatch, points)
         split = failure()
-        assert (str(split), split.t) == (str(whole), whole.t)
-        assert type(split.__cause__) is type(whole.__cause__)
-        assert str(split.__cause__) == str(whole.__cause__)
-        assert split.t == (0.5 if kind == "floor" else 0.3)
+        for err in (whole, alone):
+            assert (str(split), split.t) == (str(err), err.t)
+            assert type(split.__cause__) is type(err.__cause__)
+            assert str(split.__cause__) == str(err.__cause__)
+        assert split.t == t
+        assert type(split.__cause__) is (DomainError if kind == "floor" else OverflowError)
 
-    @pytest.mark.parametrize("trial", ["joint_convexity_trial", "lieb_concavity_trial"])
-    def test_chunk_at_dim_64_peaks_below_one_and_a_fifth_megabytes(self, trial):
-        # numpy reports its array memory to tracemalloc.  Whole-segment
-        # stacks peaked at 3.1-3.2 MB here; block pieces hold one matrix
-        # of each kind at a time.
-        import tracemalloc
-
+    @pytest.mark.parametrize("trial", ["joint_convexity_trial", "lieb_concavity_trial",
+                                       "fenchel_trial"])
+    def test_chunk_at_dim_64_peaks_below_its_pieces_and_one_segment_stack(self, trial):
+        # Pieces hold one matrix of each kind at a time, within 1.2 MB, and
+        # a segment's eigenvalue-only matrices wait in one stack of ten.
         from conftest import trial_rng
         from qrelent import convexity
 
         args = ("concave",) if trial == "lieb_concavity_trial" else ()
-        run = lambda: getattr(convexity, trial)([trial_rng(42, 0)], 64, 1e-9, *args)
-        run()
-        tracemalloc.start()
-        try:
-            tracemalloc.reset_peak()
-            base = tracemalloc.get_traced_memory()[0]
-            run()
-            peak = tracemalloc.get_traced_memory()[1] - base
-        finally:
-            tracemalloc.stop()
-        assert peak <= 1.2e6
+        peak = _peak_bytes(lambda: getattr(convexity, trial)([trial_rng(42, 0)], 64, 1e-9, *args))
+        assert peak <= 1.2e6 + _SEGMENT_STACK_BYTES
+
+    @pytest.mark.parametrize("trial", ["joint_convexity_trial", "lieb_concavity_trial"])
+    def test_whole_segment_pieces_at_dim_64_exceed_that_peak(self, monkeypatch, trial):
+        # Pieces of a whole segment keep its ten points' entries, vectors
+        # and logarithms at once: about 3.1-3.2 MB.
+        from conftest import trial_rng
+        from qrelent import convexity
+
+        _pieces_of(monkeypatch, 10)
+        args = ("concave",) if trial == "lieb_concavity_trial" else ()
+        peak = _peak_bytes(lambda: getattr(convexity, trial)([trial_rng(42, 0)], 64, 1e-9, *args))
+        assert peak > 1.2e6 + _SEGMENT_STACK_BYTES
 
 
 class TestLiebConcavitySuite:
@@ -806,16 +948,16 @@ class TestLiebConcavitySuite:
 
         calls = []
 
-        def nan_in_4th_call(h, log_a):
+        def nan_in_4th_call(w):
             # the 4th call evaluates the second chunk's mixtures (chunks of
             # 11 trials at dim 6)
             calls.append(None)
-            values = trace_exp_logs(h, log_a)
+            values = trace_exps(w)
             if len(calls) == 4:
                 values[1, 3] = math.nan
             return values
 
-        monkeypatch.setattr(convexity, "trace_exp_logs", nan_in_4th_call)
+        monkeypatch.setattr(convexity, "trace_exps", nan_in_4th_call)
         report = lieb_concavity_suite(6, 25, 42, 1e-9)
         assert len(calls) > 4
         assert not report.passed
@@ -937,7 +1079,7 @@ class TestWitnesses:
         # block's first witness holds H1, H2 and the fixed A
         from qrelent import convexity
 
-        monkeypatch.setattr(convexity, "trace_exp_logs", lambda h, log_a: -trace_exp_logs(h, log_a))
+        monkeypatch.setattr(convexity, "trace_exps", lambda w: -trace_exps(w))
 
         def lhs(p1, p2, a, t):
             (h1,), (h2,) = p1, p2
@@ -991,8 +1133,7 @@ class TestPartialMaxSuite:
         # max(0.0, nan) is 0.0: a NaN gap must not read as agreement
         from qrelent import convexity
 
-        monkeypatch.setattr(convexity, "trace_exp_logs", lambda h, log_a: np.full(
-            np.broadcast_shapes(h.shape, log_a.shape)[:-2], math.nan))
+        monkeypatch.setattr(convexity, "trace_exps", lambda w: np.full(w.shape[:-1], math.nan))
         report = partial_max_concavity_suite(3, 2, 23, 1e-8)
         assert report.invalid_trials == 0 and report.max_violation <= 1e-8
         assert math.isnan(report.extras["max_value_gap"])

@@ -170,6 +170,18 @@ class TestNoThreadOutlivesTheRun:
         assert threading.active_count() == before
 
 
+def _stacked_only_fenchel_bug(monkeypatch):
+    # fenchel chunks of more than one trial raise IndexError; single trials run.
+    row = SUITES["fenchel"]
+
+    def stacked_only_bug(rngs, *args, **options):
+        if len(rngs) > 1:
+            raise IndexError("stacked path only")
+        return row.trial(rngs, *args, **options)
+
+    monkeypatch.setitem(convexity.SUITES, "fenchel", row._replace(trial=stacked_only_bug))
+
+
 class TestFailingTrialIsNamed:
     @pytest.mark.parametrize("threaded", [False, True])
     def test_lowest_failing_trial_is_raised_and_printed(self, monkeypatch, capsys, two_cpus,
@@ -200,17 +212,19 @@ class TestFailingTrialIsNamed:
         assert err.value.trial_key == "klein separated trial 2"
 
     def test_chunk_error_no_trial_raises_alone_names_the_chunk(self, monkeypatch):
-        row = SUITES["fenchel"]
-
-        def stacked_only_bug(rngs, *args, **options):
-            if len(rngs) > 1:
-                raise IndexError("stacked path only")
-            return row.trial(rngs, *args, **options)
-
-        monkeypatch.setitem(convexity.SUITES, "fenchel", row._replace(trial=stacked_only_bug))
+        _stacked_only_fenchel_bug(monkeypatch)
         with pytest.raises(IndexError) as err:
             run_suite("fenchel", 6, 30, 42, None)
         assert err.value.trial_key == "fenchel trials 0-10 as one chunk"
+
+    def test_library_fault_exits_three_in_one_line(self, monkeypatch, capsys):
+        # An exception that is not a usage, domain or I/O error is a fault
+        # of the library, not a violated claim (1) nor a usage error (2).
+        _stacked_only_fenchel_bug(monkeypatch)
+        assert main(["verify", "--suite", "fenchel", "--trials", "30", "--seed", "42"]) == 3
+        captured = capsys.readouterr()
+        assert captured.err == (
+            "error: fenchel trials 0-10 as one chunk: IndexError: stacked path only\n")
 
 
 def test_run_tasks_raises_the_lowest_failing_task():
