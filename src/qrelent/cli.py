@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import os
 import sys
 
 import numpy as np
@@ -28,14 +29,20 @@ from .variational import lieb_objective, trace_exp_log
 def cmd_verify(args: argparse.Namespace) -> int:
     """Run the selected suite(s), print one line each, persist the report.
 
-    The arguments of every selected suite are checked before any suite
-    runs; ``--flip-orientation`` applies to lieb-concavity only.
+    The arguments of every selected suite, and the directory of ``--out``,
+    are checked before any suite runs; ``--flip-orientation`` applies to
+    lieb-concavity only.
     """
     names = list(SUITES) if args.suite == "all" else [args.suite]
     if args.flip_orientation and "lieb-concavity" not in names:
         raise ValueError(f"--flip-orientation applies to lieb-concavity, not {args.suite}")
     for name in names:
         suite_args(name, args.dim, args.trials, args.seed, args.tol)
+    if args.out is not None:
+        if os.path.isdir(args.out):
+            raise ValueError(f"--out {args.out} is a directory")
+        if not os.path.isdir(os.path.dirname(os.path.abspath(args.out))):
+            raise ValueError(f"--out {args.out}: no such directory")
     reports = []
     for name in names:
         flip = args.flip_orientation and name == "lieb-concavity"

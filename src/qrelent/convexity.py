@@ -28,6 +28,7 @@ from .hermitian import (
     PdMatrix,
     _block_rows,
     _check_floor,
+    _eigh,
     hermitian_draws,
     one_blas_thread,
     pd_draws,
@@ -160,10 +161,12 @@ def klein_trial(rngs: Rngs, dim: int, tol: float, kind: str) -> tuple[list, list
     ``identity``: ``D(X;X) <= tol * scale``.  ``separated``: ``D(X;Y) >= 1e-8``
     for a pair at least 0.1 apart in Frobenius norm (``Y`` is drawn again
     until it is).  ``D(X;Y)`` reads only the eigenvalues of ``X``, so the
-    ``X`` of a pair is validated without eigenvectors.
+    ``X`` of a pair stays entries, its eigenvalues from one ``eigvalsh``
+    call, checked against ``PD_FLOOR`` as a PdMatrix's are.
     """
     if kind == "identity":
-        x = y = validate_pd_stack(pd_draws(rngs, dim, 0.1)[:, 0])
+        y = validate_pd_stack(pd_draws(rngs, dim, 0.1)[:, 0])
+        x, x_eigenvalues = y.entries, y.eigenvalues
     else:
         pairs = pd_draws(rngs, dim, 0.1, 2)
         if kind == "separated":
@@ -172,13 +175,15 @@ def klein_trial(rngs: Rngs, dim: int, tol: float, kind: str) -> tuple[list, list
                     if np.linalg.norm(pair[0] - pair[1]) >= _SEPARATION_DISTANCE:
                         break
                     pair[1] = pd_draws([rng], dim, 0.1)[0, 0]
-        x, y = validate_pd_stack(pairs[:, 0], vectors=False), validate_pd_stack(pairs[:, 1])
-    values = relative_entropies(x.eigenvalues, x.entries, y.entries, y.log)[0].tolist()
+        x, x_eigenvalues = pairs[:, 0], _eigh(pairs[:, 0], vectors=False)[0]
+        _check_floor(x_eigenvalues)
+        y = validate_pd_stack(pairs[:, 1])
+    values = relative_entropies(x_eigenvalues, x, y.entries, y.log)[0].tolist()
     if kind == "separated":
         return [BoundTrial(kind, v, _SEPARATION_MIN_DIVERGENCE, _SEPARATION_MIN_DIVERGENCE - v, 1.0)
                 for v in values], []
     # Norms one matrix at a time, as HermitianMatrix.frobenius_norm computes them.
-    norms = [[float(np.linalg.norm(e)) for e in m.entries] for m in (x, y)]
+    norms = [[float(np.linalg.norm(e)) for e in m] for m in (x, y.entries)]
     if kind == "identity":
         return [BoundTrial(kind, v, 0.0, abs(v) / (1.0 + nx), 1.0 + nx)
                 for v, nx in zip(values, norms[0])], []
@@ -194,10 +199,10 @@ def joint_convexity_trial(rngs: Rngs, dim: int, tol: float) -> tuple[list, list]
     on the t-grid.  The samples are the divergence values evaluated,
     endpoints included: nonnegativity requires the smallest of a suite to
     stay at or above ``-tol``, and the suite fails otherwise (or when it is
-    NaN).  ``D(X;Y)`` reads only the eigenvalues of ``X``, so ``X1`` and
-    ``X2``, and with them every X-mixture, are decomposed without
-    eigenvectors: the endpoints when validated, the mixtures as the
-    entries of a :class:`ByEigenvalues`, validated by its ``finish``.
+    NaN).  ``D(X;Y)`` reads only the eigenvalues of ``X``, so ``X1``,
+    ``X2`` and every X-mixture stay entries, decomposed without
+    eigenvectors as those of a :class:`ByEigenvalues`, whose ``finish``
+    checks them against ``PD_FLOOR``.
     """
     values: list[float] = []
 
@@ -215,13 +220,12 @@ def joint_convexity_trial(rngs: Rngs, dim: int, tol: float) -> tuple[list, list]
         return ByEigenvalues(x, finish)
 
     quadruples = pd_draws(rngs, dim, 0.1, 4)
-    x = validate_pd_stack(quadruples[:, 0::2], vectors=False)
-    y = validate_pd_stack(quadruples[:, 1::2])
+    x, y = quadruples[:, 0::2], validate_pd_stack(quadruples[:, 1::2])
     # y[:, :] takes the logarithms of the endpoints, so that y, which the
     # mixtures read, does not hold them.
-    ends = f(x.entries, y[:, :]).finish(x.eigenvalues).tolist()
-    return _segment(f, (x.entries[:, 0], y[:, 0]), (x.entries[:, 1], y[:, 1]), rngs, "convex",
-                    tol, ends=ends), values
+    ends = f(x, y[:, :]).evaluate().tolist()
+    return _segment(f, (x[:, 0], y[:, 0]), (x[:, 1], y[:, 1]), rngs, "convex", tol,
+                    ends=ends), values
 
 
 def _min_divergence(records: list, values: list, tol: float) -> tuple[dict, bool]:

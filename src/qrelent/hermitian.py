@@ -136,32 +136,31 @@ class PdMatrix:
     """Positive-definite matrices with the spectra that prove them: one, or a stack.
 
     ``entries`` holds one matrix ``(n, n)`` or a stack along leading axes.
-    ``entries[k]`` has the ascending eigenvalues ``eigenvalues[k]`` and,
-    when ``vectors`` is given, the eigenvectors ``vectors[k]``, for any
-    index ``k`` over the leading axes; ``a[k]`` is that matrix, or that
-    part of the stack.  Construction raises DomainError unless every
-    smallest eigenvalue exceeds ``PD_FLOOR``.  The arrays are read-only.
-    ``log`` reads the spectra instead of recomputing them; eigenvectors
-    not given cost one stacked ``eigh`` first.  ``base``,
+    ``entries[k]`` has the ascending eigenvalues ``eigenvalues[k]`` and
+    the eigenvectors ``vectors[k]``, for any index ``k`` over the leading
+    axes; ``a[k]`` is that matrix, or that part of the stack.
+    Construction raises DomainError unless every smallest eigenvalue
+    exceeds ``PD_FLOOR``.  The arrays are read-only.  ``log`` reads the
+    spectra instead of recomputing them.  A value that reads eigenvalues
+    only needs no PdMatrix: it decomposes entries, as
+    :class:`qrelent.segments.ByEigenvalues` does.  ``base``,
     ``min_eigenvalue``, ``trace`` and ``scaled`` are for one matrix.
     """
 
     entries: np.ndarray
     eigenvalues: np.ndarray
-    vectors: np.ndarray | None = None
+    vectors: np.ndarray
 
     def __post_init__(self):
         _check_floor(self.eigenvalues)
         for a in (self.entries, self.eigenvalues, self.vectors):
-            if a is not None:
-                a.setflags(write=False)
+            a.setflags(write=False)
 
     def __len__(self) -> int:
         return len(self.entries)
 
     def __getitem__(self, rows) -> "PdMatrix":
-        vectors = None if self.vectors is None else self.vectors[rows]
-        return PdMatrix(self.entries[rows], self.eigenvalues[rows], vectors)
+        return PdMatrix(self.entries[rows], self.eigenvalues[rows], self.vectors[rows])
 
     @property
     def dim(self) -> int:
@@ -187,8 +186,7 @@ class PdMatrix:
     @functools.cached_property
     def log(self) -> np.ndarray:
         """The entries of every matrix logarithm, built once from the carried spectra."""
-        vectors = _eigh(self.entries)[1] if self.vectors is None else self.vectors
-        out = _reconstruct(vectors, np.log(self.eigenvalues))
+        out = _reconstruct(self.vectors, np.log(self.eigenvalues))
         out.setflags(write=False)
         return out
 
@@ -369,20 +367,18 @@ def usable_cpus() -> int:
 def pd_stack(points: Sequence[PdMatrix], axis: int = 0) -> PdMatrix:
     """The positive-definite ``points`` as one stack along ``axis``, with their carried spectra.
 
-    The points are matrices, or stacks of one shape.  The stack has
-    eigenvectors unless a point is eigenvalues only.
+    The points are matrices, or stacks of one shape; nothing is decomposed.
     """
-    vectors = [p.vectors for p in points]
     return PdMatrix(
         np.stack([p.entries for p in points], axis),
         np.stack([p.eigenvalues for p in points], axis),
-        None if any(v is None for v in vectors) else np.stack(vectors, axis),
+        np.stack([p.vectors for p in points], axis),
     )
 
 
-def validate_pd_stack(entries: np.ndarray, vectors: bool = True) -> PdMatrix:
-    """:func:`validate_pd` of every matrix of a stack, with one stacked ``eigh`` (or ``eigvalsh``)."""
-    return PdMatrix(entries, *_eigh(entries, vectors))
+def validate_pd_stack(entries: np.ndarray) -> PdMatrix:
+    """:func:`validate_pd` of every matrix of a stack, with one stacked ``eigh``."""
+    return PdMatrix(entries, *_eigh(entries))
 
 
 def mixtures(a: np.ndarray, b: np.ndarray, ts: np.ndarray) -> np.ndarray:
@@ -399,26 +395,6 @@ def mixtures(a: np.ndarray, b: np.ndarray, ts: np.ndarray) -> np.ndarray:
     out = a[:, None] * t
     out += b[:, None] * (1.0 - t)
     return out
-
-
-def pd_mixtures(a: PdMatrix, b: PdMatrix, ts: np.ndarray) -> PdMatrix:
-    """The mixtures ``t A_s + (1-t) B_s`` of :func:`mixtures`, decomposed as one stack.
-
-    One ``eigh`` call decomposes all of them, which at small n costs about
-    half as much per matrix as separate calls.  When neither endpoint stack
-    has its eigenvectors at hand, the mixtures follow them: one ``eigvalsh``
-    call computes their eigenvalues only.  (The suites build such mixtures
-    as entries instead, which a segment test decomposes a segment at a
-    time: :class:`qrelent.segments.ByEigenvalues`.)  Like
-    :func:`validate_pd` it raises DomainError when a mixture has its
-    smallest eigenvalue at or below ``PD_FLOOR``, and a solver failure
-    raises ConvergenceError.  Each mixture equals
-    ``validate_pd(a.base * t + b.base * (1 - t))`` bit for bit, its
-    eigenvalues those of :func:`eigvals` when the stack is eigenvalues
-    only.
-    """
-    entries = mixtures(a.entries, b.entries, ts)
-    return PdMatrix(entries, *_eigh(entries, a.vectors is not None or b.vectors is not None))
 
 
 def _reconstruct(u: np.ndarray, vals: np.ndarray) -> np.ndarray:

@@ -155,11 +155,13 @@ def _pieces(obj):
 
 
 def _write_canonical(obj, path: str) -> None:
+    # Through a temporary file beside path; an OSError names path, not it.
     directory = os.path.dirname(os.path.abspath(path))
     tmp = os.path.join(directory, f".qrelent-{os.urandom(8).hex()}.tmp")
-    # Mode 0o666 less the umask, as open(path, "w") creates a file.
-    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    fd = None
     try:
+        # Mode 0o666 less the umask, as open(path, "w") creates a file.
+        fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
             fh.writelines(_pieces(obj))
             fh.write("\n")
@@ -167,9 +169,11 @@ def _write_canonical(obj, path: str) -> None:
         with contextlib.suppress(FileNotFoundError):
             os.chmod(tmp, stat.S_IMODE(os.stat(path).st_mode))
         os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
+    except BaseException as exc:
+        if fd is not None and os.path.exists(tmp):
             os.unlink(tmp)
+        if isinstance(exc, OSError) and exc.errno is not None:
+            raise OSError(exc.errno, exc.strerror, path) from exc
         raise
 
 

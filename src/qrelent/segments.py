@@ -24,8 +24,8 @@ from .hermitian import (
     _block_rows,
     _eigh,
     mixtures,
-    pd_mixtures,
     pd_stack,
+    validate_pd_stack,
 )
 
 _ORIENTATIONS = {"convex": 1.0, "concave": -1.0}
@@ -103,7 +103,7 @@ def _rows(a: Stack, b: Stack, ts: np.ndarray | None = None) -> Callable[[slice, 
     if isinstance(a, PdMatrix) and isinstance(b, PdMatrix):
         if ts is None:
             return lambda s, k: pd_stack((_take(a, s), _take(b, s))[k], axis=1)
-        return lambda s, k: pd_mixtures(_take(a, s), _take(b, s), ts[s, k])
+        return lambda s, k: validate_pd_stack(mixtures(a.entries[s], b.entries[s], ts[s, k]))
     if isinstance(a, np.ndarray) and isinstance(b, np.ndarray):
         if ts is None:
             return lambda s, k: np.stack((a[s], b[s])[k], axis=1)
@@ -215,9 +215,9 @@ def pointwise(g: Callable[..., float | None]) -> Callable[..., list]:
 
     The lifted function calls ``g`` once per point, segment by segment and
     in order; a point's positive-definite components are its rows of the
-    PdMatrix stacks, carrying their spectra, and a segment's fixed matrix
-    comes first.  A row of an eigenvalues-only stack carries no
-    eigenvectors: its first ``log`` decomposes it.
+    PdMatrix stacks, carrying their spectra, its self-adjoint ones
+    HermitianMatrix rows of the arrays of entries, and a segment's fixed
+    matrix comes first.
     """
 
     def f(*stacks: Stack) -> list:

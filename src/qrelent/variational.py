@@ -80,8 +80,8 @@ class OptimizeResult:
 def trace_exp_log(h: HermitianMatrix, a: PdMatrix) -> float:
     """Evaluate ``tr exp(H + log A)`` as ``sum exp(lambda)`` over the eigenvalues of ``H + log A``.
 
-    Only the eigenvalues are computed; ``log A`` costs one decomposition
-    of ``A`` if its eigenvectors were not carried.
+    Only the eigenvalues are computed; ``log A`` is built from ``A``'s
+    carried spectrum.
     """
     _check_dims(h, a)
     return float(trace_exp_logs(h.entries, a.log))
@@ -323,8 +323,7 @@ def maximize_liebs(h: np.ndarray, a: PdMatrix, init: PdMatrix | None = None) -> 
     def rows(m: np.ndarray) -> np.ndarray:
         return (m if m.shape == k.shape else np.broadcast_to(m, k.shape)).reshape(-1, n, n)
 
-    vectors = _eigh(init.entries)[1] if init.vectors is None else init.vectors
-    x, w, u = rows(init.entries), init.eigenvalues.reshape(-1, n), rows(vectors)
+    x, w, u = rows(init.entries), init.eigenvalues.reshape(-1, n), rows(init.vectors)
     k, h, a_entries, log_a = rows(k), rows(h), rows(a.entries), rows(a.log)
     grad_tol = 1e-8 * (1.0 + np.array([np.linalg.norm(p) + np.linalg.norm(q)
                                        for p, q in zip(h, a_entries)]))

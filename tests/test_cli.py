@@ -2,6 +2,7 @@
 
 import json
 import math
+import os
 import subprocess
 import sys
 
@@ -95,6 +96,17 @@ class TestVerify:
         assert main(["verify", "--bogus"]) == 2
         assert main(["verify", "--suite", "unknown"]) == 2
         assert main(["verify", "--dim", "not-a-number"]) == 2
+
+    @pytest.mark.parametrize("where", ["missing directory", "directory"])
+    def test_bad_out_exits_two_before_any_suite(self, tmp_path, capsys, where):
+        # The report's directory must exist and the report must not be one:
+        # checked before the first suite runs, the error naming --out.
+        out = str(tmp_path / "missing" / "x.json" if where == "missing directory" else tmp_path)
+        assert main(["verify", "--suite", "all", "--dim", "1", "--trials", "1", "--out", out]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: --out {out}")
+        assert os.listdir(tmp_path) == []
 
     def test_flip_orientation_exits_one(self, tmp_path):
         out = str(tmp_path / "flip.json")

@@ -30,8 +30,9 @@ from qrelent import (
 )
 from qrelent.convexity import chunk_trials
 from qrelent.divergence import divergences, relative_entropies
-from qrelent.hermitian import pd_draws, pd_stack, validate_pd_stack
+from qrelent.hermitian import _check_floor, pd_draws, pd_stack
 from qrelent.matrixio import json_default
+from qrelent.segments import ByEigenvalues
 from qrelent.variational import trace_exp_logs, trace_exps
 from test_divergence import scalar_divergence
 
@@ -50,9 +51,24 @@ def _fenchel(a):
     return lambda h: trace_exp_logs(h, a.log)
 
 
-def _eigenvalues_only(rng, dim):
-    """A ``sample_pd`` draw as an eigenvalues-only stack of one, as joint-convexity's ``X``."""
-    return validate_pd_stack(pd_draws([rng], dim, 0.1)[0], vectors=False)
+def _x_draw(rng, dim):
+    """A ``sample_pd`` draw as entries, a stack of one, as joint-convexity's ``X``."""
+    return pd_draws([rng], dim, 0.1)[0]
+
+
+def _joint(x, y):
+    """The joint-convexity suite's stacked ``D(X;Y)``: ``X`` as entries, its eigenvalues alone."""
+
+    def finish(w):
+        _check_floor(w)
+        return relative_entropies(w, x, y.entries, y.log)[0]
+
+    return ByEigenvalues(x, finish)
+
+
+def _joint_pointwise(x, y):
+    """:func:`_joint` of one self-adjoint ``X`` and one positive-definite ``Y``."""
+    return float(_joint(x.entries, y).evaluate())
 
 
 def _segment_instance(kind, dim, seed):
@@ -60,16 +76,15 @@ def _segment_instance(kind, dim, seed):
 
     ``f`` is the claim's function of single matrices and ``stacked`` the
     suite's stacked evaluation of it.  As in joint-convexity, the X side
-    is an eigenvalues-only stack.
+    is entries, whose eigenvalues alone ``f`` reads.
     """
     from conftest import sample_hermitian, sample_pd, trial_rng
 
     rng = trial_rng(seed, 0)
     if kind == "joint":
-        p1 = (_eigenvalues_only(rng, dim), sample_pd(rng, dim, 0.1))
-        p2 = (_eigenvalues_only(rng, dim), sample_pd(rng, dim, 0.1))
-        f, orientation = divergence_value, "convex"
-        stacked = lambda x, y: relative_entropies(x.eigenvalues, x.entries, y.entries, y.log)[0]
+        p1 = (_x_draw(rng, dim), sample_pd(rng, dim, 0.1))
+        p2 = (_x_draw(rng, dim), sample_pd(rng, dim, 0.1))
+        f, stacked, orientation = _joint_pointwise, _joint, "convex"
     elif kind == "lieb":
         h = sample_hermitian(rng, dim, 3.0)
         p1, p2 = (sample_pd(rng, dim, 0.1),), (sample_pd(rng, dim, 0.1),)
@@ -81,20 +96,13 @@ def _segment_instance(kind, dim, seed):
     return f, stacked, p1, p2, T_GRID + (float(rng.uniform()),), orientation
 
 
-def _is_stack(c):
-    return isinstance(c, PdMatrix) and c.entries.ndim == 3
-
-
 def _single(c):
-    # An endpoint as pointwise hands it to f: a stack of one as its row.
-    return c[0] if _is_stack(c) else c
+    # An endpoint as pointwise hands it to f: entries, a stack of one, as a HermitianMatrix.
+    return HermitianMatrix._exact(c[0]) if isinstance(c, np.ndarray) else c
 
 
 def _mixture(a, b, t):
-    # The mixture of two endpoints, built and validated on its own; that of
-    # eigenvalues-only stacks as pointwise hands it to f, without vectors.
-    if _is_stack(a):
-        return validate_pd_stack(a.entries * t + b.entries * (1.0 - t), vectors=False)[0]
+    # The mixture of two endpoints, built (and validated, if positive definite) on its own.
     if isinstance(a, PdMatrix):
         return validate_pd(a.base * t + b.base * (1.0 - t))
     return a * t + b * (1.0 - t)
@@ -107,7 +115,7 @@ def _per_point_segment(f, p1, p2, t_samples, orientation):
     scale = 1.0 + abs(f1) + abs(f2)
     out = []
     for t in t_samples:
-        point = [_mixture(a, b, t) for a, b in zip(p1, p2)]
+        point = [_mixture(_single(a), _single(b), t) for a, b in zip(p1, p2)]
         lhs = f(*point)
         rhs = t * f1 + (1.0 - t) * f2
         out.append(((t, lhs, rhs, (lhs - rhs) * orient / scale, scale), point))
@@ -117,7 +125,7 @@ def _per_point_segment(f, p1, p2, t_samples, orientation):
 def _bits(m):
     parts = [m.entries.tobytes()]
     if isinstance(m, PdMatrix):
-        parts += [m.eigenvalues.tobytes(), None if m.vectors is None else m.vectors.tobytes()]
+        parts += [m.eigenvalues.tobytes(), m.vectors.tobytes()]
     return parts
 
 
@@ -177,19 +185,17 @@ class TestSegmentTest:
         for got, (_, want) in zip(seen[2:], reference):
             assert [type(m) for m in got] == [type(m) for m in want]
             assert [_bits(m) for m in got] == [_bits(m) for m in want]
-            for m, a in zip(got, p1):
-                if _is_stack(a):
-                    assert m.eigenvalues.tobytes() == np.linalg.eigvalsh(m.entries).tobytes()
         # The suite's stacked evaluation equals the per-point route bit for
         # bit, at the endpoints and at every t.
 
         def both(a, b):
-            if isinstance(a, PdMatrix):
-                return pd_stack((_single(a), _single(b)))
-            return np.stack([a.entries, b.entries])
+            a, b = _single(a), _single(b)
+            return pd_stack((a, b)) if isinstance(a, PdMatrix) else np.stack([a.entries, b.entries])
 
-        ends = [both(a, b) for a, b in zip(p1, p2)]
-        assert list(stacked(*ends)) == [f(*map(_single, p1)), f(*map(_single, p2))]
+        ends = stacked(*(both(a, b) for a, b in zip(p1, p2)))
+        if isinstance(ends, ByEigenvalues):
+            ends = ends.evaluate()
+        assert list(ends) == [f(*map(_single, p1)), f(*map(_single, p2))]
         trials = segment_test(stacked, p1, p2, ts, orientation)
         assert [(tr.t, tr.lhs, tr.rhs, tr.violation, tr.scale) for tr in trials] == [
             fields for fields, _ in reference
@@ -239,12 +245,21 @@ class TestSegmentTest:
         assert isinstance(err.value.__cause__, DomainError)
 
     @pytest.mark.parametrize("t_bad", [0.5, 0.7])
-    def test_eigenvalues_only_mixture_at_or_below_floor_carries_its_t(self, t_bad):
-        # The mixture at t = 0.5 has eigenvalue 0, the one at 0.7 -0.4.
-        liar = PdMatrix(np.diag([-1.0, 1.0]).astype(complex)[None], np.array([[1.0, 1.0]]))
-        one = validate_pd_stack(np.eye(2, dtype=complex)[None], vectors=False)
+    def test_by_eigenvalues_mixture_at_or_below_floor_carries_its_t(self, t_bad):
+        # Entries whose eigenvalues finish checks against the floor, as
+        # joint-convexity's X: the mixture at t = 0.5 has eigenvalue 0, the
+        # one at 0.7 -0.4.  The endpoint values are given, as joint's are.
+        liar, one = np.diag([-1.0, 1.0]).astype(complex)[None], np.eye(2, dtype=complex)[None]
+
+        def f(x):
+            def finish(w):
+                _check_floor(w)
+                return w.sum(axis=-1)
+
+            return ByEigenvalues(x, finish)
+
         with pytest.raises(SegmentEvaluationError) as err:
-            segment_test(pointwise(lambda m: m.trace()), liar, one, [0.2, t_bad], "convex")
+            segment_test(f, liar, one, [0.2, t_bad], "convex", ends=[(0.0, 2.0)])
         assert err.value.t == t_bad
         assert isinstance(err.value.__cause__, DomainError)
 
@@ -474,8 +489,8 @@ def _validate_with_liar(monkeypatch, target, liar):
 
     validate = convexity.validate_pd_stack
 
-    def validate_with_liar(entries, vectors=True):
-        stack = validate(entries, vectors)
+    def validate_with_liar(entries):
+        stack = validate(entries)
         hit = np.all(stack.entries == target, axis=(-2, -1))
         if not hit.any():
             return stack
@@ -507,14 +522,24 @@ def _lieb_chunk_liar(monkeypatch, k, kind, dim=6):
 def _joint_chunk_liar(monkeypatch, k, dim):
     """Make trial ``k`` of joint-convexity (seed 42, ``dim``) fail at t = 0.5.
 
-    Trial ``k``'s ``X1`` gets the entries ``-X2``, so that the X-mixture
-    at t = 0.5 is zero, at the floor.
+    The X-mixtures of trial ``k`` are built from ``-X2`` in place of
+    ``X1``, so that the one at t = 0.5 is zero, at the floor; the
+    endpoints keep their entries, and so their values.
     """
     from conftest import trial_rng
-    from qrelent.hermitian import pd_draws
+    from qrelent import segments
 
     x1, _, x2, _ = pd_draws([trial_rng(42, k)], dim, 0.1, 4)[0]
-    _validate_with_liar(monkeypatch, x1, -x2)
+    build = segments.mixtures
+
+    def mixtures_with_liar(a, b, ts):
+        hit = np.all(a == x1, axis=(-2, -1))
+        if hit.any():
+            a = a.copy()
+            a[hit] = -x2
+        return build(a, b, ts)
+
+    monkeypatch.setattr(segments, "mixtures", mixtures_with_liar)
 
 
 def _fenchel_chunk_liar(monkeypatch, k, dim):
@@ -716,11 +741,13 @@ def _pieces_of(monkeypatch, points):
     if points is not None:
         monkeypatch.setattr(segments, "_block_rows", lambda n: points)
     sizes = []
-    for name in ("mixtures", "pd_mixtures"):
-        def recorded(a, b, ts, _build=getattr(segments, name)):
-            sizes.append(np.size(ts))
-            return _build(a, b, ts)
-        monkeypatch.setattr(segments, name, recorded)
+    build = segments.mixtures
+
+    def recorded(a, b, ts):
+        sizes.append(np.size(ts))
+        return build(a, b, ts)
+
+    monkeypatch.setattr(segments, "mixtures", recorded)
     return sizes
 
 
@@ -854,10 +881,12 @@ class TestBlockPieces:
         ("lieb", 64, None, "floor", 0.5), ("lieb", 6, 4, "floor", 0.5),
         ("lieb", 6, 3, "floor", 0.5), ("lieb", 6, 4, "overflow", 0.3),
         ("lieb", 6, 3, "overflow", 0.3), ("lieb", 64, None, "overflow", 0.4),
-        # At dim 64 the joint liar's X-mixture at t = 0.5 fails in the
-        # floor check after its segment's eigvalsh call, and the fenchel
-        # liar at t = 0.0, the second point of its segment's endpoints.
-        ("joint", 64, None, "floor", 0.5), ("fenchel", 64, None, "overflow", 0.0),
+        # The joint liar's X-mixture at t = 0.5 fails in the floor check
+        # after its segment's eigvalsh call, in pieces of 4 at dim 6 and
+        # of one at dim 64, and the fenchel liar at t = 0.0, the second
+        # point of its segment's endpoints.
+        ("joint", 6, 4, "floor", 0.5), ("joint", 64, None, "floor", 0.5),
+        ("fenchel", 64, None, "overflow", 0.0),
     ])
     def test_failing_point_raises_with_its_t_from_any_piece(self, monkeypatch, suite, dim,
                                                             points, kind, t):
@@ -1035,7 +1064,7 @@ class TestWitnesses:
     def _joint_point(rng):
         from conftest import sample_pd
 
-        return (_eigenvalues_only(rng, 3), sample_pd(rng, 3, 0.1))
+        return (_x_draw(rng, 3), sample_pd(rng, 3, 0.1))
 
     def test_endpoints_appear_once_per_segment(self):
         from conftest import trial_rng

@@ -18,7 +18,6 @@ from qrelent import (
     PdMatrix,
     eig,
     eigvals,
-    entropy,
     mat_exp,
     mat_log,
     matrix_fn,
@@ -35,8 +34,9 @@ from qrelent import (
 from qrelent import convexity, hermitian
 from qrelent.hermitian import hermitian_draws, pd_draws
 from qrelent.convexity import sample_lieb_instance
-from qrelent.divergence import entropies, relative_entropies
-from qrelent.hermitian import pd_exp, pd_stack, traces, validate_pd_stack
+from qrelent.divergence import relative_entropies
+from qrelent.hermitian import pd_exp, pd_stack, validate_pd_stack
+from qrelent.segments import ByEigenvalues
 from qrelent.variational import _ascend, maximize_liebs
 from conftest import random_unitary, sample_hermitian, sample_pd, trial_rng
 
@@ -348,29 +348,43 @@ PD_CONSTRUCTIONS = {
     "identity": lambda: PdMatrix.identity(4),
     "diagonal": lambda: PdMatrix.diagonal([3.0, 0.5, 1e-3]),
     "scaled": lambda: random_pd(5, 24, 0.1).scaled(2.7),
-    "eigenvalues_only_stack_row": lambda: validate_pd_stack(
-        pd_draws([trial_rng(36, 0)], 5, 0.1)[0], vectors=False)[0],
+    "validate_pd_stack_row": lambda: validate_pd_stack(pd_draws([trial_rng(36, 0)], 5, 0.1)[0])[0],
     "mat_exp": lambda: mat_exp(sample_hermitian(trial_rng(25, 0), 5, 3.0)),
     "maximize_lieb": _pd_via_maximize_lieb,
 }
 
 
 class TestPdMatrix:
-    def test_sub_floor_spectrum_raises_domain_error(self):
+    def test_sub_floor_spectrum_raises_domain_error(self, monkeypatch):
         # No PdMatrix, one matrix or a stack, and so no argument of mat_log,
         # carries a spectrum at or below the floor: there is no way around
         # the validation, and both shapes are rejected with one message.
+        # Klein's X, decomposed without eigenvectors, is checked against the
+        # floor with the same message.
         base = HermitianMatrix.diagonal([-1.0, 1.0])
         vectors = np.eye(2, dtype=complex)
         for smallest in (-1.0, 0.0, PD_FLOOR, math.nan):
             message = f"matrix is not positive definite: smallest eigenvalue {smallest:.6g}"
             with pytest.raises(DomainError) as one:
                 PdMatrix(base.entries, np.array([smallest, 1.0]), vectors)
-            with pytest.raises(DomainError) as eigenvalues_only:
-                PdMatrix(base.entries[None], np.array([[2.0, 3.0], [smallest, 1.0]]))
-            assert str(one.value) == str(eigenvalues_only.value) == message
+            with pytest.raises(DomainError) as stack:
+                PdMatrix(np.stack([base.entries] * 2), np.array([[2.0, 3.0], [smallest, 1.0]]),
+                         np.stack([vectors] * 2))
+            assert str(one.value) == str(stack.value) == message
+            if math.isnan(smallest):
+                continue
+            pair = np.array([[np.diag([smallest, 1.0]), np.eye(2)]], dtype=complex)
+            monkeypatch.setattr(convexity, "pd_draws", lambda *args: pair)
+            with pytest.raises(DomainError) as klein:
+                convexity.klein_trial([trial_rng(37, 0)], 2, 1e-9, "nonneg")
+            assert str(klein.value) == message
         with pytest.raises(DomainError, match="smallest eigenvalue -1$"):
             validate_pd(base)
+
+    def test_eigenvectors_are_required(self):
+        a = PdMatrix.identity(2)
+        with pytest.raises(TypeError):
+            PdMatrix(a.entries, a.eigenvalues)
 
     @pytest.mark.parametrize("build", PD_CONSTRUCTIONS.values(), ids=PD_CONSTRUCTIONS.keys())
     def test_carried_spectrum_reconstructs_entries(self, build):
@@ -379,11 +393,7 @@ class TestPdMatrix:
         assert np.all(np.diff(w) >= 0.0)
         assert a.min_eigenvalue == w[0] > PD_FLOOR
         bound = 1e-10 * (1.0 + a.frobenius_norm())
-        if a.vectors is None:
-            # Eigenvalues only: checked through its eigenvalues.
-            assert np.linalg.norm(np.linalg.eigvalsh(a.entries) - w) <= bound
-        else:
-            assert np.linalg.norm((a.vectors * w) @ a.vectors.conj().T - a.entries) <= bound
+        assert np.linalg.norm((a.vectors * w) @ a.vectors.conj().T - a.entries) <= bound
 
     def test_min_eigenvalue_is_read_only(self):
         a = PdMatrix.identity(2)
@@ -436,52 +446,41 @@ class TestDecompositionCounts:
         trace_exp_log(h, a)
         assert decompositions == {"eigh": 0, "eigvalsh": 1}
 
-    def test_eigenvalues_only_stack_decomposes_for_its_first_log(self, decompositions):
-        twin = validate_pd(HermitianMatrix(random_pd(5, 38, 0.1).entries))
-        decompositions.update(eigh=0, eigvalsh=0)
-        a = validate_pd_stack(twin.entries[None], vectors=False)
-        assert a.vectors is None
-        assert decompositions == {"eigh": 0, "eigvalsh": 1}
-        decompositions.update(eigh=0, eigvalsh=0)
-        first = a.log
-        assert decompositions == {"eigh": 1, "eigvalsh": 0}
-        assert a.log is first
-        assert decompositions == {"eigh": 1, "eigvalsh": 0}
-        bound = 1e-12 * (1.0 + twin.frobenius_norm())
-        assert np.linalg.norm(first[0] - twin.log) <= bound
-        assert abs(entropies(a.eigenvalues)[0] - entropy(twin)) <= bound
-
-    def test_row_of_an_eigenvalues_only_stack_decomposes_at_its_first_log(self, decompositions):
-        # a[k] keeps the validated eigenvalues and decomposes nothing; its
-        # first log makes the one eigh, and equals the stack's row bit for bit.
-        a = validate_pd_stack(pd_draws([trial_rng(40, 0)], 4, 0.1, 3)[0], vectors=False)
+    def test_log_rows_and_stacks_read_the_carried_spectra(self, decompositions):
+        # A row or a stack of validated matrices carries their eigenvectors:
+        # neither a[k], pd_stack nor log decomposes anything, and the row's
+        # log equals the stack's row bit for bit.
+        a = validate_pd_stack(pd_draws([trial_rng(40, 0)], 4, 0.1, 3)[0])
         decompositions.update(eigh=0, eigvalsh=0)
         m = a[1]
-        assert decompositions == {"eigh": 0, "eigvalsh": 0}
-        assert m.vectors is None
-        assert m.eigenvalues.tobytes() == a.eigenvalues[1].tobytes()
         first = m.log
-        assert decompositions == {"eigh": 1, "eigvalsh": 0}
-        assert first.tobytes() == a.log[1].tobytes()
+        assert m.log is first
+        stacked = pd_stack((a[2], m))
+        assert stacked.log[1].tobytes() == first.tobytes() == a.log[1].tobytes()
+        assert decompositions == {"eigh": 0, "eigvalsh": 0}
+        assert m.vectors.tobytes() == a.vectors[1].tobytes()
 
-    def test_segment_with_eigenvalues_only_endpoints_stacks_eigvalsh(self, decompositions):
-        # The joint-convexity segment as the suite draws it: X's mixtures are
-        # one eigvalsh stack, Y's one eigh stack, and D(X;Y) decomposes
-        # nothing else.  Alone, the X side costs one eigvalsh and no eigh.
+    def test_joint_segment_stacks_one_eigh_and_one_eigvalsh(self, decompositions):
+        # The joint-convexity segment as the suite draws it, its endpoint
+        # values given: X's mixtures, entries, are one eigvalsh stack, Y's
+        # one eigh stack, and D(X;Y) decomposes nothing else.  Alone, the X
+        # side costs one eigvalsh and no eigh.
         rng = trial_rng(39, 0)
+        p1 = (pd_draws([rng], 4, 0.1)[0], sample_pd(rng, 4, 0.1))
+        p2 = (pd_draws([rng], 4, 0.1)[0], sample_pd(rng, 4, 0.1))
 
-        def eigenvalues_only():
-            return validate_pd_stack(pd_draws([rng], 4, 0.1)[0], vectors=False)
+        def f(x, y):
+            return ByEigenvalues(x, lambda w: relative_entropies(w, x, y.entries, y.log)[0])
 
-        p1 = (eigenvalues_only(), sample_pd(rng, 4, 0.1))
-        p2 = (eigenvalues_only(), sample_pd(rng, 4, 0.1))
+        ends = [f(np.stack([p1[0][0], p2[0][0]])[None],
+                  pd_stack((p1[1], p2[1]))[None]).evaluate()[0].tolist()]
         decompositions.update(eigh=0, eigvalsh=0)
-        f = lambda x, y: relative_entropies(x.eigenvalues, x.entries, y.entries, y.log)[0]
-        assert len(segment_test(f, p1, p2, [0.1, 0.3, 0.5, 0.9], "convex")) == 4
+        assert len(segment_test(f, p1, p2, [0.1, 0.3, 0.5, 0.9], "convex", ends=ends)) == 4
         assert decompositions == {"eigh": 1, "eigvalsh": 1}
 
         decompositions.update(eigh=0, eigvalsh=0)
-        segment_test(lambda x: traces(x.entries), p1[:1], p2[:1], [0.1, 0.3], "convex")
+        segment_test(lambda x: ByEigenvalues(x, lambda w: w.sum(axis=-1)), p1[:1], p2[:1],
+                     [0.1, 0.3], "convex", ends=[(0.0, 0.0)])
         assert decompositions == {"eigh": 0, "eigvalsh": 1}
 
     @pytest.mark.parametrize("kind, pd_components", [("joint", 2), ("lieb", 1), ("fenchel", 0)])
@@ -734,7 +733,7 @@ def test_sample_hermitian_spectral_radius_capped():
 
 
 @pytest.mark.parametrize("name", [
-    "eig", "eigvals", "validate_pd_stack_eigenvalues_only", "sample_hermitian", "trace_exp_log",
+    "eig", "eigvals", "klein_eigenvalues", "sample_hermitian", "trace_exp_log",
     "maximize_lieb", "maximize_liebs",
 ])
 def test_solver_failure_raises_convergence_error(monkeypatch, name):
@@ -745,7 +744,8 @@ def test_solver_failure_raises_convergence_error(monkeypatch, name):
     calls = {
         "eig": lambda: eig(m),
         "eigvals": lambda: eigvals(m),
-        "validate_pd_stack_eigenvalues_only": lambda: validate_pd_stack(m.entries[None], vectors=False),
+        # Klein's X, decomposed without eigenvectors first.
+        "klein_eigenvalues": lambda: convexity.klein_trial([trial_rng(10, 0)], 3, 1e-9, "nonneg"),
         "sample_hermitian": lambda: sample_hermitian(trial_rng(10, 0), 3, 3.0),
         "trace_exp_log": lambda: trace_exp_log(m, a),
         "maximize_lieb": lambda: maximize_lieb(m, a),

@@ -311,8 +311,20 @@ def test_full_disk_mid_stream_keeps_the_previous_report(tmp_path, monkeypatch):
         return fh
 
     monkeypatch.setattr(os, "fdopen", fdopen_filling_up)
-    with pytest.raises(OSError):
+    with pytest.raises(OSError) as err:
         write_report(doc, str(path))
+    assert str(err.value) == f"[Errno {errno.ENOSPC}] No space left on device: {str(path)!r}"
     assert len(written) > 3  # the failing write came after the summary and a run
     assert path.read_bytes() == before
     assert os.listdir(tmp_path) == ["report.json"]
+
+
+def test_write_error_names_the_report_not_its_temporary_file(tmp_path):
+    # The temporary file beside the report cannot be made: the error names
+    # the report's path, keeps its class and leaves nothing behind.
+    path = str(tmp_path / "missing" / "report.json")
+    with pytest.raises(FileNotFoundError) as err:
+        write_report({"k": 1}, path)
+    assert str(err.value) == f"[Errno {errno.ENOENT}] No such file or directory: {path!r}"
+    assert err.value.filename == path
+    assert os.listdir(tmp_path) == []
