@@ -3,8 +3,10 @@
 ``qrelent verify`` runs the randomized certification suites and writes a
 deterministic JSON report; ``qrelent eval`` evaluates a single expression
 on matrices read from files.  Exit statuses: 0 all checks pass, 1 a
-violation was found, 2 usage/config/parse error, 3 a fault of the
-library: any other exception, printed as one line that names its type.
+violation was found, 2 a usage/config/parse error found before any suite
+runs, 3 an error raised inside a suite's trial, printed as one line that
+names the trial, or a fault of the library: any other exception, printed
+as one line that names its type.
 """
 
 from __future__ import annotations
@@ -171,7 +173,8 @@ def main(argv: list[str] | None = None) -> int:
         return cmd_eval(args.op, args.h, args.a, args.x)
     except (QrelentError, ValueError, OverflowError, OSError) as exc:
         _print_error(exc, str(exc))
-        return 2
+        # An error of a trial is not a usage error: the arguments passed.
+        return 3 if hasattr(exc, "trial_key") else 2
     except Exception as exc:  # noqa: BLE001 - a library fault, not a claim violated
         _print_error(exc, f"{type(exc).__name__}: {exc}")
         return 3

@@ -60,11 +60,6 @@ _MAX_DIM = 64
 # Largest trial count any suite accepts: klein's kinds start a million
 # indices apart, so more trials would draw one generator twice.
 _MAX_TRIALS = 1_000_000
-# Smallest dimension whose chunks run on two threads, BLAS held at one
-# thread: below it the GIL-bound Python work of a chunk outweighs its LAPACK.
-# numpy's eigh releases the GIL at any size, its eigvalsh only for a call of
-# more than 500 eigenvalues: a segment's stack of ten from dim 51 on.
-_THREADED_DIM = 32
 # Klein strictness probe: pairs at least this far apart in Frobenius norm
 # must have a divergence above the minimum.
 _SEPARATION_DISTANCE = 0.1
@@ -450,7 +445,8 @@ class Suite(NamedTuple):
     ``options`` holds the default of each option the config echo records.
     ``extras(records, samples, tol)`` reduces the samples of a whole run to
     the report's extras and whether they pass.  ``width`` is the number of
-    matrices one trial stacks.
+    matrices one trial stacks.  From dim ``threaded_dim`` on, the chunks
+    run on two threads (:func:`run_suite`).
     """
 
     trial: Callable[..., tuple[list, list]]
@@ -460,12 +456,19 @@ class Suite(NamedTuple):
     options: dict = {}
     extras: Callable[..., tuple[dict, bool]] = lambda records, samples, tol: ({}, True)
     width: int = len(T_GRID) + 1
+    threaded_dim: int = 32
 
 
 # Every suite, in the order ``verify --suite all`` runs them.  partial-max
 # runs one optimization per evaluation, hence fewer trials and a looser
 # tolerance.  Klein's kinds start a million indices apart, so their
-# streams do not meet up to _MAX_TRIALS.
+# streams do not meet up to _MAX_TRIALS.  Two threads pay only where a
+# chunk's hot calls release the GIL.  numpy's eigh and matmul do at any
+# size, and they carry the ascents of partial-max and variational, which
+# ran 1.3-1.9x faster on two threads from dim 14 on (2 cores).  numpy's
+# eigvalsh releases the GIL only for a call of more than 500 eigenvalues,
+# a segment's stack of ten from dim 51 on, so the segment suites keep
+# their serial schedule below dim 32: fenchel ran slower threaded there.
 SUITES = {
     "klein": Suite(klein_trial, kinds=(
         Kind("nonneg", 0, lambda trials: trials),
@@ -474,9 +477,11 @@ SUITES = {
     )),
     "joint-convexity": Suite(joint_convexity_trial, extras=_min_divergence),
     "lieb-concavity": Suite(lieb_concavity_trial, options={"orientation": "concave"}),
-    "partial-max": Suite(partial_max_trial, trials=50, tol=1e-8, extras=_partial_max_extras),
+    "partial-max": Suite(partial_max_trial, trials=50, tol=1e-8, extras=_partial_max_extras,
+                         threaded_dim=14),
     "fenchel": Suite(fenchel_trial),
-    "variational": Suite(variational_trial, extras=_variational_extras, width=2),
+    "variational": Suite(variational_trial, extras=_variational_extras, width=2,
+                         threaded_dim=14),
 }
 
 
@@ -595,16 +600,19 @@ def run_suite(
     """Run every trial of suite ``name``, kind by kind, in index order, in chunks.
 
     Consecutive trials of a kind go to the row's function in chunks of
-    :func:`chunk_trials`.  From dim ``_THREADED_DIM`` on, two threads (at
-    most one per usable CPU) run the chunks while numpy's OpenBLAS is held
-    at one thread; elsewhere, or where that hold is not available, the
-    chunks run one after another.  Either way the records and samples are
-    merged in chunk order, so the report is the same.  ``trials`` and
-    ``tol`` of None take the row's defaults; ``options`` go to every
-    chunk.  The suite passes when every valid violation is at most ``tol``
-    and the row's extras pass.  A non-finite valid violation fails the
-    suite and makes ``max_violation`` NaN (Python's ``max`` would skip a
-    NaN that does not come first).
+    :func:`chunk_trials`.  From the row's ``threaded_dim`` on (14 for the
+    optimizer suites, whose ascents spend their time in ``eigh`` and
+    matmul, which release the GIL at any size; 32 for the segment suites,
+    whose ``eigvalsh`` holds it up to 500 eigenvalues a call), two threads
+    (at most one per usable CPU and one per chunk) run the chunks while
+    numpy's OpenBLAS is held at one thread; elsewhere, for a single chunk,
+    or where that hold is not available, the chunks run one after another.
+    Either way the records and samples are merged in chunk order, so the
+    report is the same.  ``trials`` and ``tol`` of None take the row's
+    defaults; ``options`` go to every chunk.  The suite passes when every
+    valid violation is at most ``tol`` and the row's extras pass.  A
+    non-finite valid violation fails the suite and makes ``max_violation``
+    NaN (Python's ``max`` would skip a NaN that does not come first).
     """
     trials, tol = suite_args(name, dim, trials, seed, tol)
     row = SUITES[name]
@@ -619,7 +627,7 @@ def run_suite(
     def run(task: tuple) -> tuple[list, list]:
         return _run_chunk(name, seed, *task, dim, tol, options)
 
-    threads = min(2, usable_cpus()) if dim >= _THREADED_DIM else 1
+    threads = min(2, usable_cpus(), len(tasks)) if dim >= row.threaded_dim else 1
     if threads > 1:
         with one_blas_thread() as held:
             outcomes = _run_tasks(run, tasks, threads if held else 1)

@@ -407,7 +407,7 @@ def test_chunk_holds_one_block_of_mixtures():
 
 def test_variational_stacks_each_chunk_of_its_width(monkeypatch):
     # 13 trials at dim 16 run as chunks of 8 and 5, two problems a trial,
-    # each chunk one stacked ascent.
+    # each chunk one stacked ascent, on two threads in either order.
     from qrelent import convexity
 
     solver, rows = convexity.maximize_liebs, []
@@ -418,7 +418,7 @@ def test_variational_stacks_each_chunk_of_its_width(monkeypatch):
 
     monkeypatch.setattr(convexity, "maximize_liebs", recorded)
     run_suite("variational", 16, 13, 42, None)
-    assert rows == [16, 10]
+    assert sorted(rows) == [10, 16]
 
 
 @pytest.mark.parametrize("name, dim", [("partial-max", 6), ("variational", 16)])

@@ -1,9 +1,10 @@
 """The default reports and the flipped self-test against ``tests/golden.json``.
 
-``verify --suite all --seed 42`` at dims 1, 6 and 16, the self-test
+``verify --suite all --seed 42`` at dims 1, 6 and 16 (the optimizer
+suites' chunks on two threads at 16), the self-test
 ``verify --suite lieb-concavity --flip-orientation --dim 4 --trials 20
 --seed 42`` (exit 1, every trial a witness), and ``verify --suite all
---dim 64 --trials 3 --seed 42`` (chunks on two threads) must reproduce the
+--dim 64 --trials 3 --seed 42`` (every suite's chunks on two threads) must reproduce the
 golden sha256 where the numerics are the golden file's: the same numpy
 version, OpenBLAS build and CPU features, all read through
 ``np.show_config(mode="dicts")``.  Elsewhere another BLAS kernel may round

@@ -1,10 +1,10 @@
-"""Chunks on two threads from ``_THREADED_DIM`` on, BLAS held at one thread.
+"""Chunks on two threads from each suite's ``threaded_dim`` on, BLAS held at one thread.
 
 The threaded schedule must give the bytes of the serial one, leave the
 BLAS thread count and the thread count of the process as it found them,
-fall back to the serial schedule where it cannot hold BLAS or has one CPU,
-and raise the error of the lowest failing trial.  No test here depends on
-the order in which the threads make their calls.
+fall back to the serial schedule where it cannot hold BLAS, has one CPU or
+one chunk, and raise the error of the lowest failing trial.  No test here
+depends on the order in which the threads make their calls.
 """
 
 import json
@@ -19,11 +19,12 @@ from qrelent import convexity, hermitian
 from qrelent.cli import main
 from qrelent.matrixio import json_default
 
-# Trials per suite at the threaded dim: a few chunks each, two per chunk
-# for variational, one for the others.
-TRIALS = {"klein": 4, "joint-convexity": 3, "lieb-concavity": 3, "partial-max": 3,
-          "fenchel": 3, "variational": 5}
+# Trials per suite at its threaded dim: a few chunks each, ten per chunk
+# for variational (at dim 14), two for partial-max, one for the others.
+TRIALS = {"klein": 4, "joint-convexity": 3, "lieb-concavity": 3, "partial-max": 5,
+          "fenchel": 3, "variational": 13}
 CASES = [*((name, {}) for name in SUITES), ("lieb-concavity", {"orientation": "convex"})]
+OPTIMIZER_SUITES = ("partial-max", "variational")
 
 
 def _report_bytes(name, dim, options, trials=None):
@@ -42,6 +43,23 @@ def _schedules(monkeypatch) -> list:
 
     monkeypatch.setattr(convexity, "_run_tasks", spy)
     return seen
+
+
+def _blas_puts(monkeypatch) -> list:
+    # The counts run_suite sets numpy's OpenBLAS to, recorded as they are set.
+    puts = []
+    control = hermitian._openblas_threads()
+    if control is not None:
+        get, put = control
+        monkeypatch.setattr(hermitian, "_openblas_threads",
+                            lambda: (get, lambda n: (puts.append(n), put(n))))
+    return puts
+
+
+def _serial_from_now_on(monkeypatch, name):
+    # Row ``name`` runs serially at its threaded dim.
+    row = SUITES[name]
+    monkeypatch.setitem(convexity.SUITES, name, row._replace(threaded_dim=row.threaded_dim + 1))
 
 
 def _blas_threads() -> int:
@@ -79,40 +97,61 @@ def two_cpus(monkeypatch):
 
 @pytest.mark.parametrize("name, options", CASES)
 def test_threaded_report_equals_the_serial_one(monkeypatch, two_cpus, name, options):
-    dim = convexity._THREADED_DIM
+    dim = SUITES[name].threaded_dim
     seen = _schedules(monkeypatch)
     threaded = _report_bytes(name, dim, options)
-    monkeypatch.setattr(convexity, "_THREADED_DIM", dim + 1)
+    _serial_from_now_on(monkeypatch, name)
     serial = _report_bytes(name, dim, options)
     assert threaded == serial
     held = hermitian._openblas_threads() is not None
     assert seen == [2 if held else 1, 1]
 
 
-def test_threaded_dim_stays_above_the_serial_workloads():
-    # Dims up to 16 keep the serial schedule: their chunks are GIL-bound.
-    assert convexity._THREADED_DIM > 16
+def test_optimizer_rows_thread_at_dim_16_and_segment_rows_do_not(monkeypatch, two_cpus):
+    # The ascents' eigh calls and matmuls release the GIL; the segment
+    # suites' chunks hold it at dim 16, their eigvalsh stacks being small.
+    # The default reports at dims 1 and 6 stay serial.
+    held = hermitian._openblas_threads() is not None
+    seen = _schedules(monkeypatch)
+    for name in OPTIMIZER_SUITES:
+        assert 6 < SUITES[name].threaded_dim <= 16
+        run_suite(name, 16, TRIALS[name], 42, None)
+        run_suite(name, SUITES[name].threaded_dim - 1, TRIALS[name], 42, None)
+    assert seen == [2 if held else 1, 1] * len(OPTIMIZER_SUITES)
+    seen.clear()
+    segment_suites = [name for name in SUITES if name not in OPTIMIZER_SUITES]
+    for name in segment_suites:
+        assert SUITES[name].threaded_dim > 16
+        run_suite(name, 16, TRIALS[name], 42, None)
+        run_suite(name, SUITES[name].threaded_dim - 1, TRIALS[name], 42, None)
+    assert seen == [1, 1] * len(segment_suites)
+
+
+def test_a_single_chunk_runs_serially_and_leaves_blas_alone(monkeypatch, two_cpus):
+    # Five variational trials at dim 16 are one chunk of eight.
+    puts = _blas_puts(monkeypatch)
+    seen = _schedules(monkeypatch)
+    before = threading.active_count()
+    assert main(["verify", "--suite", "variational", "--dim", "16", "--trials", "5"]) == 0
+    assert seen == [1]
+    assert puts == []
+    assert threading.active_count() == before
 
 
 @pytest.mark.parametrize("fallback", ["no BLAS control", "one CPU"])
 def test_fallbacks_run_serially_with_the_same_bytes(monkeypatch, fallback):
-    dim = convexity._THREADED_DIM
-    reference = {name: _report_bytes(name, dim, {}) for name in ("joint-convexity", "variational")}
+    reference = {name: _report_bytes(name, SUITES[name].threaded_dim, {}) for name in SUITES}
     puts = []
     if fallback == "one CPU":
         monkeypatch.setattr(convexity, "usable_cpus", lambda: 1)
-        control = hermitian._openblas_threads()
-        if control is not None:
-            get, put = control
-            monkeypatch.setattr(hermitian, "_openblas_threads",
-                                lambda: (get, lambda n: (puts.append(n), put(n))))
+        puts = _blas_puts(monkeypatch)
     else:
         monkeypatch.setattr(convexity, "usable_cpus", lambda: 2)
         monkeypatch.setattr(hermitian, "_openblas_threads", lambda: None)
     seen = _schedules(monkeypatch)
     for name, want in reference.items():
-        assert _report_bytes(name, dim, {}) == want, name
-    assert seen == [1, 1]
+        assert _report_bytes(name, SUITES[name].threaded_dim, {}) == want, name
+    assert seen == [1] * len(SUITES)
     assert puts == []
 
 
@@ -127,7 +166,7 @@ class TestBlasHold:
             return row.trial(rngs, *args, **options)
 
         monkeypatch.setitem(convexity.SUITES, "joint-convexity", row._replace(trial=trial))
-        run_suite("joint-convexity", convexity._THREADED_DIM, 3, 42, None)
+        run_suite("joint-convexity", SUITES["joint-convexity"].threaded_dim, 3, 42, None)
         assert during == [1, 1, 1]
         assert _blas_threads() == before
 
@@ -135,7 +174,7 @@ class TestBlasHold:
         before = _blas_threads()
         _failing_fenchel(monkeypatch, {})
         with pytest.raises(OverflowError):
-            run_suite("fenchel", convexity._THREADED_DIM, 20, 42, None)
+            run_suite("fenchel", SUITES["fenchel"].threaded_dim, 20, 42, None)
         assert _blas_threads() == before
 
     def test_overlapping_holds_restore_the_count_the_first_found(self):
@@ -159,14 +198,14 @@ class TestBlasHold:
 class TestNoThreadOutlivesTheRun:
     def test_after_a_normal_run(self, two_cpus):
         before = threading.active_count()
-        run_suite("lieb-concavity", convexity._THREADED_DIM, 4, 42, None)
+        run_suite("lieb-concavity", SUITES["lieb-concavity"].threaded_dim, 4, 42, None)
         assert threading.active_count() == before
 
     def test_after_a_raising_run(self, monkeypatch, two_cpus):
         before = threading.active_count()
         _failing_fenchel(monkeypatch, {13: 0.2})
         with pytest.raises(OverflowError):
-            run_suite("fenchel", convexity._THREADED_DIM, 20, 42, None)
+            run_suite("fenchel", SUITES["fenchel"].threaded_dim, 20, 42, None)
         assert threading.active_count() == before
 
 
@@ -183,19 +222,20 @@ def _stacked_only_fenchel_bug(monkeypatch):
 
 
 class TestFailingTrialIsNamed:
-    @pytest.mark.parametrize("threaded", [False, True])
+    @pytest.mark.parametrize("dim", [6, 16, SUITES["fenchel"].threaded_dim])
     def test_lowest_failing_trial_is_raised_and_printed(self, monkeypatch, capsys, two_cpus,
-                                                        threaded):
-        # Trials 13 and 17 raise.  At dim 6 both sit in chunks of 11; at the
-        # threaded dim each is a chunk, and 13 sleeps before it raises, so
-        # 17 fails first whichever thread runs it.
-        dim = convexity._THREADED_DIM if threaded else 6
+                                                        dim):
+        # Trials 13 and 17 raise.  At dim 6 both sit in chunks of 11; from
+        # dim 16 on each is a chunk, run serially at dim 16.  At the
+        # threaded dim 13 sleeps before it raises, so 17 fails first
+        # whichever thread runs it.  The arguments were valid, so the
+        # error of a trial exits 3, not 2.
         _failing_fenchel(monkeypatch, {13: 0.2})
         with pytest.raises(OverflowError) as err:
             run_suite("fenchel", dim, 30, 42, None)
         assert str(err.value) == "eigenvalue too large in 13"
         assert err.value.trial_key == "fenchel trial 13"
-        assert main(["verify", "--suite", "fenchel", "--dim", str(dim), "--trials", "30"]) == 2
+        assert main(["verify", "--suite", "fenchel", "--dim", str(dim), "--trials", "30"]) == 3
         assert capsys.readouterr().err == "error: fenchel trial 13: eigenvalue too large in 13\n"
 
     def test_kind_and_index_within_the_kind(self, monkeypatch):
